@@ -47,10 +47,6 @@ class Node:
     def shape(self):
         return self.value.shape
 
-    @property
-    def size(self):
-        return self.value.size
-
     def accumulate(self, g):
         # first contribution is stored as-is (grad buffers are never mutated
         # in place, so aliasing a producer's array is safe); later ones add
@@ -62,28 +58,6 @@ class Node:
     def __repr__(self):
         nm = f" name={self.name!r}" if self.name else ""
         return f"Node(shape={self.value.shape}, grad={self.requires_grad}{nm})"
-
-    # operator sugar used throughout the network code
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_node(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def constant(value, name=None) -> Node:
@@ -128,7 +102,7 @@ def _reduce_to(g: Array, shape) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# elementwise arithmetic
+# pointwise arithmetic
 
 def add(a, b) -> Node:
     a, b = as_node(a), as_node(b)
@@ -206,16 +180,6 @@ def scale(a, s: float) -> Node:
     return _make(a.value * s, (a,), backward)
 
 
-def sigmoid(a) -> Node:
-    a = as_node(a)
-    out_value = expit(a.value)
-
-    def backward(g):
-        a.accumulate(g * out_value * (1.0 - out_value))
-
-    return _make(out_value, (a,), backward)
-
-
 def softplus(a) -> Node:
     a = as_node(a)
     out_value = np.logaddexp(0.0, a.value)
@@ -261,7 +225,7 @@ def relu(a) -> Node:
 
 
 def phi1(a) -> Node:
-    """(exp(z) - 1) / z elementwise, with value 1 taken for |z| < 1e-8.
+    """(exp(z) - 1) / z per element, with value 1 taken for |z| < 1e-8.
 
     This is the factor that turns a continuous input gain into its
     zero-order-hold discrete counterpart.
@@ -280,23 +244,6 @@ def phi1(a) -> Node:
         a.accumulate(g * deriv)
 
     return _make(out_value, (a,), backward)
-
-
-def elementwise(kind: str, a, b=None) -> Node:
-    """Dispatch by op name: add, sub, mul, sigmoid, gelu, scale."""
-    if kind == "add":
-        return add(a, b)
-    if kind == "sub":
-        return sub(a, b)
-    if kind == "mul":
-        return mul(a, b)
-    if kind == "sigmoid":
-        return sigmoid(a)
-    if kind == "gelu":
-        return gelu(a)
-    if kind == "scale":
-        return scale(a, b)
-    raise ValueError(f"unknown elementwise kind: {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -61,17 +61,20 @@ def _cmd_reconstruct(args) -> int:
     meas, _ = fileio.load_cube(args.meas, expect_kind=fileio.KIND_MEASUREMENT)
     model = fileio.load_weights(args.weights)
     config = model.config
-    arrays = model.arrays
+    arrays = dict(model.arrays)
     if args.stages is not None and args.stages != config.stages:
         if not config.share_weights:
             print("error: --stages can only override shared-weights models", file=sys.stderr)
             return 1
+        # stage scalars beyond the new count are dropped; added stages start
+        # from the documented initialization
+        for k in range(args.stages, config.stages):
+            for name in unfolding.stage_scalars(k):
+                arrays.pop(name, None)
+        for k in range(config.stages, args.stages):
+            arrays.update(unfolding.stage_scalars(k))
         config = unfolding.UnfoldConfig(stages=args.stages, net=config.net,
                                         share_weights=True)
-        # stage scalars beyond the new count are dropped; missing ones keep
-        # their documented initialization
-        arrays = {k: v for k, v in arrays.items()
-                  if not k.startswith("est/") or int(k.rsplit("raw", 1)[1]) < args.stages}
     mask, _ = fileio.load_cube(args.mask, expect_kind=fileio.KIND_MASK)
     d = args.d if args.d is not None else _infer_shift_step(
         meas.shape[2], mask.shape[2], config.net.bands)
@@ -90,7 +93,7 @@ def _cmd_train(args) -> int:
         scenes = [fileio.load_cube(p, expect_kind=fileio.KIND_CUBE)[0] for p in args.cube]
     else:
         scenes = fileio.ingest_dataset(args.scenes, crop=args.crop, bands=args.bands,
-                                       mode="random", seed=args.seed)
+                                       seed=args.seed)
     opts = fileio.parse_config_file(args.config) if args.config else {}
     bands = scenes[0].shape[0]
     net = _build_net_config(opts, bands)

@@ -95,9 +95,6 @@ class ModelWeights:
     def __contains__(self, name: str) -> bool:
         return name in self._store
 
-    def names(self):
-        return list(self._store)
-
     def items(self):
         return self._store.items()
 
@@ -112,6 +109,10 @@ class ModelWeights:
             node.grad = None
 
     def load_arrays(self, arrays: dict) -> None:
+        """Replace every tensor; the checkpoint must name exactly this set."""
+        missing = sorted(set(self._store) - set(arrays))
+        if missing:
+            raise KeyError(f"checkpoint lacks weight tensors: {', '.join(missing)}")
         for name, value in arrays.items():
             node = self._store.get(name)
             if node is None:

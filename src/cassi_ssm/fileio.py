@@ -38,6 +38,15 @@ class FileFormatError(ValueError):
     """Raised for any malformed container file."""
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    """True when no value is NaN or Inf, without a full-size temporary.
+
+    Values read from float32 payloads cannot overflow a float64 sum, so the
+    sum is finite exactly when every value is.
+    """
+    return bool(np.isfinite(values.sum()))
+
+
 # ---------------------------------------------------------------------------
 # HSIC cubes
 
@@ -82,6 +91,8 @@ def load_cube(path, expect_kind: int | None = None):
         raise FileFormatError(
             f"{path}: kind mismatch (expected {_KIND_NAMES[expect_kind]}, found {_KIND_NAMES[kind]})")
     values = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(nb, h, w)
+    if not _all_finite(values):
+        raise FileFormatError(f"{path}: payload holds NaN or Inf")
     return values, kind
 
 
@@ -184,6 +195,8 @@ def load_weights(path) -> LoadedModel:
         if name in arrays:
             raise FileFormatError(f"{path}: duplicate tensor name {name!r}")
         arrays[name] = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
+        if not _all_finite(arrays[name]):
+            raise FileFormatError(f"{path}: tensor {name!r} holds NaN or Inf")
     if pos != len(raw):
         raise FileFormatError(f"{path}: oversized weights payload ({len(raw) - pos} trailing bytes)")
     if PROFILE_KEY not in arrays:
@@ -222,12 +235,11 @@ def export_band(cube: np.ndarray, band: int, path) -> None:
     Path(path).write_bytes(header + pixels.tobytes())
 
 
-def ingest_dataset(directory, crop: int, bands: int, mode: str = "center",
-                   seed: int = 0) -> list[np.ndarray]:
+def ingest_dataset(directory, crop: int, bands: int, seed: int = 0) -> list[np.ndarray]:
     """Load every kind-0 HSIC scene in a directory, cropped and band-limited.
 
-    mode "center" takes the central crop; "random" draws a seeded corner per
-    scene, reproducible across runs.
+    The crop corner of each scene is drawn from `seed`, reproducible across
+    runs.
     """
     paths = sorted(Path(directory).glob("*.hsic"))
     if not paths:
@@ -243,13 +255,8 @@ def ingest_dataset(directory, crop: int, bands: int, mode: str = "center",
             raise ValueError(f"{p}: scene {h}x{w} smaller than crop {crop}")
         if bands > nb:
             raise ValueError(f"{p}: scene has {nb} bands, requested {bands}")
-        if mode == "center":
-            r0, c0 = (h - crop) // 2, (w - crop) // 2
-        elif mode == "random":
-            r0 = int(rng.integers(0, h - crop + 1))
-            c0 = int(rng.integers(0, w - crop + 1))
-        else:
-            raise ValueError(f"unknown crop mode {mode!r}")
+        r0 = int(rng.integers(0, h - crop + 1))
+        c0 = int(rng.integers(0, w - crop + 1))
         scenes.append(values[:bands, r0:r0 + crop, c0:c0 + crop].copy())
     if not scenes:
         raise FileNotFoundError(f"no cube-kind scenes found in {directory}")

@@ -105,12 +105,10 @@ def local_patch_order(height: int, width: int, patch: int, reverse: bool = False
     hit = _cached(desc)
     if hit is not None:
         return hit
-    idx = np.arange(height * width, dtype=np.intp).reshape(height, width)
-    runs = []
-    for pr in range(0, height, patch):
-        for pc in range(0, width, patch):
-            runs.append(idx[pr:pr + patch, pc:pc + patch].reshape(-1))
-    fwd = np.concatenate(runs)
+    # axes (patch row, row in patch, patch col, col in patch) -> patch-major
+    idx = np.arange(height * width, dtype=np.intp).reshape(
+        height // patch, patch, width // patch, patch)
+    fwd = idx.transpose(0, 2, 1, 3).reshape(-1)
     if reverse:
         fwd = fwd[::-1]
     return _finish(desc, fwd)
@@ -130,21 +128,13 @@ def cross_cube_order(height: int, width: int, channels: int, spec: CubeSpec) -> 
     hit = _cached(desc)
     if hit is not None:
         return hit
-    plane = height * width
-    out = np.empty(plane * channels, dtype=np.intp)
-    pos = 0
-    for pr in range(0, height, spec.patch):
-        for pc in range(0, width, spec.patch):
-            for b0 in range(0, channels, spec.c):
-                for cr in range(pr, pr + spec.patch, spec.h):
-                    for cc in range(pc, pc + spec.patch, spec.w):
-                        for r in range(cr, cr + spec.h):
-                            for x in range(cc, cc + spec.w):
-                                base = r * width + x
-                                for b in range(b0, b0 + spec.c):
-                                    out[pos] = b * plane + base
-                                    pos += 1
-    return _finish(desc, out)
+    p = spec.patch
+    # axes of the flat C x H x W index: (block, band in block, patch row,
+    # cube row in patch, row in cube, patch col, cube col in patch, col in cube)
+    idx = np.arange(channels * height * width, dtype=np.intp).reshape(
+        channels // spec.c, spec.c, height // p, p // spec.h, spec.h,
+        width // p, p // spec.w, spec.w)
+    return _finish(desc, idx.transpose(2, 5, 0, 3, 6, 4, 7, 1).reshape(-1))
 
 
 def spectral_scan_order(height: int, width: int, channels: int) -> ScanOrder:

@@ -6,12 +6,13 @@ with negative entries, and B, C, Delta vary per token (input-dependent
 selection), which is what makes the scan "selective".
 
 `selective_scan` is differentiable end to end; `naive_scan_oracle` is the
-literal reference loop it is verified against.
+literal reference loop it is verified against.  `discretize_zoh` and
+`naive_scan_oracle` deliberately share no code with `ad.phi1` and
+`selective_scan`: they are the independent oracle those are checked
+against, so the ZOH formula is written twice on purpose.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,37 +21,8 @@ from . import autodiff as ad
 ZOH_SERIES_GUARD = 1e-8
 
 
-@dataclass(frozen=True)
-class SsmParams:
-    """Continuous per-token parameters for one scalar-input scan.
-
-    a: [N] negative diagonal; b, c: [L, N] per-token in/out vectors;
-    delta: [L] positive timescales; d: scalar skip gain.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    delta: np.ndarray
-    d: float
-
-    def __post_init__(self):
-        if (np.asarray(self.a) >= 0).any():
-            raise ValueError("all diagonal entries of A must be negative")
-        if (np.asarray(self.delta) <= 0).any():
-            raise ValueError("all timescales must be positive")
-
-
-@dataclass(frozen=True)
-class DiscreteSsm:
-    """ZOH-discretized per-token transition and input gains, both [L, N]."""
-
-    abar: np.ndarray
-    bbar: np.ndarray
-
-
 def discretize_zoh(a, b, delta):
-    """Zero-order-hold discretization, elementwise over broadcastable arrays.
+    """Zero-order-hold discretization, per element over broadcastable arrays.
 
     abar = exp(delta*a); bbar = (delta*a)^-1 (exp(delta*a) - 1) * delta*b,
     with the analytic limit delta*b used when |delta*a| < 1e-8.

@@ -2,9 +2,8 @@
 
 The mask multiplies the embedded feature of every stage's denoiser, turning
 reconstruction into a partial-inpainting task.  One fixed mask (same seed)
-is used for every step and again at evaluation; per-step resampling exists
-behind an experimental flag only.  The optimizer is plain gradient descent
-with a cosine-decayed learning rate.
+is used for every step and again at evaluation.  The optimizer is plain
+gradient descent with a cosine-decayed learning rate.
 """
 
 from __future__ import annotations
@@ -68,30 +67,21 @@ def generate_mask(height: int, width: int, zero_ratio: float, seed: int) -> Feat
     return FeatureMask(flat.reshape(height, width), zero_ratio, seed)
 
 
-def apply_mask(feature, mask: FeatureMask) -> "ad.Node":
-    return mask.apply(feature)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of the desk-scale training loop."""
 
     learning_rate: float = 1.0
     steps: int = 200
-    batch_size: int = 1
     zero_ratio: float = 0.5
     mask_seed: int = 0
-    loss_kind: str = "mse"
     masked: bool = False
     noise_bits: int = 0
     noise_seed: int = 0
-    resample_mask_per_step: bool = False  # experimental; default keeps one fixed mask
 
     def __post_init__(self):
         if not 0.0 <= self.zero_ratio < 1.0:
             raise ValueError(f"zero ratio must lie in [0, 1), got {self.zero_ratio}")
-        if self.loss_kind != "mse":
-            raise ValueError(f"unsupported loss kind: {self.loss_kind!r}")
 
     def lr_at(self, step: int) -> float:
         """Cosine decay from the base rate to zero over the configured steps."""
@@ -166,9 +156,6 @@ def train(batch, weights: ModelWeights, config: UnfoldConfig, cfg: TrainConfig) 
         h, w = batch[0][1].mask.shape
         mask = generate_mask(h, w, cfg.zero_ratio, cfg.mask_seed)
     for step in range(cfg.steps):
-        if cfg.masked and cfg.resample_mask_per_step:
-            h, w = batch[0][1].mask.shape
-            mask = generate_mask(h, w, cfg.zero_ratio, cfg.mask_seed + step)
         loss = train_step(batch, weights, config, cfg, mask=mask, step=step)
         state.losses.append(loss)
         if mask is not None:

@@ -26,16 +26,10 @@ ALPHA_RAW_INIT = float(np.log(np.expm1(1.0)))
 BETA_RAW_INIT = float(np.log(np.expm1(0.1)))
 
 
-@dataclass(frozen=True)
-class StageParams:
-    """Positive per-stage penalty and denoiser noise level."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.mu <= 0 or self.sigma <= 0:
-            raise ValueError(f"stage parameters must be positive, got mu={self.mu}, sigma={self.sigma}")
+def stage_scalars(k: int) -> dict:
+    """Names of stage k's raw (mu, sigma) scalars, each at its documented init."""
+    return {f"est/alpha_raw{k}": np.asarray(ALPHA_RAW_INIT),
+            f"est/beta_raw{k}": np.asarray(BETA_RAW_INIT)}
 
 
 @dataclass(frozen=True)
@@ -69,20 +63,9 @@ def init_weights(config: UnfoldConfig, seed: int, zero_residual: bool = True) ->
     for prefix in prefixes:
         init_denoiser_weights(weights, rng, prefix, config.net, zero_residual=zero_residual)
     for k in range(config.stages):
-        weights.add(f"est/alpha_raw{k}", np.asarray(ALPHA_RAW_INIT))
-        weights.add(f"est/beta_raw{k}", np.asarray(BETA_RAW_INIT))
+        for name, value in stage_scalars(k).items():
+            weights.add(name, value)
     return weights
-
-
-def estimate_stage_params(alpha_raw, beta_raw) -> list[StageParams]:
-    """Map raw learned scalars to positive (mu, sigma) pairs via softplus."""
-    alpha_raw = np.atleast_1d(np.asarray(alpha_raw, dtype=np.float64))
-    beta_raw = np.atleast_1d(np.asarray(beta_raw, dtype=np.float64))
-    if alpha_raw.shape != beta_raw.shape:
-        raise ValueError(f"need one (alpha, beta) pair per stage, got {alpha_raw.shape} vs {beta_raw.shape}")
-    mus = np.logaddexp(0.0, alpha_raw)
-    sigmas = np.logaddexp(0.0, beta_raw)
-    return [StageParams(float(m), float(s)) for m, s in zip(mus, sigmas)]
 
 
 def data_step_node(z: "ad.Node", y: np.ndarray, op: cassi.SensingOperator, mu) -> "ad.Node":

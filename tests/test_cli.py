@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from cassi_ssm import fileio, metrics
+from cassi_ssm import cassi, fileio, metrics, unfolding
 from cassi_ssm.cli import parse_and_dispatch
 from cassi_ssm.demo import toy_mask, toy_scene
+from cassi_ssm.denoiser import ModelWeights, UNetConfig
+
+TOY_NET = UNetConfig(bands=2, base_channels=4, levels=1, blocks_per_level=1,
+                     patch=2, cube=(1, 1, 2), state_size=2, expansion=1)
 
 
 @pytest.fixture
@@ -104,6 +108,56 @@ class TestPipeline:
         assert model.feature_mask is not None
         assert model.feature_mask.seed == 9
         assert (model.feature_mask.values == 0).sum() == round(0.5 * 16 * 16)
+
+
+class TestCheckpointTensors:
+    """reconstruct loads exactly the stored tensor set, bar --stages scalars."""
+
+    @pytest.fixture
+    def model(self, workspace):
+        config = unfolding.UnfoldConfig(stages=2, net=TOY_NET)
+        weights = unfolding.init_weights(config, seed=4, zero_residual=False)
+        weights["est/alpha_raw1"].value = weights["est/alpha_raw1"].value + 0.5
+        op = cassi.SensingOperator(toy_mask(16, 16, seed=11), 2, 2)
+        meas = cassi.forward_project(toy_scene(16, 16, 2, seed=7), op)
+        fileio.save_cube(workspace / "meas.hsic", meas[None], kind=fileio.KIND_MEASUREMENT)
+        return config, weights, op, fileio.load_cube(workspace / "meas.hsic")[0][0]
+
+    def reconstruct(self, workspace, weights_file, *extra):
+        return run(["reconstruct", "--meas", workspace / "meas.hsic",
+                    "--mask", workspace / "mask.hsic", "--weights", weights_file,
+                    "--out", workspace / "rec.hsic", *extra])
+
+    def test_missing_tensor_exit_1(self, workspace, model, capsys):
+        config, weights, _, _ = model
+        partial = ModelWeights()
+        for name, value in weights.arrays().items():
+            if name != "shared/out/w":
+                partial.add(name, value)
+        fileio.save_weights(workspace / "partial.csmw", partial, config)
+        assert self.reconstruct(workspace, workspace / "partial.csmw") == 1
+        assert "shared/out/w" in capsys.readouterr().err
+        assert not (workspace / "rec.hsic").exists()
+
+    @pytest.mark.parametrize("stages", [1, 3])
+    def test_stage_override_above_and_below(self, workspace, model, stages):
+        config, weights, op, meas = model
+        fileio.save_weights(workspace / "model.csmw", weights, config)
+        assert self.reconstruct(workspace, workspace / "model.csmw", "--stages", stages) == 0
+        rec, _ = fileio.load_cube(workspace / "rec.hsic")
+        # the same model built in process: stored tensors, and the documented
+        # initialization for a stage the file does not hold
+        override = unfolding.UnfoldConfig(stages=stages, net=TOY_NET)
+        expected = unfolding.init_weights(override, seed=0)
+        stored = fileio.load_weights(workspace / "model.csmw").arrays
+        expected.load_arrays({name: stored.get(name, node.value)
+                              for name, node in expected.items()})
+        assert np.array_equal(expected["est/alpha_raw0"].value, stored["est/alpha_raw0"])
+        if stages > 2:
+            assert float(expected["est/alpha_raw2"].value) == unfolding.ALPHA_RAW_INIT
+            assert float(expected["est/beta_raw2"].value) == unfolding.BETA_RAW_INIT
+        want = unfolding.reconstruct(meas, op, expected, override)
+        assert np.array_equal(rec, want.astype(np.float32).astype(np.float64))
 
 
 class TestExportAndDump:

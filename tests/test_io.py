@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cassi_ssm import fileio, training, unfolding
-from cassi_ssm.denoiser import UNetConfig
+from cassi_ssm.denoiser import ModelWeights, UNetConfig
 from cassi_ssm.demo import toy_scene
 
 TINY = UNetConfig(bands=2, base_channels=4, levels=1, blocks_per_level=1,
@@ -103,6 +103,16 @@ class TestCubeFiles:
             seen[name] = str(err.value).split(": ", 1)[1]
         assert len(set(seen.values())) == len(seen)
 
+    def test_non_finite_payload_rejected(self, tmp_path):
+        for bad in (np.nan, np.inf, -np.inf):
+            cube = toy_scene(4, 4, 2, seed=0)
+            cube[1, 2, 3] = bad
+            p = tmp_path / "bad.hsic"
+            fileio.save_cube(p, cube)
+            with pytest.raises(fileio.FileFormatError, match="NaN or Inf") as err:
+                fileio.load_cube(p)
+            assert str(p) in str(err.value)
+
     def test_mask_must_be_single_plane(self, tmp_path):
         with pytest.raises(ValueError, match="single plane"):
             fileio.save_cube(tmp_path / "x.hsic", np.ones((2, 3, 3)), kind=fileio.KIND_MASK)
@@ -153,11 +163,53 @@ class TestWeightsFiles:
         fileio.save_weights(p, weights, cfg, feature_mask=mask)
         assert fileio.load_weights(p).feature_mask.seed == 2**31 - 7
 
+    def test_missing_tensor_rejected(self, tmp_path):
+        cfg, weights, _ = self.make_model()
+        partial = ModelWeights()
+        for name, value in weights.arrays().items():
+            if name != "shared/out/w":
+                partial.add(name, value)
+        p = tmp_path / "partial.csmw"
+        fileio.save_weights(p, partial, cfg)
+        restored = unfolding.init_weights(cfg, seed=0)
+        with pytest.raises(KeyError, match="shared/out/w"):
+            restored.load_arrays(fileio.load_weights(p).arrays)
+
+    def test_non_finite_tensor_rejected(self, tmp_path):
+        cfg, weights, _ = self.make_model()
+        weights["shared/out/b"].value[0] = np.nan
+        p = tmp_path / "nan.csmw"
+        fileio.save_weights(p, weights, cfg)
+        with pytest.raises(fileio.FileFormatError, match="NaN or Inf") as err:
+            fileio.load_weights(p)
+        assert str(p) in str(err.value) and "shared/out/b" in str(err.value)
+
     def test_wrong_magic(self, tmp_path):
         p = tmp_path / "bad.csmw"
         p.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(fileio.FileFormatError, match="not a CSMW file"):
             fileio.load_weights(p)
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        cfg, weights, _ = self.make_model()
+        partial = ModelWeights()
+        for name, value in weights.arrays().items():
+            if name != "shared/out/w":
+                partial.add(name, value)
+        p = tmp_path / "partial.csmw"
+        fileio.save_weights(p, partial, cfg)
+        restored = unfolding.init_weights(cfg, seed=0)
+        with pytest.raises(KeyError, match="shared/out/w"):
+            restored.load_arrays(fileio.load_weights(p).arrays)
+
+    def test_non_finite_tensor_rejected(self, tmp_path):
+        cfg, weights, _ = self.make_model()
+        weights["shared/out/b"].value[0] = np.nan
+        p = tmp_path / "nan.csmw"
+        fileio.save_weights(p, weights, cfg)
+        with pytest.raises(fileio.FileFormatError, match="NaN or Inf") as err:
+            fileio.load_weights(p)
+        assert str(p) in str(err.value) and "shared/out/b" in str(err.value)
 
     def test_truncation_rejected(self, tmp_path):
         cfg, weights, _ = self.make_model()
@@ -241,8 +293,8 @@ class TestIngestDataset:
 
     def test_random_crop_reproducible(self, tmp_path):
         self.write_scene(tmp_path / "s0.hsic", 2)
-        a = fileio.ingest_dataset(tmp_path, crop=6, bands=3, mode="random", seed=5)
-        b = fileio.ingest_dataset(tmp_path, crop=6, bands=3, mode="random", seed=5)
+        a = fileio.ingest_dataset(tmp_path, crop=6, bands=3, seed=5)
+        b = fileio.ingest_dataset(tmp_path, crop=6, bands=3, seed=5)
         assert np.array_equal(a[0], b[0])
 
     def test_scene_smaller_than_crop(self, tmp_path):

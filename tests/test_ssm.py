@@ -196,17 +196,3 @@ class TestContinuousResponse:
         c = rng.normal(size=6)
         dev = ssm.continuous_response_check(a, b, c, 0.0, u=1.5, delta=0.1, steps=50)
         assert dev <= 1e-9
-
-
-class TestSsmParamTypes:
-    def test_params_validation(self):
-        with pytest.raises(ValueError, match="negative"):
-            ssm.SsmParams(np.array([1.0]), np.zeros((2, 1)), np.zeros((2, 1)),
-                          np.ones(2), 0.0)
-        with pytest.raises(ValueError, match="positive"):
-            ssm.SsmParams(np.array([-1.0]), np.zeros((2, 1)), np.zeros((2, 1)),
-                          np.zeros(2), 0.0)
-
-    def test_discrete_container(self):
-        d = ssm.DiscreteSsm(np.full((3, 2), 0.5), np.ones((3, 2)))
-        assert d.abar.shape == d.bbar.shape

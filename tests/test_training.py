@@ -55,12 +55,12 @@ class TestApplyMask:
     def test_all_ones_is_identity(self):
         fm = training.generate_mask(4, 4, 0.0, seed=0)
         x = np.random.default_rng(1).random((3, 4, 4))
-        assert np.array_equal(training.apply_mask(ad.constant(x), fm).value, x)
+        assert np.array_equal(fm.apply(ad.constant(x)).value, x)
 
     def test_masked_positions_exactly_zero(self):
         fm = training.generate_mask(4, 4, 0.5, seed=2)
         x = np.random.default_rng(3).random((3, 4, 4)) + 1.0
-        out = training.apply_mask(ad.constant(x), fm).value
+        out = fm.apply(ad.constant(x)).value
         zero_at = fm.values == 0
         assert (out[:, zero_at] == 0).all()
         assert np.array_equal(out[:, ~zero_at], x[:, ~zero_at])
@@ -68,8 +68,8 @@ class TestApplyMask:
     def test_idempotent(self):
         fm = training.generate_mask(4, 4, 0.5, seed=4)
         x = np.random.default_rng(5).random((2, 4, 4))
-        once = training.apply_mask(ad.constant(x), fm).value
-        twice = training.apply_mask(ad.constant(once), fm).value
+        once = fm.apply(ad.constant(x)).value
+        twice = fm.apply(ad.constant(once)).value
         assert np.array_equal(once, twice)
 
     def test_gradient_zero_at_masked_positions(self):
@@ -77,7 +77,7 @@ class TestApplyMask:
         rng = np.random.default_rng(7)
         x = ad.parameter(rng.random((2, 4, 4)))
         proj = rng.normal(size=(2, 4, 4))
-        ad.backward(ad.sum_all(ad.mul(training.apply_mask(x, fm), ad.constant(proj))))
+        ad.backward(ad.sum_all(ad.mul(fm.apply(x), ad.constant(proj))))
         zero_at = fm.values == 0
         assert (x.grad[:, zero_at] == 0).all()
         assert np.any(x.grad[:, ~zero_at])
@@ -88,14 +88,14 @@ class TestApplyMask:
         proj = rng.normal(size=(2, 4, 4))
 
         def f(t):
-            return ad.sum_all(ad.mul(training.apply_mask(t, fm), ad.constant(proj)))
+            return ad.sum_all(ad.mul(fm.apply(t), ad.constant(proj)))
 
         assert ad.finite_diff_check(f, rng.random((2, 4, 4)), eps=1e-6) <= 1e-4
 
     def test_shape_guard(self):
         fm = training.generate_mask(4, 4, 0.5, seed=10)
         with pytest.raises(ValueError, match="mask shape"):
-            training.apply_mask(ad.constant(np.zeros((2, 8, 8))), fm)
+            fm.apply(ad.constant(np.zeros((2, 8, 8))))
 
 
 class TestTrainStep:
@@ -186,13 +186,6 @@ class TestMaskedMode:
             state = training.train([(cube, op)], weights, cfg, tc)
             results.append(state.losses[-1])
         assert results[0] != results[1]
-
-    def test_resample_flag_changes_masks(self):
-        cfg, weights, cube, op = tiny_setup(seed=10)
-        tc = training.TrainConfig(learning_rate=0.0, steps=3, masked=True,
-                                  resample_mask_per_step=True)
-        state = training.train([(cube, op)], weights, cfg, tc)
-        assert len(set(state.mask_digests)) == 3
 
 
 class TestSchedule:

@@ -20,26 +20,17 @@ def make_instance(seed, h=4, w=5, bands=3, d=2):
     return op, z, y
 
 
-class TestEstimateStageParams:
+class TestStageScalars:
     def test_documented_initialization(self):
-        params = unfolding.estimate_stage_params(
-            np.full(3, unfolding.ALPHA_RAW_INIT), np.full(3, unfolding.BETA_RAW_INIT))
-        for p in params:
-            assert p.mu == pytest.approx(1.0, abs=1e-12)
-            assert p.sigma == pytest.approx(0.1, abs=1e-12)
+        cfg = unfolding.UnfoldConfig(stages=3, net=TINY)
+        w = unfolding.init_weights(cfg, seed=0)
+        for k in range(3):
+            assert float(ad.softplus(w[f"est/alpha_raw{k}"]).value) == pytest.approx(1.0, abs=1e-12)
+            assert float(ad.softplus(w[f"est/beta_raw{k}"]).value) == pytest.approx(0.1, abs=1e-12)
 
     def test_softplus_stays_positive(self):
-        params = unfolding.estimate_stage_params([-50.0, 0.0, 50.0], [-80.0, 1.0, 2.0])
-        for p in params:
-            assert p.mu > 0 and p.sigma > 0
-
-    def test_pairing_enforced(self):
-        with pytest.raises(ValueError, match="pair"):
-            unfolding.estimate_stage_params(np.zeros(2), np.zeros(3))
-
-    def test_stage_params_validated(self):
-        with pytest.raises(ValueError, match="positive"):
-            unfolding.StageParams(0.0, 0.1)
+        raw = np.array([-80.0, -50.0, 0.0, 1.0, 2.0, 50.0])
+        assert (ad.softplus(ad.constant(raw)).value > 0).all()
 
 
 class TestDataStep:
