@@ -66,25 +66,30 @@ class SensingOperator:
                 f"({self.height}, {self.detector_width})")
 
 
+def _detector_sum(band_plane, op: SensingOperator) -> np.ndarray:
+    """Sum band_plane(b) over the bands; plane b lands on columns [d*b, d*b+W).
+
+    Each plane is made and dropped in turn, so at most one is alive at a time.
+    """
+    d, w = op.shift_step, op.width
+    out = np.zeros((op.height, op.detector_width))
+    for b in range(op.bands):
+        out[:, d * b:d * b + w] += band_plane(b)
+    return out
+
+
 def forward_project(cube: np.ndarray, op: SensingOperator) -> np.ndarray:
     """Modulate each band by the mask, shear by d per band, sum on the detector."""
     cube = np.asarray(cube, dtype=np.float64)
     op.check_cube(cube)
-    d, w = op.shift_step, op.width
-    meas = np.zeros((op.height, op.detector_width))
-    for b in range(op.bands):
-        meas[:, d * b:d * b + w] += op.mask * cube[b]
-    return meas
+    # one band at a time: a whole mask * cube product is a cube-sized temporary
+    return _detector_sum(lambda b: op.mask * cube[b], op)
 
 
 def adjoint_project(meas: np.ndarray, op: SensingOperator) -> np.ndarray:
     """Apply Phi^T: un-shear the measurement into each band and re-modulate."""
-    meas = np.asarray(meas, dtype=np.float64)
-    op.check_measurement(meas)
-    d, w = op.shift_step, op.width
-    cube = np.empty((op.bands, op.height, w))
-    for b in range(op.bands):
-        cube[b] = op.mask * meas[:, d * b:d * b + w]
+    cube = shift_back(meas, op)
+    cube *= op.mask
     return cube
 
 
@@ -105,12 +110,8 @@ def phi_diag(op: SensingOperator) -> np.ndarray:
     Each Phi entry is a mask value, so the diagonal entries are sums of M^2
     over the bands that hit a given detector column.
     """
-    d, w = op.shift_step, op.width
-    out = np.zeros((op.height, op.detector_width))
     m2 = op.mask * op.mask
-    for b in range(op.bands):
-        out[:, d * b:d * b + w] += m2
-    return out
+    return _detector_sum(lambda b: m2, op)
 
 
 def build_dense_phi(op: SensingOperator) -> np.ndarray:
@@ -181,12 +182,8 @@ def shift_back_node(meas: "ad.Node", op: SensingOperator) -> "ad.Node":
     meas = ad.as_node(meas)
     op.check_measurement(meas.value)
     out_value = shift_back(meas.value, op)
-    d, w = op.shift_step, op.width
 
     def backward(g):
-        gm = np.zeros((op.height, op.detector_width))
-        for b in range(op.bands):
-            gm[:, d * b:d * b + w] += g[b]
-        meas.accumulate(gm)
+        meas.accumulate(_detector_sum(lambda b: g[b], op))
 
     return ad._make(out_value, (meas,), backward)

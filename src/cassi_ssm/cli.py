@@ -14,17 +14,21 @@ from . import cassi, fileio, metrics, scans, training, unfolding
 from .denoiser import UNetConfig
 
 
+# config-file key -> UNetConfig field; keys the file leaves out keep the
+# UNetConfig defaults
+_NET_FIELDS = {"base_channels": "base_channels", "levels": "levels",
+               "blocks": "blocks_per_level", "patch": "patch", "cube": "cube",
+               "state_size": "state_size", "expansion": "expansion"}
+
+
 def _build_net_config(opts: dict, bands: int) -> UNetConfig:
-    return UNetConfig(
-        bands=bands,
-        base_channels=opts.get("base_channels", 28),
-        levels=opts.get("levels", 2),
-        blocks_per_level=opts.get("blocks", 1),
-        patch=opts.get("patch", 4),
-        cube=opts.get("cube", (2, 2, 4)),
-        state_size=opts.get("state_size", 16),
-        expansion=opts.get("expansion", 2),
-    )
+    fields = {_NET_FIELDS[k]: v for k, v in opts.items() if k in _NET_FIELDS}
+    return UNetConfig(bands=bands, **fields)
+
+
+def _flag_or_file(flag, opts: dict, key: str, default):
+    """A command-line flag wins over the config file, which wins over the default."""
+    return flag if flag is not None else opts.get(key, default)
 
 
 def _load_operator(mask_path: str, bands: int, shift_step: int) -> cassi.SensingOperator:
@@ -98,7 +102,7 @@ def _cmd_train(args) -> int:
     bands = scenes[0].shape[0]
     net = _build_net_config(opts, bands)
     config = unfolding.UnfoldConfig(
-        stages=args.stages if args.stages is not None else opts.get("stages", 3),
+        stages=_flag_or_file(args.stages, opts, "stages", 3),
         net=net,
         share_weights=bool(opts.get("share_weights", 1)),
     )
@@ -109,8 +113,10 @@ def _cmd_train(args) -> int:
     train_cfg = training.TrainConfig(
         learning_rate=args.lr,
         steps=args.steps,
-        zero_ratio=opts.get("mask_ratio", args.mask_ratio),
-        mask_seed=opts.get("mask_seed", args.mask_seed),
+        zero_ratio=_flag_or_file(args.mask_ratio, opts, "mask_ratio",
+                                 training.TrainConfig.zero_ratio),
+        mask_seed=_flag_or_file(args.mask_seed, opts, "mask_seed",
+                                training.TrainConfig.mask_seed),
         masked=args.masked,
         noise_bits=args.noise_bits,
         noise_seed=args.seed,
@@ -171,13 +177,6 @@ def _cmd_dump_scan_order(args) -> int:
     return 0
 
 
-def _cube_dims(text: str):
-    parts = text.lower().split("x")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"cube must be HxWxC, got {text!r}")
-    return tuple(int(p) for p in parts)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cassi-ssm",
                                      description="CASSI simulation and reconstruction toolkit")
@@ -210,14 +209,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bands", type=int, default=4)
     p.add_argument("--mask", required=True)
     p.add_argument("--config", default=None, help="key=value network profile")
-    p.add_argument("--stages", type=int, default=None)
+    p.add_argument("--stages", type=int, default=None,
+                   help="stage count; overrides the config file (default 3)")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--lr", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--masked", action="store_true", help="enable masked training")
-    p.add_argument("--mask-ratio", type=float, default=0.5)
-    p.add_argument("--mask-seed", type=int, default=0)
+    p.add_argument("--mask-ratio", type=float, default=None,
+                   help="zeroed share of the feature mask; overrides the config file (default 0.5)")
+    p.add_argument("--mask-seed", type=int, default=None,
+                   help="feature-mask seed; overrides the config file (default 0)")
     p.add_argument("--noise-bits", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
@@ -240,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--channels", type=int, default=1)
     p.add_argument("--patch", type=int, default=4)
-    p.add_argument("--cube", type=_cube_dims, default=(2, 2, 4), help="cube dims HxWxC")
+    p.add_argument("--cube", type=fileio.cube_dims, default=(2, 2, 4), help="cube dims HxWxC")
     p.set_defaults(func=_cmd_dump_scan_order)
 
     return parser

@@ -26,9 +26,6 @@ DELTA_BIAS_INIT = float(np.log(np.expm1(0.1)))  # softplus^-1(0.1)
 
 SPATIAL_DIRECTIONS = ("gf", "gr", "lf", "lr")
 
-_SSM_MATRIX_FIELDS = ("a_log", "w_b", "b_b", "w_c", "b_c")
-_SSM_VECTOR_FIELDS = ("w_dt", "b_dt", "d")
-
 
 @dataclass(frozen=True)
 class BlockConfig:
@@ -252,7 +249,7 @@ def spatial_ssm(f: "ad.Node", weights: ModelWeights, prefix: str, patch: int,
 
 
 def spectral_cube_ssm(f: "ad.Node", weights: ModelWeights, prefix: str,
-                      spec: CubeSpec, order=None) -> "ad.Node":
+                      spec: CubeSpec) -> "ad.Node":
     """Single-direction scan over the whole tensor ordered by local cubes.
 
     The full C x H x W tensor becomes one scalar sequence whose neighbors
@@ -260,8 +257,7 @@ def spectral_cube_ssm(f: "ad.Node", weights: ModelWeights, prefix: str,
     the input.
     """
     nch, height, width = f.shape
-    if order is None:
-        order = cross_cube_order(height, width, nch, spec)
+    order = cross_cube_order(height, width, nch, spec)
     flat = ad.reshape(f, (1, nch * height * width))
     s = ad.gather_by_order(flat, order)
     y = _ssm_branch(s, weights, prefix)

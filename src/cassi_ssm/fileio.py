@@ -41,10 +41,19 @@ class FileFormatError(ValueError):
 def _all_finite(values: np.ndarray) -> bool:
     """True when no value is NaN or Inf, without a full-size temporary.
 
-    Values read from float32 payloads cannot overflow a float64 sum, so the
-    sum is finite exactly when every value is.
+    Float32 values cannot overflow a float64 sum, so the sum is finite
+    exactly when every value is.
     """
-    return bool(np.isfinite(values.sum()))
+    return bool(np.isfinite(values.sum(dtype=np.float64)))
+
+
+def _f32_payload(values: np.ndarray, where: str) -> bytes:
+    """Little-endian float32 bytes; refuses what `load_cube`/`load_weights` would."""
+    with np.errstate(over="ignore"):
+        payload = values.astype("<f4")
+    if not _all_finite(payload):
+        raise ValueError(f"{where} holds NaN, Inf or a value beyond float32 range")
+    return payload.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +71,7 @@ def save_cube(path, values: np.ndarray, kind: int = KIND_CUBE) -> None:
     if kind in (KIND_MASK, KIND_MEASUREMENT) and values.shape[0] != 1:
         raise ValueError(f"{_KIND_NAMES[kind]} files must carry a single plane")
     nb, h, w = values.shape
-    payload = values.astype("<f4").tobytes()
+    payload = _f32_payload(values, f"{path}: payload")
     header = CUBE_MAGIC + struct.pack("<BBIII", CUBE_VERSION, kind, h, w, nb)
     Path(path).write_bytes(header + payload)
 
@@ -154,7 +163,7 @@ def save_weights(path, weights, config: UnfoldConfig, feature_mask: FeatureMask 
         blob += encoded
         blob += struct.pack("<B", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        blob += arr.astype("<f4").tobytes()
+        blob += _f32_payload(arr, f"{path}: tensor {name!r}")
     Path(path).write_bytes(bytes(blob))
 
 
@@ -266,6 +275,14 @@ def ingest_dataset(directory, crop: int, bands: int, seed: int = 0) -> list[np.n
 # ---------------------------------------------------------------------------
 # plain key=value config files
 
+def cube_dims(text: str) -> tuple:
+    """Parse `HxWxC` cube dimensions, e.g. `2x2x4`."""
+    parts = text.lower().split("x")
+    if len(parts) != 3:
+        raise ValueError(f"cube must be HxWxC, got {text!r}")
+    return tuple(int(p) for p in parts)
+
+
 _CONFIG_KEYS = {
     "stages": int,
     "base_channels": int,
@@ -277,6 +294,7 @@ _CONFIG_KEYS = {
     "mask_ratio": float,
     "mask_seed": int,
     "share_weights": int,
+    "cube": cube_dims,
 }
 
 
@@ -290,13 +308,10 @@ def parse_config_file(path) -> dict:
         if "=" not in text:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in text.split("=", 1))
-        if key == "cube":
-            dims = value.lower().split("x")
-            if len(dims) != 3:
-                raise ValueError(f"{path}:{lineno}: cube must be HxWxC, got {value!r}")
-            out["cube"] = tuple(int(d) for d in dims)
-        elif key in _CONFIG_KEYS:
-            out[key] = _CONFIG_KEYS[key](value)
-        else:
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            out[key] = _CONFIG_KEYS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return out

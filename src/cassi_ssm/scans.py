@@ -4,13 +4,13 @@ Index convention: a position (band b, row r, col x) of a C x H x W tensor
 flattens to b*H*W + r*W + x.  Purely spatial orders are defined on the
 H*W indices of one plane and are applied identically to every channel.
 
-Generated orders are immutable and cached by descriptor, since the same
-permutations are reused on every forward pass.
+Generated orders are immutable and cached by their arguments, since the
+same permutations are reused on every forward pass.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,41 +59,28 @@ class OrderReport:
     max_neighbor_distance: int
 
 
-_CACHE: dict[str, ScanOrder] = {}
-_CACHE_LOCK = threading.Lock()
-
-
 def _finish(descriptor: str, forward: np.ndarray) -> ScanOrder:
     forward = np.ascontiguousarray(forward, dtype=np.intp)
     inverse = np.empty_like(forward)
     inverse[forward] = np.arange(forward.size, dtype=np.intp)
     forward.setflags(write=False)
     inverse.setflags(write=False)
-    order = ScanOrder(int(forward.size), forward, inverse, descriptor)
-    with _CACHE_LOCK:
-        _CACHE.setdefault(descriptor, order)
-    return _CACHE[descriptor]
+    return ScanOrder(int(forward.size), forward, inverse, descriptor)
 
 
-def _cached(descriptor: str) -> ScanOrder | None:
-    with _CACHE_LOCK:
-        return _CACHE.get(descriptor)
-
-
+@functools.cache
 def global_order(height: int, width: int, reverse: bool = False) -> ScanOrder:
     """Row-major traversal of an H x W plane; reverse flips the whole sequence."""
     if height < 1 or width < 1:
         raise ValueError(f"dims must be positive, got {height}x{width}")
     desc = f"global:{height}x{width}:rev={int(reverse)}"
-    hit = _cached(desc)
-    if hit is not None:
-        return hit
     fwd = np.arange(height * width, dtype=np.intp)
     if reverse:
         fwd = fwd[::-1]
     return _finish(desc, fwd)
 
 
+@functools.cache
 def local_patch_order(height: int, width: int, patch: int, reverse: bool = False) -> ScanOrder:
     """Row-major over the patch grid, row-major inside each patch.
 
@@ -102,9 +89,6 @@ def local_patch_order(height: int, width: int, patch: int, reverse: bool = False
     if height % patch or width % patch:
         raise ValueError(f"patch side {patch} must divide spatial dims {height}x{width}")
     desc = f"local:{height}x{width}:p={patch}:rev={int(reverse)}"
-    hit = _cached(desc)
-    if hit is not None:
-        return hit
     # axes (patch row, row in patch, patch col, col in patch) -> patch-major
     idx = np.arange(height * width, dtype=np.intp).reshape(
         height // patch, patch, width // patch, patch)
@@ -114,6 +98,7 @@ def local_patch_order(height: int, width: int, patch: int, reverse: bool = False
     return _finish(desc, fwd)
 
 
+@functools.cache
 def cross_cube_order(height: int, width: int, channels: int, spec: CubeSpec) -> ScanOrder:
     """Scan ordered by small spatial-spectral cubes inside each spatial patch.
 
@@ -125,9 +110,6 @@ def cross_cube_order(height: int, width: int, channels: int, spec: CubeSpec) -> 
     spec.validate(height, width, channels)
     desc = (f"cross:{height}x{width}x{channels}:p={spec.patch}"
             f":cube={spec.h}x{spec.w}x{spec.c}")
-    hit = _cached(desc)
-    if hit is not None:
-        return hit
     p = spec.patch
     # axes of the flat C x H x W index: (block, band in block, patch row,
     # cube row in patch, row in cube, patch col, cube col in patch, col in cube)
@@ -137,15 +119,13 @@ def cross_cube_order(height: int, width: int, channels: int, spec: CubeSpec) -> 
     return _finish(desc, idx.transpose(2, 5, 0, 3, 6, 4, 7, 1).reshape(-1))
 
 
+@functools.cache
 def spectral_scan_order(height: int, width: int, channels: int) -> ScanOrder:
     """Plain per-pixel spectral scan: full spectrum of each pixel in row-major order.
 
     Used as the locality baseline the cross-cube order is compared against.
     """
     desc = f"spectral:{height}x{width}x{channels}"
-    hit = _cached(desc)
-    if hit is not None:
-        return hit
     plane = height * width
     pix = np.arange(plane, dtype=np.intp)
     fwd = (pix[:, None] + np.arange(channels, dtype=np.intp)[None, :] * plane).reshape(-1)

@@ -110,6 +110,43 @@ class TestPipeline:
         assert (model.feature_mask.values == 0).sum() == round(0.5 * 16 * 16)
 
 
+class TestConfigPrecedence:
+    """train: a flag wins over the --config file, which wins over the default."""
+
+    def train(self, workspace, cfg_text, *extra):
+        cfg = workspace / "prec.cfg"
+        cfg.write_text((workspace / "toy.cfg").read_text() + cfg_text)
+        code = run(["train", "--cube", workspace / "scene.hsic",
+                    "--mask", workspace / "mask.hsic", "--config", cfg,
+                    "--d", "2", "--steps", "1", "--lr", "0.02", "--masked",
+                    "--out", workspace / "prec.csmw", *extra])
+        return code, cfg
+
+    def test_flags_override_config_file(self, workspace):
+        code, _ = self.train(workspace, "stages=1\nmask_ratio=0.2\nmask_seed=5\n",
+                             "--stages", "2", "--mask-ratio", "0.5", "--mask-seed", "9")
+        assert code == 0
+        model = fileio.load_weights(workspace / "prec.csmw")
+        assert model.config.stages == 2
+        assert model.feature_mask.seed == 9
+        assert (model.feature_mask.values == 0).sum() == round(0.5 * 16 * 16)
+
+    def test_config_file_fills_absent_flags(self, workspace):
+        code, _ = self.train(workspace, "stages=1\nmask_ratio=0.25\nmask_seed=5\n")
+        assert code == 0
+        model = fileio.load_weights(workspace / "prec.csmw")
+        assert model.config.stages == 1
+        assert model.feature_mask.seed == 5
+        assert (model.feature_mask.values == 0).sum() == round(0.25 * 16 * 16)
+
+    def test_bad_config_value_names_line_exit_1(self, workspace, capsys):
+        code, cfg = self.train(workspace, "stages=abc\n")
+        assert code == 1
+        lineno = len((workspace / "toy.cfg").read_text().splitlines()) + 1
+        assert f"{cfg}:{lineno}: bad value for stages" in capsys.readouterr().err
+        assert not (workspace / "prec.csmw").exists()
+
+
 class TestCheckpointTensors:
     """reconstruct loads exactly the stored tensor set, bar --stages scalars."""
 

@@ -108,10 +108,30 @@ class TestCubeFiles:
             cube = toy_scene(4, 4, 2, seed=0)
             cube[1, 2, 3] = bad
             p = tmp_path / "bad.hsic"
-            fileio.save_cube(p, cube)
+            # written by hand: save_cube refuses these values
+            p.write_bytes(fileio.CUBE_MAGIC + struct.pack("<BBIII", 1, 0, 4, 4, 2)
+                          + cube.astype("<f4").tobytes())
             with pytest.raises(fileio.FileFormatError, match="NaN or Inf") as err:
                 fileio.load_cube(p)
             assert str(p) in str(err.value)
+
+    def test_unloadable_payload_not_saved(self, tmp_path):
+        # 1e39 is finite in float64 but Inf in float32
+        for bad in (np.nan, np.inf, -np.inf, 1e39, -1e39):
+            cube = toy_scene(4, 4, 2, seed=0)
+            cube[1, 2, 3] = bad
+            p = tmp_path / "bad.hsic"
+            with pytest.raises(ValueError, match="NaN, Inf") as err:
+                fileio.save_cube(p, cube)
+            assert str(p) in str(err.value)
+            assert not p.exists()
+
+    def test_float32_extremes_round_trip(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        cube = np.array([[[top, -top], [0.0, 1.0]]])
+        p = tmp_path / "x.hsic"
+        fileio.save_cube(p, cube)
+        assert np.array_equal(fileio.load_cube(p)[0], cube)
 
     def test_mask_must_be_single_plane(self, tmp_path):
         with pytest.raises(ValueError, match="single plane"):
@@ -163,27 +183,6 @@ class TestWeightsFiles:
         fileio.save_weights(p, weights, cfg, feature_mask=mask)
         assert fileio.load_weights(p).feature_mask.seed == 2**31 - 7
 
-    def test_missing_tensor_rejected(self, tmp_path):
-        cfg, weights, _ = self.make_model()
-        partial = ModelWeights()
-        for name, value in weights.arrays().items():
-            if name != "shared/out/w":
-                partial.add(name, value)
-        p = tmp_path / "partial.csmw"
-        fileio.save_weights(p, partial, cfg)
-        restored = unfolding.init_weights(cfg, seed=0)
-        with pytest.raises(KeyError, match="shared/out/w"):
-            restored.load_arrays(fileio.load_weights(p).arrays)
-
-    def test_non_finite_tensor_rejected(self, tmp_path):
-        cfg, weights, _ = self.make_model()
-        weights["shared/out/b"].value[0] = np.nan
-        p = tmp_path / "nan.csmw"
-        fileio.save_weights(p, weights, cfg)
-        with pytest.raises(fileio.FileFormatError, match="NaN or Inf") as err:
-            fileio.load_weights(p)
-        assert str(p) in str(err.value) and "shared/out/b" in str(err.value)
-
     def test_wrong_magic(self, tmp_path):
         p = tmp_path / "bad.csmw"
         p.write_bytes(b"JUNKJUNKJUNK")
@@ -203,13 +202,31 @@ class TestWeightsFiles:
             restored.load_arrays(fileio.load_weights(p).arrays)
 
     def test_non_finite_tensor_rejected(self, tmp_path):
+        # save_weights refuses NaN, so the bytes are patched after saving:
+        # the entry is name, rank byte, u32 dims, then the float32 payload
         cfg, weights, _ = self.make_model()
-        weights["shared/out/b"].value[0] = np.nan
         p = tmp_path / "nan.csmw"
         fileio.save_weights(p, weights, cfg)
+        raw = bytearray(p.read_bytes())
+        name = b"shared/out/b"
+        start = raw.index(name) + len(name)
+        start += 1 + 4 * raw[start]
+        raw[start:start + 4] = struct.pack("<f", np.nan)
+        p.write_bytes(bytes(raw))
         with pytest.raises(fileio.FileFormatError, match="NaN or Inf") as err:
             fileio.load_weights(p)
         assert str(p) in str(err.value) and "shared/out/b" in str(err.value)
+
+    def test_unloadable_tensor_not_saved(self, tmp_path):
+        # 1e39 is finite in float64 but Inf in float32
+        for bad in (np.nan, np.inf, 1e39):
+            cfg, weights, _ = self.make_model()
+            weights["shared/out/b"].value[0] = bad
+            p = tmp_path / "bad.csmw"
+            with pytest.raises(ValueError, match="NaN, Inf") as err:
+                fileio.save_weights(p, weights, cfg)
+            assert str(p) in str(err.value) and "shared/out/b" in str(err.value)
+            assert not p.exists()
 
     def test_truncation_rejected(self, tmp_path):
         cfg, weights, _ = self.make_model()
@@ -336,3 +353,18 @@ class TestConfigFile:
         p.write_text("stages\n")
         with pytest.raises(ValueError, match="key=value"):
             fileio.parse_config_file(p)
+
+    @pytest.mark.parametrize("line", ["stages=abc", "mask_ratio=half", "cube=2x2",
+                                      "cube=2x2xq"])
+    def test_bad_value_names_path_and_line(self, tmp_path, line):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"# profile\n{line}\n")
+        key = line.split("=")[0]
+        with pytest.raises(ValueError, match=f"bad value for {key}") as err:
+            fileio.parse_config_file(p)
+        assert str(err.value).startswith(f"{p}:2: ")
+
+    def test_cube_dims(self):
+        assert fileio.cube_dims("2X3x4") == (2, 3, 4)
+        with pytest.raises(ValueError, match="HxWxC"):
+            fileio.cube_dims("2x3")
