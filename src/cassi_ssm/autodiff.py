@@ -506,40 +506,83 @@ def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Node:
 # ---------------------------------------------------------------------------
 # the state-space recurrence kernel
 
+_SCAN_CHUNK = 8
+
+
+def _chunk_major(x: Array, chunks: int, fill: float) -> Array:
+    """Copy time-major [L,...] into [_SCAN_CHUNK, chunks, ...], padding the tail with `fill`."""
+    out = np.full((_SCAN_CHUNK, chunks) + x.shape[1:], fill)
+    full = x.shape[0] // _SCAN_CHUNK
+    out[:, :full] = x[:full * _SCAN_CHUNK].reshape((full, _SCAN_CHUNK) + x.shape[1:]).swapaxes(0, 1)
+    rest = x[full * _SCAN_CHUNK:]
+    if len(rest):
+        out[:len(rest), full] = rest
+    return out
+
+
+def _scan(a: Array, b: Array) -> Array:
+    """All states h[t] = a[t] * h[t-1] + b[t] (h[-1] = 0) of time-major [L,B,N] arrays.
+
+    Three phases, none with a Python loop over L:
+    1. Split L into chunks of _SCAN_CHUNK steps (the tail padded with a=1,
+       b=0) and run the recurrence inside every chunk at once, building each
+       chunk's running product of `a` in place of `a`.
+    2. Hillis-Steele doubling scan over the chunk-end states, in place on
+       the last row: ceil(log2(L/_SCAN_CHUNK)) passes, with only products
+       of `a`, so no log and no division.
+    3. Carry each chunk's incoming state into its other rows with one
+       broadcast, h[k] += P[k] * end[k-1].
+    """
+    length = a.shape[0]
+    chunks = -(-length // _SCAN_CHUNK)
+    prod = _chunk_major(a, chunks, 1.0)
+    h = _chunk_major(b, chunks, 0.0)
+    for j in range(1, _SCAN_CHUNK):
+        h[j] += prod[j] * h[j - 1]
+        prod[j] *= prod[j - 1]
+    end, end_prod = h[-1], prod[-1]
+    step = 1
+    while step < chunks:
+        end[step:] += end_prod[step:] * end[:-step]
+        end_prod[step:] *= end_prod[:-step]
+        step *= 2
+    # the last row already holds the full states; carry into the rows before it
+    prod[:-1, 1:] *= end[:-1]
+    h[:-1, 1:] += prod[:-1, 1:]
+    return h.swapaxes(0, 1).reshape((chunks * _SCAN_CHUNK,) + a.shape[1:])[:length]
+
+
 def linear_scan(abar, bx, cseq) -> Node:
-    """Sequential linear recurrence with per-step readout.
+    """Linear recurrence with per-step readout, as a chunked parallel scan.
 
     h[t] = abar[t] * h[t-1] + bx[t] (h[-1] = 0), out[t] = <cseq[t], h[t]>.
-    Shapes: abar, bx, cseq are [B,L,N]; output is [B,L].  The backward pass
-    replays the recurrence in reverse using the stored states.
+    Shapes: abar, bx, cseq are [B,L,N]; output is [B,L].  Both passes run
+    `_scan`, with no Python loop over L: one vectorised step per position
+    of an 8-step chunk, ceil(log2(L/8)) doubling passes over the chunk ends
+    and one carry broadcast.  The work is O(L) inside the chunks plus
+    O((L/8) log(L/8)) across them.  The backward pass runs the same scan
+    backwards in time on the state gradient, gh[t] = gc[t] + abar[t+1] *
+    gh[t+1].  Results differ from a step-by-step loop only by rounding.
     """
     abar, bx, cseq = as_node(abar), as_node(bx), as_node(cseq)
     if not (abar.shape == bx.shape == cseq.shape) or abar.value.ndim != 3:
         raise ValueError(
             f"linear_scan expects matching [B,L,N] inputs, got {abar.shape}, {bx.shape}, {cseq.shape}")
-    # time-major [L,B,N] layout keeps the per-step slices contiguous
+    # time-major [L,B,N] layout, the one `_scan` works on
     av = np.ascontiguousarray(abar.value.transpose(1, 0, 2))
-    bv = np.ascontiguousarray(bx.value.transpose(1, 0, 2))
+    bv = bx.value.transpose(1, 0, 2)
     cv = np.ascontiguousarray(cseq.value.transpose(1, 0, 2))
-    length, nb, nstate = av.shape
-    hs = np.empty((length, nb, nstate))
-    prev = np.zeros((nb, nstate))
-    for t in range(length):
-        cur = hs[t]
-        np.multiply(av[t], prev, out=cur)
-        cur += bv[t]
-        prev = cur
+    hs = _scan(av, bv)
     out_value = np.einsum("lbn,lbn->bl", cv, hs)
 
     def backward(g):
         gt = np.ascontiguousarray(g.T)                     # [L,B]
         gc_all = gt[:, :, None] * cv                       # d out / d h, per step
-        gh_steps = np.empty((length, nb, nstate))
-        gh = np.zeros((nb, nstate))
-        for t in range(length - 1, -1, -1):
-            gh += gc_all[t]
-            gh_steps[t] = gh
-            gh *= av[t]
+        # reversed in time, step r multiplies by abar at t = L - r
+        a_next = np.empty_like(av)
+        a_next[0] = 0.0
+        a_next[1:] = av[:0:-1]
+        gh_steps = _scan(a_next, gc_all[::-1])[::-1]
         if bx.requires_grad:
             bx.accumulate(gh_steps.transpose(1, 0, 2))
         if abar.requires_grad:

@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--channels", type=int, default=1)
-    p.add_argument("--patch", type=int, default=4)
+    p.add_argument("--patch", type=fileio.positive_int, default=4)
     p.add_argument("--cube", type=fileio.cube_dims, default=(2, 2, 4), help="cube dims HxWxC")
     p.set_defaults(func=_cmd_dump_scan_order)
 

@@ -275,12 +275,20 @@ def ingest_dataset(directory, crop: int, bands: int, seed: int = 0) -> list[np.n
 # ---------------------------------------------------------------------------
 # plain key=value config files
 
+def positive_int(text: str) -> int:
+    """Parse a size of at least 1, e.g. a patch side."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"size must be >= 1, got {text!r}")
+    return value
+
+
 def cube_dims(text: str) -> tuple:
-    """Parse `HxWxC` cube dimensions, e.g. `2x2x4`."""
+    """Parse `HxWxC` cube dimensions, e.g. `2x2x4`, each at least 1."""
     parts = text.lower().split("x")
     if len(parts) != 3:
         raise ValueError(f"cube must be HxWxC, got {text!r}")
-    return tuple(int(p) for p in parts)
+    return tuple(positive_int(p) for p in parts)
 
 
 _CONFIG_KEYS = {
@@ -288,7 +296,7 @@ _CONFIG_KEYS = {
     "base_channels": int,
     "levels": int,
     "blocks": int,
-    "patch": int,
+    "patch": positive_int,
     "state_size": int,
     "expansion": int,
     "mask_ratio": float,

@@ -31,6 +31,26 @@ def conv2d_loop_oracle(x, w, bias=None, stride=1, padding="same"):
     return out
 
 
+def linear_scan_loop_oracle(abar, bx, cseq, proj):
+    """Literal per-step recurrence h[t] = abar[t] h[t-1] + bx[t] over [B,L,N]
+    inputs: the outputs <cseq[t], h[t]> and the gradients of sum(proj * out)
+    with respect to abar, bx and cseq, the adjoint run back one step at a time."""
+    nb, length, nstate = abar.shape
+    hs = np.empty((nb, length, nstate))
+    h = np.zeros((nb, nstate))
+    for t in range(length):
+        h = abar[:, t] * h + bx[:, t]
+        hs[:, t] = h
+    gh = np.empty_like(hs)
+    g = np.zeros((nb, nstate))
+    for t in range(length - 1, -1, -1):
+        g = proj[:, t, None] * cseq[:, t] + (abar[:, t + 1] * g if t + 1 < length else 0.0)
+        gh[:, t] = g
+    g_abar = np.zeros_like(hs)
+    g_abar[:, 1:] = gh[:, 1:] * hs[:, :-1]
+    return (cseq * hs).sum(axis=2), g_abar, gh, proj[:, :, None] * hs
+
+
 class TestElementwise:
     def test_add(self):
         out = ad.add(ad.constant([1.0, 2.0]), ad.constant([3.0, 4.0]))
@@ -350,20 +370,49 @@ class TestStructuralOps:
 
     def test_linear_scan_grads(self):
         rng = np.random.default_rng(19)
-        nb, length, nstate = 2, 9, 3
-        abar = rng.uniform(0.1, 0.9, size=(nb, length, nstate))
-        bx = rng.normal(size=(nb, length, nstate))
-        cseq = rng.normal(size=(nb, length, nstate))
-        proj = rng.normal(size=(nb, length))
+        nb, nstate = 2, 3
+        for length in (1, 8, 19):
+            abar = rng.uniform(0.1, 0.9, size=(nb, length, nstate))
+            bx = rng.normal(size=(nb, length, nstate))
+            cseq = rng.normal(size=(nb, length, nstate))
+            proj = rng.normal(size=(nb, length))
 
-        def wrap(target):
-            def f(t):
-                args = {"abar": ad.constant(abar), "bx": ad.constant(bx), "cseq": ad.constant(cseq)}
-                args[target] = t
-                return ad.sum_all(ad.mul(ad.linear_scan(args["abar"], args["bx"], args["cseq"]),
-                                         ad.constant(proj)))
-            return f
+            def wrap(target):
+                def f(t):
+                    args = {"abar": ad.constant(abar), "bx": ad.constant(bx),
+                            "cseq": ad.constant(cseq)}
+                    args[target] = t
+                    return ad.sum_all(ad.mul(ad.linear_scan(args["abar"], args["bx"], args["cseq"]),
+                                             ad.constant(proj)))
+                return f
 
-        assert ad.finite_diff_check(wrap("abar"), abar, eps=1e-6) <= 1e-4
-        assert ad.finite_diff_check(wrap("bx"), bx, eps=1e-6) <= 1e-4
-        assert ad.finite_diff_check(wrap("cseq"), cseq, eps=1e-6) <= 1e-4
+            assert ad.finite_diff_check(wrap("abar"), abar, eps=1e-6) <= 1e-4
+            assert ad.finite_diff_check(wrap("bx"), bx, eps=1e-6) <= 1e-4
+            assert ad.finite_diff_check(wrap("cseq"), cseq, eps=1e-6) <= 1e-4
+
+    # lengths around the 8-step chunks of the parallel scan: inside one chunk,
+    # on and just past chunk edges, and many chunks with a ragged tail
+    @pytest.mark.parametrize("nstate", [1, 4])
+    @pytest.mark.parametrize("nb", [1, 3])
+    @pytest.mark.parametrize("length", [1, 7, 8, 9, 63, 64, 65, 1000, 4099])
+    def test_linear_scan_matches_loop(self, length, nb, nstate):
+        rng = np.random.default_rng(length * 100 + nb * 10 + nstate)
+        shape = (nb, length, nstate)
+        regimes = {
+            # near 0: products across a few chunks underflow to exactly 0
+            "near0": np.exp(-rng.uniform(0.0, 40.0, size=shape)),
+            "mid": rng.uniform(0.1, 0.9, size=shape),
+            "near1": np.exp(-rng.uniform(0.0, 1e-3, size=shape)),
+        }
+        for name, abar in regimes.items():
+            bx = rng.normal(size=shape)
+            cseq = rng.normal(size=shape)
+            proj = rng.normal(size=(nb, length))
+            leaves = [ad.parameter(v) for v in (abar, bx, cseq)]
+            out = ad.linear_scan(*leaves)
+            ad.backward(ad.sum_all(ad.mul(out, ad.constant(proj))))
+            got = [out.value] + [leaf.grad for leaf in leaves]
+            for what, g, want in zip(("out", "abar", "bx", "cseq"), got,
+                                     linear_scan_loop_oracle(abar, bx, cseq, proj)):
+                err = np.abs(g - want).max() / max(1.0, np.abs(want).max())
+                assert err <= 1e-12, f"{name} {what}: {err:.2e}"

@@ -1,8 +1,8 @@
 """Smoke test of the benchmark in perfbench/, which it reads and never edits.
 
 It keeps a change to the package from silently breaking the benchmark: every
-function the traced run wraps must still exist, and one training item must
-still match its recorded reference.
+function the traced run wraps must still exist, and one training item and
+the reconstruct warm-up item must still match their recorded references.
 """
 
 import importlib
@@ -32,10 +32,19 @@ def test_every_traced_function_resolves():
         assert callable(target), f"cassi_ssm.{module}.{function} is gone"
 
 
-def test_one_train_item_matches_reference(tmp_path):
-    reference = json.loads((BENCH / "reference.json").read_text())["train_toy16"]
-    wl = workloads.WORKLOADS["train_toy16"](0, tmp_path, reference)
+def _check_one_item(name, tmp_path, key=None):
+    reference = json.loads((BENCH / "reference.json").read_text())[name]
+    wl = workloads.WORKLOADS[name](0, tmp_path, reference)
     wl.setup()
-    key = wl.keys[0]
+    key = wl.keys[0] if key is None else key
     inp = wl.make_input(key)
     assert wl.check(key, inp, wl.run(inp)) is None
+
+
+def test_one_train_item_matches_reference(tmp_path):
+    _check_one_item("train_toy16", tmp_path)
+
+
+def test_recon_warmup_item_matches_reference(tmp_path):
+    # 64x64x8 through the CLI: the long batch-1 cross-cube scans, end to end
+    _check_one_item("recon_cli64", tmp_path, workloads.WARMUP)

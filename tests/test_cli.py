@@ -146,6 +146,13 @@ class TestConfigPrecedence:
         assert f"{cfg}:{lineno}: bad value for stages" in capsys.readouterr().err
         assert not (workspace / "prec.csmw").exists()
 
+    def test_zero_cube_depth_in_config_exit_1(self, workspace, capsys):
+        code, cfg = self.train(workspace, "cube=2x2x0\n")
+        assert code == 1
+        lineno = len((workspace / "toy.cfg").read_text().splitlines()) + 1
+        assert f"{cfg}:{lineno}: bad value for cube" in capsys.readouterr().err
+        assert not (workspace / "prec.csmw").exists()
+
 
 class TestCheckpointTensors:
     """reconstruct loads exactly the stored tensor set, bar --stages scalars."""
@@ -230,6 +237,15 @@ class TestUsageErrors:
 
     def test_unknown_command_exit_2(self, capsys):
         assert run(["transmogrify"]) == 2
+
+    @pytest.mark.parametrize("geometry", [["--kind", "cross", "--cube", "0x2x2"],
+                                          ["--kind", "cross", "--cube", "2x2x-1"],
+                                          ["--kind", "local", "--patch", "0"],
+                                          ["--kind", "cross", "--patch", "-2"]],
+                             ids=["cube0", "cube-neg", "patch0", "patch-neg"])
+    def test_nonpositive_geometry_exit_2(self, capsys, geometry):
+        assert run(["dump-scan-order", "--height", "8", "--width", "8", *geometry]) == 2
+        assert "error: argument" in capsys.readouterr().err
 
     def test_corrupt_input_exit_1(self, workspace, capsys):
         bad = workspace / "bad.hsic"

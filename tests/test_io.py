@@ -355,7 +355,8 @@ class TestConfigFile:
             fileio.parse_config_file(p)
 
     @pytest.mark.parametrize("line", ["stages=abc", "mask_ratio=half", "cube=2x2",
-                                      "cube=2x2xq"])
+                                      "cube=2x2xq", "cube=2x2x0", "cube=-2x2x2",
+                                      "patch=0", "patch=-4"])
     def test_bad_value_names_path_and_line(self, tmp_path, line):
         p = tmp_path / "bad.cfg"
         p.write_text(f"# profile\n{line}\n")
@@ -368,3 +369,6 @@ class TestConfigFile:
         assert fileio.cube_dims("2X3x4") == (2, 3, 4)
         with pytest.raises(ValueError, match="HxWxC"):
             fileio.cube_dims("2x3")
+        for text in ("0x2x2", "2x0x2", "2x2x0", "2x-1x2"):
+            with pytest.raises(ValueError, match=">= 1"):
+                fileio.cube_dims(text)

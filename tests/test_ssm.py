@@ -101,6 +101,15 @@ class TestSelectiveScan:
         want = ssm.naive_scan_oracle(x, abar, bbar, c, d)
         assert np.abs(got - want).max() / max(1.0, np.abs(want).max()) <= 1e-12
 
+    def test_matches_naive_oracle_cross_scan_length(self):
+        # the 64x64x8 cross-cube scan: one sequence of 4096 eight-step chunks
+        r = np.random.default_rng(4)
+        x, a, b, c, delta, d = make_random_case(r, 32768, 4)
+        got = ssm.selective_scan(x, a, b, c, delta, d).value
+        abar, bbar = ssm.discretize_zoh(a[None, :], b, delta[:, None])
+        want = ssm.naive_scan_oracle(x, abar, bbar, c, d)
+        assert np.abs(got - want).max() / max(1.0, np.abs(want).max()) <= 1e-12
+
     def test_stability_bounded_over_1e5_steps(self):
         r = np.random.default_rng(3)
         length = 100_000
