@@ -26,7 +26,6 @@ class SensingOperator:
     mask: np.ndarray
     shift_step: int
     bands: int
-    ref_band: int = 0
 
     def __post_init__(self):
         mask = np.ascontiguousarray(self.mask, dtype=np.float64)
@@ -154,36 +153,21 @@ def add_shot_noise(meas: np.ndarray, bits: int, seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# differentiable wrappers: the adjoint pair doubles as each other's backward
+# differentiable wrappers: each map's backward applies its adjoint
+
+def _linear_node(x: "ad.Node", apply, adjoint, op: SensingOperator) -> "ad.Node":
+    """Tape node for the linear map `apply(x, op)`; its backward is `adjoint(g, op)`."""
+    x = ad.as_node(x)
+    return ad._make(apply(x.value, op), (x,), lambda g: x.accumulate(adjoint(g, op)))
+
 
 def forward_project_node(cube: "ad.Node", op: SensingOperator) -> "ad.Node":
-    cube = ad.as_node(cube)
-    op.check_cube(cube.value)
-    out_value = forward_project(cube.value, op)
-
-    def backward(g):
-        cube.accumulate(adjoint_project(g, op))
-
-    return ad._make(out_value, (cube,), backward)
+    return _linear_node(cube, forward_project, adjoint_project, op)
 
 
 def adjoint_project_node(meas: "ad.Node", op: SensingOperator) -> "ad.Node":
-    meas = ad.as_node(meas)
-    op.check_measurement(meas.value)
-    out_value = adjoint_project(meas.value, op)
-
-    def backward(g):
-        meas.accumulate(forward_project(g, op))
-
-    return ad._make(out_value, (meas,), backward)
+    return _linear_node(meas, adjoint_project, forward_project, op)
 
 
 def shift_back_node(meas: "ad.Node", op: SensingOperator) -> "ad.Node":
-    meas = ad.as_node(meas)
-    op.check_measurement(meas.value)
-    out_value = shift_back(meas.value, op)
-
-    def backward(g):
-        meas.accumulate(_detector_sum(lambda b: g[b], op))
-
-    return ad._make(out_value, (meas,), backward)
+    return _linear_node(meas, shift_back, lambda g, op: _detector_sum(lambda b: g[b], op), op)

@@ -123,11 +123,7 @@ def _cmd_train(args) -> int:
     )
     batch = [(scene, op) for scene in scenes]
     state = training.train(batch, weights, config, train_cfg)
-    mask = None
-    if args.masked:
-        h, w = op.mask.shape
-        mask = training.generate_mask(h, w, train_cfg.zero_ratio, train_cfg.mask_seed)
-    fileio.save_weights(args.out, weights, config, feature_mask=mask)
+    fileio.save_weights(args.out, weights, config, feature_mask=state.mask)
     first = state.losses[0] if state.losses else float("nan")
     last = state.losses[-1] if state.losses else float("nan")
     print(f"trained {args.steps} steps: loss {first:.6g} -> {last:.6g}")
@@ -195,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meas", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--weights", required=True)
-    p.add_argument("--stages", type=int, default=None,
+    p.add_argument("--stages", type=fileio.positive_int, default=None,
                    help="override the stage count of a shared-weights model")
     p.add_argument("--d", type=int, default=None,
                    help="shift step; inferred from the measurement width when omitted")
@@ -209,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bands", type=int, default=4)
     p.add_argument("--mask", required=True)
     p.add_argument("--config", default=None, help="key=value network profile")
-    p.add_argument("--stages", type=int, default=None,
+    p.add_argument("--stages", type=fileio.positive_int, default=None,
                    help="stage count; overrides the config file (default 3)")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--steps", type=int, default=200)

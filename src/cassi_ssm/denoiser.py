@@ -54,6 +54,12 @@ class UNetConfig:
     def __post_init__(self):
         if self.levels < 0 or self.blocks_per_level < 1:
             raise ValueError("levels must be >= 0 and blocks_per_level >= 1")
+        sizes = {"bands": self.bands, "base_channels": self.base_channels, "patch": self.patch,
+                 "cube": min(self.cube), "state_size": self.state_size,
+                 "expansion": self.expansion}
+        for name, value in sizes.items():
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.base_channels % self.cube[2]:
             raise ValueError(
                 f"cube depth {self.cube[2]} must divide base channels {self.base_channels}")
@@ -221,8 +227,7 @@ def _ssm_branch(seq: "ad.Node", weights: ModelWeights, prefix: str) -> "ad.Node"
     return selective_scan(seq, a, b_tok, c_tok, delta, weights[f"{prefix}/d"])
 
 
-def spatial_ssm(f: "ad.Node", weights: ModelWeights, prefix: str, patch: int,
-                orders=None) -> "ad.Node":
+def spatial_ssm(f: "ad.Node", weights: ModelWeights, prefix: str, patch: int) -> "ad.Node":
     """Four-direction spatial scan branch: global fwd/rev plus patch-local fwd/rev.
 
     Each direction permutes the flattened plane, scans per channel, and
@@ -230,13 +235,12 @@ def spatial_ssm(f: "ad.Node", weights: ModelWeights, prefix: str, patch: int,
     1x1 projection.
     """
     nch, height, width = f.shape
-    if orders is None:
-        orders = (
-            global_order(height, width, False),
-            global_order(height, width, True),
-            local_patch_order(height, width, patch, False),
-            local_patch_order(height, width, patch, True),
-        )
+    orders = (
+        global_order(height, width, False),
+        global_order(height, width, True),
+        local_patch_order(height, width, patch, False),
+        local_patch_order(height, width, patch, True),
+    )
     seq0 = ad.reshape(f, (nch, height * width))
     acc = None
     for name, order in zip(SPATIAL_DIRECTIONS, orders):

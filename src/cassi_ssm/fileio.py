@@ -27,7 +27,7 @@ _KIND_NAMES = {KIND_CUBE: "cube", KIND_MASK: "mask", KIND_MEASUREMENT: "measurem
 MAX_DIM = 65536
 
 WEIGHTS_MAGIC = b"CSMW"
-WEIGHTS_VERSION = 1
+WEIGHTS_VERSION = 2
 
 MASK_VALUES_KEY = "mask/values"
 MASK_META_KEY = "mask/meta"
@@ -62,10 +62,8 @@ def _f32_payload(values: np.ndarray, where: str) -> bytes:
 def save_cube(path, values: np.ndarray, kind: int = KIND_CUBE) -> None:
     """Write a [bands, H, W] array (band-major) as a kind-tagged HSIC file."""
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim == 2:
-        values = values[None]
     if values.ndim != 3:
-        raise ValueError(f"expected a 2-D or 3-D array, got shape {values.shape}")
+        raise ValueError(f"expected a 3-D array, got shape {values.shape}")
     if kind not in _KIND_NAMES:
         raise ValueError(f"unknown kind {kind}")
     if kind in (KIND_MASK, KIND_MEASUREMENT) and values.shape[0] != 1:
@@ -135,6 +133,36 @@ def config_digest(config: UnfoldConfig) -> bytes:
     return hashlib.sha256(text.encode()).digest()
 
 
+def _mask_meta(mask: FeatureMask) -> np.ndarray:
+    """Eight little-endian 16-bit words, each exact in float32: the float64
+    bits of zero_ratio, then the seed as a uint64."""
+    seed = int(mask.seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"feature-mask seed must lie in [0, 2**64), got {seed}")
+    words = np.frombuffer(struct.pack("<dQ", float(mask.zero_ratio), seed), dtype="<u2")
+    return words.astype(np.float64)
+
+
+def _load_mask(path, arrays: dict, version: int) -> FeatureMask | None:
+    """Pop the feature-mask entries; version 1 stored [ratio, seed & 0xFFFF, seed >> 16]."""
+    values = arrays.pop(MASK_VALUES_KEY, None)
+    meta = arrays.pop(MASK_META_KEY, None)
+    if values is None and meta is None:
+        return None
+    if values is None or meta is None:
+        raise FileFormatError(
+            f"{path}: feature mask needs both {MASK_VALUES_KEY!r} and {MASK_META_KEY!r}")
+    if version == 1 and meta.shape == (3,):
+        ratio, seed = float(meta[0]), int(meta[1]) | (int(meta[2]) << 16)
+    elif version != 1 and meta.shape == (8,) and np.array_equal(meta, meta.astype("<u2")):
+        ratio, seed = struct.unpack("<dQ", meta.astype("<u2").tobytes())
+    else:
+        raise FileFormatError(f"{path}: malformed feature-mask metadata")
+    if not 0.0 <= ratio < 1.0:
+        raise FileFormatError(f"{path}: feature-mask zero ratio {ratio} outside [0, 1)")
+    return FeatureMask(values, ratio, seed)
+
+
 @dataclass
 class LoadedModel:
     config: UnfoldConfig
@@ -148,9 +176,7 @@ def save_weights(path, weights, config: UnfoldConfig, feature_mask: FeatureMask 
     entries[PROFILE_KEY] = _config_profile(config)
     if feature_mask is not None:
         entries[MASK_VALUES_KEY] = feature_mask.values
-        seed = int(feature_mask.seed)
-        entries[MASK_META_KEY] = np.array(
-            [feature_mask.zero_ratio, seed & 0xFFFF, (seed >> 16) & 0xFFFF], dtype=np.float64)
+        entries[MASK_META_KEY] = _mask_meta(feature_mask)
     blob = bytearray()
     blob += WEIGHTS_MAGIC
     blob += struct.pack("<B", WEIGHTS_VERSION)
@@ -177,7 +203,7 @@ def load_weights(path) -> LoadedModel:
         raise FileFormatError(f"{path}: truncated weights header")
     version = raw[pos]
     pos += 1
-    if version != WEIGHTS_VERSION:
+    if version not in (1, WEIGHTS_VERSION):
         raise FileFormatError(f"{path}: unsupported CSMW version {version}")
     digest = raw[pos:pos + 32]
     pos += 32
@@ -210,15 +236,13 @@ def load_weights(path) -> LoadedModel:
         raise FileFormatError(f"{path}: oversized weights payload ({len(raw) - pos} trailing bytes)")
     if PROFILE_KEY not in arrays:
         raise FileFormatError(f"{path}: missing config profile entry")
-    config = config_from_profile(arrays.pop(PROFILE_KEY))
+    try:
+        config = config_from_profile(arrays.pop(PROFILE_KEY))
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: bad config profile: {exc}") from None
     if config_digest(config) != digest:
         raise FileFormatError(f"{path}: config digest mismatch")
-    feature_mask = None
-    if MASK_VALUES_KEY in arrays:
-        meta = arrays.pop(MASK_META_KEY, np.array([0.0, 0.0, 0.0]))
-        values = arrays.pop(MASK_VALUES_KEY)
-        seed = int(meta[1]) | (int(meta[2]) << 16)
-        feature_mask = FeatureMask(values, float(meta[0]), seed)
+    feature_mask = _load_mask(path, arrays, version)
     return LoadedModel(config=config, arrays=arrays, feature_mask=feature_mask)
 
 
@@ -292,13 +316,13 @@ def cube_dims(text: str) -> tuple:
 
 
 _CONFIG_KEYS = {
-    "stages": int,
-    "base_channels": int,
+    "stages": positive_int,
+    "base_channels": positive_int,
     "levels": int,
-    "blocks": int,
+    "blocks": positive_int,
     "patch": positive_int,
-    "state_size": int,
-    "expansion": int,
+    "state_size": positive_int,
+    "expansion": positive_int,
     "mask_ratio": float,
     "mask_seed": int,
     "share_weights": int,

@@ -92,10 +92,14 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Loss trace plus the mask bookkeeping the invariants are checked on."""
+    """Loss trace plus the mask bookkeeping the invariants are checked on.
+
+    `mask` is the feature mask every step used (None when unmasked).
+    """
 
     losses: list = field(default_factory=list)
     mask_digests: list = field(default_factory=list)
+    mask: FeatureMask | None = None
 
 
 def _simulate(cube: np.ndarray, op: cassi.SensingOperator, cfg: TrainConfig,
@@ -151,13 +155,12 @@ def train(batch, weights: ModelWeights, config: UnfoldConfig, cfg: TrainConfig) 
     is recorded per step so that reuse is checkable.
     """
     state = TrainState()
-    mask = None
     if cfg.masked:
         h, w = batch[0][1].mask.shape
-        mask = generate_mask(h, w, cfg.zero_ratio, cfg.mask_seed)
+        state.mask = generate_mask(h, w, cfg.zero_ratio, cfg.mask_seed)
     for step in range(cfg.steps):
-        loss = train_step(batch, weights, config, cfg, mask=mask, step=step)
+        loss = train_step(batch, weights, config, cfg, mask=state.mask, step=step)
         state.losses.append(loss)
-        if mask is not None:
-            state.mask_digests.append(mask.digest())
+        if state.mask is not None:
+            state.mask_digests.append(state.mask.digest())
     return state

@@ -36,8 +36,7 @@ def stage_scalars(k: int) -> dict:
 class UnfoldConfig:
     """Stage count and denoiser profile.
 
-    The published variants use 3, 5 or 9 stages; any K >= 1 works, and K = 0
-    is accepted as a degenerate passthrough configuration for testing.
+    The published variants use 3, 5 or 9 stages; any K >= 1 works.
     share_weights reuses one denoiser across stages (the parameter-matched
     default); otherwise each stage owns an independent copy.
     """
@@ -47,8 +46,8 @@ class UnfoldConfig:
     share_weights: bool = True
 
     def __post_init__(self):
-        if self.stages < 0:
-            raise ValueError(f"stage count must be >= 0, got {self.stages}")
+        if self.stages < 1:
+            raise ValueError(f"stage count must be >= 1, got {self.stages}")
 
     def stage_prefix(self, k: int) -> str:
         return "shared" if self.share_weights else f"stage{k}"
@@ -58,9 +57,7 @@ def init_weights(config: UnfoldConfig, seed: int, zero_residual: bool = True) ->
     """Deterministically initialize denoiser weights plus per-stage scalars."""
     rng = np.random.default_rng(seed)
     weights = ModelWeights()
-    prefixes = ["shared"] if config.share_weights else [
-        f"stage{k}" for k in range(config.stages)]
-    for prefix in prefixes:
+    for prefix in dict.fromkeys(config.stage_prefix(k) for k in range(config.stages)):
         init_denoiser_weights(weights, rng, prefix, config.net, zero_residual=zero_residual)
     for k in range(config.stages):
         for name, value in stage_scalars(k).items():

@@ -10,11 +10,11 @@ from cassi_ssm import autodiff as ad
 from cassi_ssm.scans import global_order, local_patch_order
 
 
-def conv2d_loop_oracle(x, w, bias=None, stride=1, padding="same"):
-    """Nested-loop cross-correlation, the definitional reference."""
+def conv2d_loop_oracle(x, w, bias=None, stride=1):
+    """Nested-loop cross-correlation with zero padding k // 2, the definitional reference."""
     c_out, c_in, k, _ = w.shape
     _, h, wd = x.shape
-    pad = k // 2 if padding == "same" else 0
+    pad = k // 2
     h_out = (h + 2 * pad - k) // stride + 1
     w_out = (wd + 2 * pad - k) // stride + 1
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
@@ -87,20 +87,19 @@ class TestConv2d:
         c = 0.7
         x = np.full((1, 6, 6), c)
         w = np.ones((1, 1, 3, 3))
-        out = ad.conv2d(ad.constant(x), ad.constant(w), padding="same").value
+        out = ad.conv2d(ad.constant(x), ad.constant(w)).value
         assert out[0, 2, 3] == pytest.approx(9 * c)
 
-    @pytest.mark.parametrize("stride,padding,k", [
-        (1, "same", 3), (1, "valid", 3), (2, "same", 3), (1, "same", 1), (2, "same", 1),
-    ])
-    def test_matches_loop_oracle(self, stride, padding, k):
+    @pytest.mark.parametrize("stride,k", [(1, 3), (2, 3), (1, 1), (2, 1)],
+                             ids=["1-same-3", "2-same-3", "1-same-1", "2-same-1"])
+    def test_matches_loop_oracle(self, stride, k):
         rng = np.random.default_rng(42 + stride + k)
         x = rng.normal(size=(2, 6, 8))
         w = rng.normal(size=(3, 2, k, k))
         b = rng.normal(size=3)
         got = ad.conv2d(ad.constant(x), ad.constant(w), ad.constant(b),
-                        stride=stride, padding=padding).value
-        want = conv2d_loop_oracle(x, w, b, stride=stride, padding=padding)
+                        stride=stride).value
+        want = conv2d_loop_oracle(x, w, b, stride=stride)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12
 

@@ -1,9 +1,12 @@
 """End-to-end command-line driver tests on the bundled toy scene."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from cassi_ssm import cassi, fileio, metrics, unfolding
+from cassi_ssm import cassi, fileio, metrics, training, unfolding
 from cassi_ssm.cli import parse_and_dispatch
 from cassi_ssm.demo import toy_mask, toy_scene
 from cassi_ssm.denoiser import ModelWeights, UNetConfig
@@ -109,6 +112,29 @@ class TestPipeline:
         assert model.feature_mask.seed == 9
         assert (model.feature_mask.values == 0).sum() == round(0.5 * 16 * 16)
 
+    def test_train_saves_the_mask_training_recorded(self, workspace, monkeypatch):
+        # the file must carry the state's mask, and no other mask is made
+        states, masks = [], []
+
+        def recording(fn, into):
+            def wrapper(*args):
+                into.append(fn(*args))
+                return into[-1]
+            return wrapper
+
+        monkeypatch.setattr(training, "train", recording(training.train, states))
+        monkeypatch.setattr(training, "generate_mask", recording(training.generate_mask, masks))
+        assert run(["train", "--cube", workspace / "scene.hsic",
+                    "--mask", workspace / "mask.hsic", "--config", workspace / "toy.cfg",
+                    "--d", "2", "--steps", "1", "--lr", "0.02", "--masked",
+                    "--mask-ratio", "0.25", "--mask-seed", 2**40,
+                    "--out", workspace / "masked.csmw"]) == 0
+        (state,) = states
+        assert len(masks) == 1 and masks[0] is state.mask
+        saved = fileio.load_weights(workspace / "masked.csmw").feature_mask
+        assert np.array_equal(saved.values, state.mask.values)
+        assert saved.digest() == state.mask.digest() == state.mask_digests[0]
+
 
 class TestConfigPrecedence:
     """train: a flag wins over the --config file, which wins over the default."""
@@ -146,6 +172,16 @@ class TestConfigPrecedence:
         assert f"{cfg}:{lineno}: bad value for stages" in capsys.readouterr().err
         assert not (workspace / "prec.csmw").exists()
 
+    @pytest.mark.parametrize("line", ["base_channels=0", "stages=0", "state_size=0",
+                                      "expansion=0"])
+    def test_size_below_one_in_config_exit_1(self, workspace, capsys, line):
+        code, cfg = self.train(workspace, line + "\n")
+        assert code == 1
+        lineno = len((workspace / "toy.cfg").read_text().splitlines()) + 1
+        key = line.split("=")[0]
+        assert f"{cfg}:{lineno}: bad value for {key}" in capsys.readouterr().err
+        assert not (workspace / "prec.csmw").exists()
+
     def test_zero_cube_depth_in_config_exit_1(self, workspace, capsys):
         code, cfg = self.train(workspace, "cube=2x2x0\n")
         assert code == 1
@@ -181,6 +217,17 @@ class TestCheckpointTensors:
         fileio.save_weights(workspace / "partial.csmw", partial, config)
         assert self.reconstruct(workspace, workspace / "partial.csmw") == 1
         assert "shared/out/w" in capsys.readouterr().err
+        assert not (workspace / "rec.hsic").exists()
+
+    def test_zero_patch_profile_exit_1(self, workspace, model, capsys):
+        # save_weights reads the config's attributes only, so a stand-in
+        # writes the profile a UNetConfig with patch=0 would have
+        config, weights, _, _ = model
+        net = SimpleNamespace(**{**dataclasses.asdict(TOY_NET), "patch": 0})
+        stand_in = SimpleNamespace(stages=config.stages, share_weights=True, net=net)
+        fileio.save_weights(workspace / "zero.csmw", weights, stand_in)
+        assert self.reconstruct(workspace, workspace / "zero.csmw") == 1
+        assert "patch must be >= 1" in capsys.readouterr().err
         assert not (workspace / "rec.hsic").exists()
 
     @pytest.mark.parametrize("stages", [1, 3])
@@ -246,6 +293,15 @@ class TestUsageErrors:
     def test_nonpositive_geometry_exit_2(self, capsys, geometry):
         assert run(["dump-scan-order", "--height", "8", "--width", "8", *geometry]) == 2
         assert "error: argument" in capsys.readouterr().err
+
+    # argparse rejects the value before any file is opened
+    @pytest.mark.parametrize("command", [
+        ["train", "--cube", "scene.hsic", "--mask", "mask.hsic"],
+        ["reconstruct", "--meas", "meas.hsic", "--mask", "mask.hsic", "--weights", "m.csmw"],
+    ], ids=["train", "reconstruct"])
+    def test_zero_stages_flag_exit_2(self, capsys, command):
+        assert run([*command, "--stages", "0", "--out", "out.hsic"]) == 2
+        assert "error: argument --stages" in capsys.readouterr().err
 
     def test_corrupt_input_exit_1(self, workspace, capsys):
         bad = workspace / "bad.hsic"

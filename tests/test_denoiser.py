@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cassi_ssm import autodiff as ad
+from cassi_ssm import denoiser
 from cassi_ssm.denoiser import (
     SPATIAL_DIRECTIONS,
     BlockConfig,
@@ -118,16 +119,12 @@ class TestSpatialSsm:
         with pytest.raises(ValueError, match="divide"):
             spatial_ssm(ad.constant(np.zeros((4, 5, 4))), w, "blk/sp", patch=2)
 
-    def test_equivariance_under_pixel_relabeling(self):
+    def test_equivariance_under_pixel_relabeling(self, monkeypatch):
         w, cfg = block_weights()
         c, h, wd = cfg.channels, 4, 4
         rng = np.random.default_rng(7)
         x = rng.random((c, h, wd))
-        base_orders = (
-            global_order(h, wd, False), global_order(h, wd, True),
-            local_patch_order(h, wd, 2, False), local_patch_order(h, wd, 2, True),
-        )
-        out = spatial_ssm(ad.constant(x), w, "blk/sp", patch=2, orders=base_orders).value
+        out = spatial_ssm(ad.constant(x), w, "blk/sp", patch=2).value
 
         perm = rng.permutation(h * wd)
         inv = np.empty_like(perm)
@@ -140,8 +137,11 @@ class TestSpatialSsm:
             back[fwd] = np.arange(len(fwd))
             return ScanOrder(order.length, fwd, back, order.descriptor + "~relabel")
 
-        orders2 = tuple(relabeled(o) for o in base_orders)
-        out2 = spatial_ssm(ad.constant(x2), w, "blk/sp", patch=2, orders=orders2).value
+        # the branch must scan the relabeled pixels in the relabeled orders
+        for make in (global_order, local_patch_order):
+            monkeypatch.setattr(denoiser, make.__name__,
+                                lambda *args, make=make: relabeled(make(*args)))
+        out2 = spatial_ssm(ad.constant(x2), w, "blk/sp", patch=2).value
         assert np.abs(out2.reshape(c, -1) - out.reshape(c, -1)[:, perm]).max() <= 1e-12
 
     def test_gradcheck(self):
@@ -270,6 +270,15 @@ class TestDenoise:
         w = tiny_weights()
         with pytest.raises(ValueError, match="divisible"):
             denoise(np.zeros((2, 6, 8)), 0.1, np.zeros((6, 8)), w, TINY, "net")
+
+    @pytest.mark.parametrize("field", ["bands", "base_channels", "patch", "cube",
+                                       "state_size", "expansion"])
+    def test_sizes_below_one_rejected(self, field):
+        sizes = {"bands": 2, "base_channels": 4, "patch": 2, "cube": (1, 1, 2),
+                 "state_size": 2, "expansion": 1}
+        sizes[field] = (1, 0, 2) if field == "cube" else 0
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            UNetConfig(**sizes)
 
     def test_band_count_guard(self):
         w = tiny_weights()

@@ -1,6 +1,8 @@
 """Container formats: exact round trips and distinct rejection diagnostics."""
 
+import dataclasses
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -183,6 +185,79 @@ class TestWeightsFiles:
         fileio.save_weights(p, weights, cfg, feature_mask=mask)
         assert fileio.load_weights(p).feature_mask.seed == 2**31 - 7
 
+    @pytest.mark.parametrize("ratio,seed", [(0.3, 2**33 + 7), (0.1, 2**64 - 1)])
+    def test_mask_metadata_lossless(self, tmp_path, ratio, seed):
+        cfg, weights, _ = self.make_model()
+        mask = training.generate_mask(8, 8, ratio, seed=seed)
+        p = tmp_path / "m.csmw"
+        fileio.save_weights(p, weights, cfg, feature_mask=mask)
+        loaded = fileio.load_weights(p).feature_mask
+        assert (loaded.zero_ratio, loaded.seed) == (ratio, seed)
+        assert loaded.digest() == mask.digest()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_not_saved(self, tmp_path, seed):
+        cfg, weights, mask = self.make_model(masked=True)
+        p = tmp_path / "s.csmw"
+        with pytest.raises(ValueError, match="seed"):
+            fileio.save_weights(p, weights, cfg, training.FeatureMask(mask.values, 0.5, seed))
+        assert not p.exists()
+
+    @pytest.mark.parametrize("present", [fileio.MASK_VALUES_KEY, fileio.MASK_META_KEY])
+    def test_half_a_mask_rejected(self, tmp_path, present):
+        # a weight tensor under a reserved name lands in the file as is
+        cfg, weights, mask = self.make_model(masked=True)
+        weights.add(present, mask.values if present == fileio.MASK_VALUES_KEY
+                    else fileio._mask_meta(mask))
+        p = tmp_path / "half.csmw"
+        fileio.save_weights(p, weights, cfg)
+        with pytest.raises(fileio.FileFormatError, match="needs both"):
+            fileio.load_weights(p)
+
+    @pytest.mark.parametrize("meta", [[0.5, 77, 0], [0.5] * 8, [0, 0, 0, 0x7FF8, 0, 0, 0, 0]],
+                             ids=["v1-layout", "fractional-words", "ratio-nan"])
+    def test_malformed_mask_meta_rejected(self, tmp_path, meta):
+        cfg, weights, mask = self.make_model(masked=True)
+        weights.add(fileio.MASK_VALUES_KEY, mask.values)
+        weights.add(fileio.MASK_META_KEY, np.array(meta, dtype=np.float64))
+        p = tmp_path / "meta.csmw"
+        fileio.save_weights(p, weights, cfg)
+        with pytest.raises(fileio.FileFormatError, match="feature-mask"):
+            fileio.load_weights(p)
+
+    def test_version_1_file_loads(self, tmp_path):
+        # version 1 stored the mask meta as [ratio, seed & 0xFFFF, seed >> 16];
+        # the version byte follows the magic
+        cfg, weights, mask = self.make_model(masked=True)
+        arrays = weights.arrays()
+        weights.add(fileio.MASK_VALUES_KEY, mask.values)
+        weights.add(fileio.MASK_META_KEY, np.array([0.5, 77, 3], dtype=np.float64))
+        p = tmp_path / "v1.csmw"
+        fileio.save_weights(p, weights, cfg)
+        raw = bytearray(p.read_bytes())
+        raw[4] = 1
+        p.write_bytes(bytes(raw))
+        loaded = fileio.load_weights(p)
+        assert loaded.config == cfg
+        assert loaded.arrays.keys() == arrays.keys()
+        assert np.array_equal(loaded.feature_mask.values, mask.values)
+        assert (loaded.feature_mask.zero_ratio, loaded.feature_mask.seed) == (0.5, 3 * 2**16 + 77)
+
+    @pytest.mark.parametrize("field,message", [("stages", "stage count"),
+                                               ("base_channels", "base_channels"),
+                                               ("patch", "patch")])
+    def test_zero_size_profile_rejected(self, tmp_path, field, message):
+        # save_weights reads the config's attributes only, so a stand-in
+        # writes the profile a config with a zero size would have
+        cfg, weights, _ = self.make_model()
+        net = dataclasses.asdict(TINY)
+        top = {"stages": cfg.stages, "share_weights": True}
+        (top if field == "stages" else net)[field] = 0
+        p = tmp_path / "zero.csmw"
+        fileio.save_weights(p, weights, SimpleNamespace(**top, net=SimpleNamespace(**net)))
+        with pytest.raises(fileio.FileFormatError, match=f"bad config profile: {message} must be >= 1"):
+            fileio.load_weights(p)
+
     def test_wrong_magic(self, tmp_path):
         p = tmp_path / "bad.csmw"
         p.write_bytes(b"JUNKJUNKJUNK")
@@ -356,7 +431,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("line", ["stages=abc", "mask_ratio=half", "cube=2x2",
                                       "cube=2x2xq", "cube=2x2x0", "cube=-2x2x2",
-                                      "patch=0", "patch=-4"])
+                                      "patch=0", "patch=-4", "stages=0", "base_channels=0",
+                                      "blocks=0", "state_size=0", "expansion=-1"])
     def test_bad_value_names_path_and_line(self, tmp_path, line):
         p = tmp_path / "bad.cfg"
         p.write_text(f"# profile\n{line}\n")

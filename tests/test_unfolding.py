@@ -105,15 +105,6 @@ class TestDenseOracle:
 
 
 class TestReconstruct:
-    def test_degenerate_zero_stages_is_shift_back(self):
-        cfg = unfolding.UnfoldConfig(stages=0, net=TINY)
-        weights = unfolding.init_weights(cfg, seed=0)
-        rng = np.random.default_rng(5)
-        op = cassi.SensingOperator(rng.random((8, 8)), 2, 2)
-        y = rng.random((8, op.detector_width))
-        out = unfolding.reconstruct(y, op, weights, cfg)
-        assert np.array_equal(out, cassi.shift_back(y, op))
-
     def test_zero_residual_denoiser_replays_data_steps(self):
         cfg = unfolding.UnfoldConfig(stages=3, net=TINY, share_weights=True)
         weights = unfolding.init_weights(cfg, seed=1, zero_residual=True)
@@ -176,6 +167,10 @@ class TestReconstruct:
     def test_stage_count_validation(self):
         with pytest.raises(ValueError, match="stage count"):
             unfolding.UnfoldConfig(stages=-1, net=TINY)
+
+    def test_zero_stages_rejected(self):
+        with pytest.raises(ValueError, match="stage count must be >= 1"):
+            unfolding.UnfoldConfig(stages=0, net=TINY)
 
 
 class TestWeightsInit:
