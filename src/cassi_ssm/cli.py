@@ -208,13 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages", type=fileio.positive_int, default=None,
                    help="stage count; overrides the config file (default 3)")
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--steps", type=fileio.positive_int, default=200)
     p.add_argument("--lr", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--masked", action="store_true", help="enable masked training")
     p.add_argument("--mask-ratio", type=float, default=None,
                    help="zeroed share of the feature mask; overrides the config file (default 0.5)")
-    p.add_argument("--mask-seed", type=int, default=None,
+    p.add_argument("--mask-seed", type=training.feature_mask_seed, default=None,
                    help="feature-mask seed; overrides the config file (default 0)")
     p.add_argument("--noise-bits", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .denoiser import UNetConfig
-from .training import FeatureMask
+from .training import FeatureMask, feature_mask_seed
 from .unfolding import UnfoldConfig
 
 CUBE_MAGIC = b"HSIC"
@@ -136,9 +136,7 @@ def config_digest(config: UnfoldConfig) -> bytes:
 def _mask_meta(mask: FeatureMask) -> np.ndarray:
     """Eight little-endian 16-bit words, each exact in float32: the float64
     bits of zero_ratio, then the seed as a uint64."""
-    seed = int(mask.seed)
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"feature-mask seed must lie in [0, 2**64), got {seed}")
+    seed = feature_mask_seed(mask.seed)
     words = np.frombuffer(struct.pack("<dQ", float(mask.zero_ratio), seed), dtype="<u2")
     return words.astype(np.float64)
 
@@ -307,6 +305,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """Parse a count that may be 0, e.g. the number of U-Net levels."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"count must be >= 0, got {text!r}")
+    return value
+
+
 def cube_dims(text: str) -> tuple:
     """Parse `HxWxC` cube dimensions, e.g. `2x2x4`, each at least 1."""
     parts = text.lower().split("x")
@@ -318,13 +324,13 @@ def cube_dims(text: str) -> tuple:
 _CONFIG_KEYS = {
     "stages": positive_int,
     "base_channels": positive_int,
-    "levels": int,
+    "levels": non_negative_int,
     "blocks": positive_int,
     "patch": positive_int,
     "state_size": positive_int,
     "expansion": positive_int,
     "mask_ratio": float,
-    "mask_seed": int,
+    "mask_seed": feature_mask_seed,
     "share_weights": int,
     "cube": cube_dims,
 }

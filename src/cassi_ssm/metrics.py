@@ -2,7 +2,9 @@
 
 SSIM uses the canonical 11x11 Gaussian window (sigma 1.5) with
 C1 = (0.01 * range)^2 and C2 = (0.03 * range)^2, averaged over the valid
-window positions.  PSNR is capped at 100 dB, returned exactly at zero MSE.
+window positions.  The window is the outer product of one 1-D Gaussian, so
+the local moments use a separable (two 1-D passes) filter, along W then H.
+PSNR is capped at 100 dB, returned exactly at zero MSE.
 """
 
 from __future__ import annotations
@@ -39,13 +41,6 @@ def psnr(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
     return min(PSNR_CAP_DB, float(10.0 * np.log10(data_range * data_range / mse)))
 
 
-def _gaussian_window(size: int, sigma: float) -> np.ndarray:
-    ax = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    g1 = np.exp(-0.5 * (ax / sigma) ** 2)
-    win = np.outer(g1, g1)
-    return win / win.sum()
-
-
 def ssim(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
     """Mean structural similarity of two single-band images."""
     a = np.asarray(a, dtype=np.float64)
@@ -58,15 +53,13 @@ def ssim(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
     k = SSIM_WINDOW
     if h < k or w < k:
         raise ValueError(f"image {h}x{w} smaller than the {k}x{k} SSIM window")
-    win = _gaussian_window(k, SSIM_SIGMA)
-
-    wa = np.lib.stride_tricks.sliding_window_view(a, (k, k))
-    wb = np.lib.stride_tricks.sliding_window_view(b, (k, k))
-    mu_a = np.einsum("hwij,ij->hw", wa, win)
-    mu_b = np.einsum("hwij,ij->hw", wb, win)
-    m_aa = np.einsum("hwij,ij->hw", wa * wa, win)
-    m_bb = np.einsum("hwij,ij->hw", wb * wb, win)
-    m_ab = np.einsum("hwij,ij->hw", wa * wb, win)
+    g = np.exp(-0.5 * ((np.arange(k) - (k - 1) / 2.0) / SSIM_SIGMA) ** 2)
+    g /= g.sum()
+    # each 1-D pass keeps only the valid positions: [5, H, W] -> [5, H-k+1, W-k+1]
+    moments = np.stack([a, b, a * a, b * b, a * b])
+    for axis in (2, 1):
+        moments = np.lib.stride_tricks.sliding_window_view(moments, k, axis=axis) @ g
+    mu_a, mu_b, m_aa, m_bb, m_ab = moments
     var_a = m_aa - mu_a * mu_a
     var_b = m_bb - mu_b * mu_b
     cov = m_ab - mu_a * mu_b

@@ -67,6 +67,14 @@ def generate_mask(height: int, width: int, zero_ratio: float, seed: int) -> Feat
     return FeatureMask(flat.reshape(height, width), zero_ratio, seed)
 
 
+def feature_mask_seed(value) -> int:
+    """A feature-mask seed as an int; CSMW files store seeds in [0, 2**64)."""
+    seed = int(value)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"feature-mask seed must lie in [0, 2**64), got {value}")
+    return seed
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of the desk-scale training loop."""
@@ -80,8 +88,11 @@ class TrainConfig:
     noise_seed: int = 0
 
     def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not 0.0 <= self.zero_ratio < 1.0:
             raise ValueError(f"zero ratio must lie in [0, 1), got {self.zero_ratio}")
+        feature_mask_seed(self.mask_seed)
 
     def lr_at(self, step: int) -> float:
         """Cosine decay from the base rate to zero over the configured steps."""

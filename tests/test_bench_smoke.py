@@ -2,7 +2,8 @@
 
 It keeps a change to the package from silently breaking the benchmark: every
 function the traced run wraps must still exist, and one training item and
-the reconstruct warm-up item must still match their recorded references.
+the reconstruct and scoring warm-up items must still match their recorded
+references.
 """
 
 import importlib
@@ -48,3 +49,8 @@ def test_one_train_item_matches_reference(tmp_path):
 def test_recon_warmup_item_matches_reference(tmp_path):
     # 64x64x8 through the CLI: the long batch-1 cross-cube scans, end to end
     _check_one_item("recon_cli64", tmp_path, workloads.WARMUP)
+
+
+def test_score_warmup_item_matches_reference(tmp_path):
+    # 256x256x28 simulate, data step, save and eval: the scoring path, end to end
+    _check_one_item("sense_score256", tmp_path, workloads.WARMUP)

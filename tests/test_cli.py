@@ -303,6 +303,19 @@ class TestUsageErrors:
         assert run([*command, "--stages", "0", "--out", "out.hsic"]) == 2
         assert "error: argument --stages" in capsys.readouterr().err
 
+    # refused before the first training step, so no weights are written
+    @pytest.mark.parametrize("flag", [["--steps", "0"], ["--steps", "-2"],
+                                      ["--mask-seed", "-1"],
+                                      ["--mask-seed", "18446744073709551616"]],
+                             ids=["steps0", "steps-neg", "mask-seed-neg", "mask-seed-2^64"])
+    def test_train_flag_out_of_range_exit_2(self, workspace, capsys, flag):
+        code = run(["train", "--cube", workspace / "scene.hsic",
+                    "--mask", workspace / "mask.hsic", "--config", workspace / "toy.cfg",
+                    "--masked", *flag, "--out", workspace / "m.csmw"])
+        assert code == 2
+        assert f"error: argument {flag[0]}" in capsys.readouterr().err
+        assert not (workspace / "m.csmw").exists()
+
     def test_corrupt_input_exit_1(self, workspace, capsys):
         bad = workspace / "bad.hsic"
         bad.write_bytes(b"garbage garbage garbage")

@@ -432,7 +432,9 @@ class TestConfigFile:
     @pytest.mark.parametrize("line", ["stages=abc", "mask_ratio=half", "cube=2x2",
                                       "cube=2x2xq", "cube=2x2x0", "cube=-2x2x2",
                                       "patch=0", "patch=-4", "stages=0", "base_channels=0",
-                                      "blocks=0", "state_size=0", "expansion=-1"])
+                                      "blocks=0", "state_size=0", "expansion=-1",
+                                      "levels=-1", "mask_seed=-1",
+                                      "mask_seed=18446744073709551616"])
     def test_bad_value_names_path_and_line(self, tmp_path, line):
         p = tmp_path / "bad.cfg"
         p.write_text(f"# profile\n{line}\n")

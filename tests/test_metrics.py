@@ -90,6 +90,19 @@ class TestSsim:
         want = ssim_loop_oracle(a, b, 1.0)
         assert abs(got - want) <= 1e-9
 
+    # a single window, one-window-wide strips, a wider range, and the
+    # 256x256 scored band size (246x246 windows)
+    @pytest.mark.parametrize("shape,data_range", [((11, 11), 1.0), ((11, 40), 1.0),
+                                                  ((40, 11), 1.0), ((16, 19), 4.0),
+                                                  ((256, 256), 1.0)],
+                             ids=["11x11", "11x40", "40x11", "range4", "256x256"])
+    def test_edge_and_full_sizes_match_loop_oracle(self, shape, data_range):
+        rng = np.random.default_rng(11)
+        a = data_range * rng.random(shape)
+        b = a + 0.1 * data_range * rng.normal(size=shape)
+        got = metrics.ssim(a, b, data_range)
+        assert abs(got - ssim_loop_oracle(a, b, data_range)) <= 1e-9
+
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         a, b = rng.random((13, 13)), rng.random((13, 13))

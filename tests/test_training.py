@@ -200,3 +200,20 @@ class TestSchedule:
         tc = training.TrainConfig(learning_rate=0.02, steps=2, noise_bits=11)
         state = training.train([(cube, op)], weights, cfg, tc)
         assert np.isfinite(state.losses).all()
+
+
+class TestTrainConfig:
+    """Bad settings are refused before any training step runs."""
+
+    @pytest.mark.parametrize("steps", [0, -2])
+    def test_steps_below_one_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            training.TrainConfig(steps=steps)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_mask_seed_outside_uint64_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            training.TrainConfig(mask_seed=seed)
+
+    def test_largest_mask_seed_accepted(self):
+        assert training.TrainConfig(mask_seed=2**64 - 1).mask_seed == 2**64 - 1
