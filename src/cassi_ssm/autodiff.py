@@ -19,6 +19,7 @@ Array = np.ndarray
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+LAYER_NORM_EPS = 1e-6
 
 
 class Node:
@@ -160,15 +161,6 @@ def div(a, b) -> Node:
     return _make(out_value, (a, b), backward)
 
 
-def neg(a) -> Node:
-    a = as_node(a)
-
-    def backward(g):
-        a.accumulate(-g)
-
-    return _make(-a.value, (a,), backward)
-
-
 def scale(a, s: float) -> Node:
     """Multiply by a plain python float (not a tape value)."""
     a = as_node(a)
@@ -278,40 +270,36 @@ def reshape(a, shape) -> Node:
     return _make(a.value.reshape(shape), (a,), backward)
 
 
-def concat(nodes, axis: int = 0) -> Node:
+def concat(nodes) -> Node:
+    """Join along the leading axis."""
     nodes = [as_node(n) for n in nodes]
-    sizes = [n.shape[axis] for n in nodes]
-    out_value = np.concatenate([n.value for n in nodes], axis=axis)
-    offsets = np.cumsum([0] + sizes)
+    out_value = np.concatenate([n.value for n in nodes])
+    offsets = np.cumsum([0] + [n.shape[0] for n in nodes])
 
     def backward(g):
         for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             if n.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                n.accumulate(g[tuple(idx)])
+                n.accumulate(g[lo:hi])
 
     return _make(out_value, tuple(nodes), backward)
 
 
-def split(a, sizes, axis: int = 0):
-    """Split along `axis` into chunks of the given sizes."""
+def split(a, sizes):
+    """Split along the leading axis into chunks of the given sizes."""
     a = as_node(a)
-    if sum(sizes) != a.shape[axis]:
-        raise ValueError(f"split sizes {sizes} do not cover axis of length {a.shape[axis]}")
+    if sum(sizes) != a.shape[0]:
+        raise ValueError(f"split sizes {sizes} do not cover axis of length {a.shape[0]}")
     offsets = np.cumsum([0] + list(sizes))
     outs = []
     for lo, hi in zip(offsets[:-1], offsets[1:]):
-        idx = [slice(None)] * a.value.ndim
-        idx[axis] = slice(int(lo), int(hi))
-        idx = tuple(idx)
+        rows = slice(int(lo), int(hi))
 
-        def backward(g, idx=idx):
+        def backward(g, rows=rows):
             full = np.zeros_like(a.value)
-            full[idx] = g
+            full[rows] = g
             a.accumulate(full)
 
-        outs.append(_make(a.value[idx].copy(), (a,), backward))
+        outs.append(_make(a.value[rows].copy(), (a,), backward))
     return outs
 
 
@@ -346,11 +334,6 @@ def gather_last(a, forward_idx, inverse_idx) -> Node:
         a.accumulate(g[..., inverse_idx])
 
     return _make(out_value, (a,), backward)
-
-
-def gather_by_order(a, order) -> Node:
-    """Apply a ScanOrder-like object (has .forward and .inverse) along the last axis."""
-    return gather_last(a, order.forward, order.inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +455,7 @@ def upsample_nearest2x(a) -> Node:
     return _make(out_value, (a,), backward)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Node:
+def layer_norm(x, gamma, beta) -> Node:
     """Normalize across the channel axis of [C,H,W], per spatial position."""
     x, gamma, beta = as_node(x), as_node(gamma), as_node(beta)
     c = x.shape[0]
@@ -480,7 +463,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Node:
         raise ValueError(f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match {c} channels")
     mu = x.value.mean(axis=0, keepdims=True)
     var = x.value.var(axis=0, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.value - mu) * inv
     out_value = gamma.value[:, None, None] * xhat + beta.value[:, None, None]
 

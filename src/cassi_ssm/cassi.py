@@ -17,6 +17,7 @@ import numpy as np
 from . import autodiff as ad
 
 DENSE_ORACLE_LIMIT = 4096
+MAX_NOISE_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -131,14 +132,22 @@ def build_dense_phi(op: SensingOperator) -> np.ndarray:
     return phi
 
 
+def noise_bits(value) -> int:
+    """A detector bit depth for shot noise in [0, MAX_NOISE_BITS]; 0 means noiseless."""
+    bits = int(value)
+    if not 0 <= bits <= MAX_NOISE_BITS:
+        raise ValueError(f"noise bit depth must lie in [0, {MAX_NOISE_BITS}], got {value}")
+    return bits
+
+
 def add_shot_noise(meas: np.ndarray, bits: int, seed: int) -> np.ndarray:
     """Poisson photon noise at the count scale implied by the detector bit depth.
 
     The measurement is scaled so its maximum maps to 2**bits - 1, sampled
     per pixel, and rescaled.  Deterministic under the seed.
     """
-    if not 1 <= bits <= 16:
-        raise ValueError(f"bit depth must be in [1, 16], got {bits}")
+    if not 1 <= bits <= MAX_NOISE_BITS:
+        raise ValueError(f"bit depth must be in [1, {MAX_NOISE_BITS}], got {bits}")
     meas = np.asarray(meas, dtype=np.float64)
     if (meas < 0).any():
         raise ValueError("measurement must be nonnegative for shot noise")

@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cube", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--d", type=int, default=2, help="dispersion shift step per band")
-    p.add_argument("--noise-bits", type=int, default=0, help="shot-noise bit depth, 0 = noiseless")
+    p.add_argument("--noise-bits", type=cassi.noise_bits, default=0,
+                   help=f"shot-noise bit depth in [0, {cassi.MAX_NOISE_BITS}], 0 = noiseless")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
@@ -212,11 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--masked", action="store_true", help="enable masked training")
-    p.add_argument("--mask-ratio", type=float, default=None,
+    p.add_argument("--mask-ratio", type=training.zero_ratio, default=None,
                    help="zeroed share of the feature mask; overrides the config file (default 0.5)")
     p.add_argument("--mask-seed", type=training.feature_mask_seed, default=None,
                    help="feature-mask seed; overrides the config file (default 0)")
-    p.add_argument("--noise-bits", type=int, default=0)
+    p.add_argument("--noise-bits", type=cassi.noise_bits, default=0,
+                   help=f"shot-noise bit depth in [0, {cassi.MAX_NOISE_BITS}], 0 = noiseless")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 

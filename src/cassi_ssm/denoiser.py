@@ -215,7 +215,7 @@ def _ssm_branch(seq: "ad.Node", weights: ModelWeights, prefix: str) -> "ad.Node"
     affine map of the scalar token, the timescale from a softplus-affine map.
     """
     nch, length = seq.shape
-    a = ad.neg(ad.exp(weights[f"{prefix}/a_log"]))
+    a = ad.scale(ad.exp(weights[f"{prefix}/a_log"]), -1.0)
     nstate = a.shape[-1]
     x_e = ad.repeat_expand(seq, 2, nstate)
     b_tok = ad.add(ad.mul(x_e, ad.repeat_expand(weights[f"{prefix}/w_b"], 1, length)),
@@ -244,9 +244,9 @@ def spatial_ssm(f: "ad.Node", weights: ModelWeights, prefix: str, patch: int) ->
     seq0 = ad.reshape(f, (nch, height * width))
     acc = None
     for name, order in zip(SPATIAL_DIRECTIONS, orders):
-        s = ad.gather_by_order(seq0, order)
+        s = ad.gather_last(seq0, order.forward, order.inverse)
         y = _ssm_branch(s, weights, f"{prefix}/{name}")
-        r = ad.gather_by_order(y, order.inverted())
+        r = ad.gather_last(y, order.inverse, order.forward)
         acc = r if acc is None else ad.add(acc, r)
     merged = ad.reshape(acc, (nch, height, width))
     return ad.conv2d(merged, weights[f"{prefix}/proj_w"], weights[f"{prefix}/proj_b"])
@@ -263,9 +263,9 @@ def spectral_cube_ssm(f: "ad.Node", weights: ModelWeights, prefix: str,
     nch, height, width = f.shape
     order = cross_cube_order(height, width, nch, spec)
     flat = ad.reshape(f, (1, nch * height * width))
-    s = ad.gather_by_order(flat, order)
+    s = ad.gather_last(flat, order.forward, order.inverse)
     y = _ssm_branch(s, weights, prefix)
-    r = ad.gather_by_order(y, order.inverted())
+    r = ad.gather_last(y, order.inverse, order.forward)
     return ad.add(f, ad.reshape(r, (nch, height, width)))
 
 
@@ -275,7 +275,7 @@ def gated_ffn(f: "ad.Node", weights: ModelWeights, prefix: str) -> "ad.Node":
     n = ad.layer_norm(f, weights[f"{prefix}/ln/g"], weights[f"{prefix}/ln/b"])
     u = ad.conv2d(n, weights[f"{prefix}/in_w"], weights[f"{prefix}/in_b"])
     half = u.shape[0] // 2
-    ua, ub = ad.split(u, [half, half], axis=0)
+    ua, ub = ad.split(u, [half, half])
     ga = ad.gelu(ad.depthwise_conv2d(ua, weights[f"{prefix}/dw1_w"], weights[f"{prefix}/dw1_b"]))
     gb = ad.depthwise_conv2d(ub, weights[f"{prefix}/dw2_w"], weights[f"{prefix}/dw2_b"])
     out = ad.conv2d(ad.mul(ga, gb), weights[f"{prefix}/out_w"], weights[f"{prefix}/out_b"])
@@ -308,7 +308,7 @@ def embed_with_mask(x: "ad.Node", mask: np.ndarray, weights: ModelWeights, prefi
     if not np.isfinite(sigma.value).all():
         raise ValueError("noise level must be finite")
     sig_channel = ad.mul(ad.constant(np.ones((1, height, width))), sigma)
-    stacked = ad.concat([x, mask_stack, sig_channel], axis=0)
+    stacked = ad.concat([x, mask_stack, sig_channel])
     fused = ad.conv2d(stacked, weights[f"{prefix}/embed/fuse_w"], weights[f"{prefix}/embed/fuse_b"])
     return ad.conv2d(fused, weights[f"{prefix}/embed/proj_w"], weights[f"{prefix}/embed/proj_b"])
 
@@ -346,7 +346,7 @@ def denoise(x, sigma, mask: np.ndarray, weights: ModelWeights, config: UNetConfi
         cfg = config.block_config(lvl)
         f = ad.upsample_nearest2x(f)
         f = ad.conv2d(f, weights[f"{prefix}/up{lvl}/w"], weights[f"{prefix}/up{lvl}/b"])
-        f = ad.concat([f, skips[lvl]], axis=0)
+        f = ad.concat([f, skips[lvl]])
         f = ad.conv2d(f, weights[f"{prefix}/dec{lvl}/fuse_w"], weights[f"{prefix}/dec{lvl}/fuse_b"])
         for i in range(config.blocks_per_level):
             f = ssm_block(f, weights, f"{prefix}/dec{lvl}/blk{i}", cfg)

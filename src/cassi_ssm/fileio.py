@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .denoiser import UNetConfig
-from .training import FeatureMask, feature_mask_seed
+from .training import FeatureMask, feature_mask_seed, zero_ratio
 from .unfolding import UnfoldConfig
 
 CUBE_MAGIC = b"HSIC"
@@ -156,9 +156,10 @@ def _load_mask(path, arrays: dict, version: int) -> FeatureMask | None:
         ratio, seed = struct.unpack("<dQ", meta.astype("<u2").tobytes())
     else:
         raise FileFormatError(f"{path}: malformed feature-mask metadata")
-    if not 0.0 <= ratio < 1.0:
-        raise FileFormatError(f"{path}: feature-mask zero ratio {ratio} outside [0, 1)")
-    return FeatureMask(values, ratio, seed)
+    try:
+        return FeatureMask(values, ratio, seed)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: bad feature-mask data: {exc}") from None
 
 
 @dataclass
@@ -313,6 +314,14 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def zero_or_one(text: str) -> int:
+    """Parse a 0/1 switch, e.g. share_weights."""
+    value = int(text)
+    if value not in (0, 1):
+        raise ValueError(f"expected 0 or 1, got {text!r}")
+    return value
+
+
 def cube_dims(text: str) -> tuple:
     """Parse `HxWxC` cube dimensions, e.g. `2x2x4`, each at least 1."""
     parts = text.lower().split("x")
@@ -329,9 +338,9 @@ _CONFIG_KEYS = {
     "patch": positive_int,
     "state_size": positive_int,
     "expansion": positive_int,
-    "mask_ratio": float,
+    "mask_ratio": zero_ratio,
     "mask_seed": feature_mask_seed,
-    "share_weights": int,
+    "share_weights": zero_or_one,
     "cube": cube_dims,
 }
 

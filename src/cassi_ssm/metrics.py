@@ -71,19 +71,18 @@ def ssim(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
     return float(np.mean(num / den))
 
 
-def evaluate(cube_a: np.ndarray, cube_b: np.ndarray, data_range: float | None = None) -> MetricReport:
+def evaluate(cube_a: np.ndarray, cube_b: np.ndarray) -> MetricReport:
     """Per-band PSNR/SSIM of two cubes, averaged over bands.
 
-    cube_a is the reference; when data_range is omitted it defaults to the
-    reference maximum (1.0 if the reference is empty of signal).
+    cube_a is the reference; the data range is its maximum (1.0 if the
+    reference is empty of signal).
     """
     cube_a = np.asarray(cube_a, dtype=np.float64)
     cube_b = np.asarray(cube_b, dtype=np.float64)
     if cube_a.shape != cube_b.shape:
         raise ValueError(f"shape mismatch: {cube_a.shape} vs {cube_b.shape}")
-    if data_range is None:
-        peak = float(cube_a.max())
-        data_range = peak if peak > 0 else 1.0
+    peak = float(cube_a.max())
+    data_range = peak if peak > 0 else 1.0
     band_psnr = tuple(psnr(cube_a[i], cube_b[i], data_range) for i in range(cube_a.shape[0]))
     band_ssim = tuple(ssim(cube_a[i], cube_b[i], data_range) for i in range(cube_a.shape[0]))
     return MetricReport(

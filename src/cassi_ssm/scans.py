@@ -29,9 +29,6 @@ class ScanOrder:
     inverse: np.ndarray
     descriptor: str
 
-    def inverted(self) -> "ScanOrder":
-        return ScanOrder(self.length, self.inverse, self.forward, self.descriptor + "~inv")
-
 
 @dataclass(frozen=True)
 class CubeSpec:

@@ -42,23 +42,17 @@ def discretize_zoh(a, b, delta):
 
 
 def selective_scan(x, a, b, c, delta, d) -> "ad.Node":
-    """Differentiable selective scan over scalar token sequences.
+    """Differentiable selective scan over batches of scalar token sequences.
 
-    Shapes (the leading batch axis holds independent channels and may be
-    omitted): x [B,L]; a [B,N] continuous negative diagonal; b, c [B,L,N]
-    per-token gains; delta [B,L] positive; d scalar or [B] skip gain.
-    Returns y [B,L] with h_t = abar_t * h_{t-1} + bbar_t * x_t (h_0 = 0)
-    and y_t = <c_t, h_t> + d * x_t.
+    Shapes (the batch axis holds independent channels): x [B,L]; a [B,N]
+    continuous negative diagonal; b, c [B,L,N] per-token gains; delta
+    [B,L] positive; d [B] skip gain.  Returns y [B,L] with
+    h_t = abar_t * h_{t-1} + bbar_t * x_t (h_0 = 0) and
+    y_t = <c_t, h_t> + d * x_t.
     """
-    x, a, b, c, delta = (ad.as_node(v) for v in (x, a, b, c, delta))
-    d = ad.as_node(d)
-    squeeze = x.value.ndim == 1
-    if squeeze:
-        x = ad.reshape(x, (1,) + x.shape)
-        a = ad.reshape(a, (1,) + a.shape)
-        b = ad.reshape(b, (1,) + b.shape)
-        c = ad.reshape(c, (1,) + c.shape)
-        delta = ad.reshape(delta, (1,) + delta.shape)
+    x, a, b, c, delta, d = (ad.as_node(v) for v in (x, a, b, c, delta, d))
+    if x.value.ndim != 2:
+        raise ValueError(f"x must be a [B,L] batch of sequences, got shape {x.shape}")
     nb, length = x.shape
     nstate = a.shape[-1]
     if b.shape != (nb, length, nstate) or c.shape != (nb, length, nstate):
@@ -67,6 +61,8 @@ def selective_scan(x, a, b, c, delta, d) -> "ad.Node":
             f"x {x.shape} with state size {nstate}")
     if delta.shape != (nb, length):
         raise ValueError(f"delta shape {delta.shape} does not match x {x.shape}")
+    if d.shape != (nb,):
+        raise ValueError(f"skip gain shape {d.shape} does not match x {x.shape}")
 
     delta_e = ad.repeat_expand(delta, 2, nstate)           # [B,L,N]
     a_e = ad.repeat_expand(a, 1, length)                   # [B,L,N]
@@ -75,13 +71,7 @@ def selective_scan(x, a, b, c, delta, d) -> "ad.Node":
     bbar = ad.mul(ad.phi1(da), ad.mul(delta_e, b))
     x_e = ad.repeat_expand(x, 2, nstate)
     y = ad.linear_scan(abar, ad.mul(bbar, x_e), c)
-    if d.value.ndim == 0:
-        y = ad.add(y, ad.mul(x, d))
-    else:
-        y = ad.add(y, ad.mul(x, ad.repeat_expand(d, 1, length)))
-    if squeeze:
-        y = ad.reshape(y, (length,))
-    return y
+    return ad.add(y, ad.mul(x, ad.repeat_expand(d, 1, length)))
 
 
 def naive_scan_oracle(x, abar, bbar, c, d) -> np.ndarray:

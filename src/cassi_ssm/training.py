@@ -23,8 +23,8 @@ from .unfolding import UnfoldConfig, reconstruct_node
 class FeatureMask:
     """Spatial 0-1 mask with an exact number of zeros.
 
-    values is [H, W] holding only 0.0 and 1.0; the zero count equals
-    round(zero_ratio * H * W) by construction.
+    values is [H, W] holding only 0.0 and 1.0, and the zero count equals
+    round(zero_ratio * H * W); construction refuses anything else.
     """
 
     values: np.ndarray
@@ -32,7 +32,17 @@ class FeatureMask:
     seed: int
 
     def __post_init__(self):
+        ratio = zero_ratio(self.zero_ratio)
         v = np.ascontiguousarray(self.values, dtype=np.float64)
+        if v.ndim != 2:
+            raise ValueError(f"feature mask must be [H, W], got shape {v.shape}")
+        if not ((v == 0.0) | (v == 1.0)).all():
+            raise ValueError("feature mask values must all be 0 or 1")
+        zeros, want = int(np.count_nonzero(v == 0.0)), int(round(ratio * v.size))
+        if zeros != want:
+            raise ValueError(
+                f"feature mask has {zeros} zeros, but zero ratio {ratio} of {v.size} "
+                f"positions needs {want}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -55,16 +65,22 @@ class FeatureMask:
         return hashlib.sha256(payload + meta).hexdigest()
 
 
-def generate_mask(height: int, width: int, zero_ratio: float, seed: int) -> FeatureMask:
-    """Place exactly round(zero_ratio * H * W) zeros by a seeded shuffle."""
-    if not 0.0 <= zero_ratio < 1.0:
-        raise ValueError(f"zero ratio must lie in [0, 1), got {zero_ratio}")
+def generate_mask(height: int, width: int, ratio: float, seed: int) -> FeatureMask:
+    """Place exactly round(ratio * H * W) zeros by a seeded shuffle."""
     n = height * width
-    n_zero = int(round(zero_ratio * n))
+    n_zero = int(round(zero_ratio(ratio) * n))
     flat = np.ones(n)
     idx = np.random.default_rng(seed).permutation(n)
     flat[idx[:n_zero]] = 0.0
-    return FeatureMask(flat.reshape(height, width), zero_ratio, seed)
+    return FeatureMask(flat.reshape(height, width), ratio, seed)
+
+
+def zero_ratio(value) -> float:
+    """A feature-mask zero ratio as a float in [0, 1)."""
+    ratio = float(value)
+    if not 0.0 <= ratio < 1.0:
+        raise ValueError(f"zero ratio must lie in [0, 1), got {value}")
+    return ratio
 
 
 def feature_mask_seed(value) -> int:
@@ -90,9 +106,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if not 0.0 <= self.zero_ratio < 1.0:
-            raise ValueError(f"zero ratio must lie in [0, 1), got {self.zero_ratio}")
+        zero_ratio(self.zero_ratio)
         feature_mask_seed(self.mask_seed)
+        cassi.noise_bits(self.noise_bits)
 
     def lr_at(self, step: int) -> float:
         """Cosine decay from the base rate to zero over the configured steps."""

@@ -134,7 +134,8 @@ def test_criterion_05_ssm_correctness():
         c = rng.normal(size=(length, nstate))
         delta = rng.uniform(0.01, 0.8, size=length)
         d = float(rng.normal())
-        got = ssm.selective_scan(x, a, b, c, delta, d).value
+        got = ssm.selective_scan(x[None], a[None], b[None], c[None], delta[None],
+                                 np.array([d])).value[0]
         abar, bbar = ssm.discretize_zoh(a[None, :], b, delta[:, None])
         want = ssm.naive_scan_oracle(x, abar, bbar, c, d)
         worst = max(worst, np.abs(got - want).max() / max(1.0, np.abs(want).max()))
@@ -167,25 +168,26 @@ def test_criterion_06_differentiability():
         lambda w: ad.sum_all(ad.mul(ad.conv2d(ad.constant(x), w), ad.constant(proj))),
         rng.normal(size=(3, 2, 3, 3)), eps=1e-6)
 
-    # gather_by_order
+    # gather_last
     order = scans.local_patch_order(4, 4, 2, reverse=True)
     gproj = rng.normal(size=16)
-    results["gather_by_order"] = ad.finite_diff_check(
-        lambda t: ad.sum_all(ad.mul(ad.gather_by_order(t, order), ad.constant(gproj))),
+    results["gather_last"] = ad.finite_diff_check(
+        lambda t: ad.sum_all(ad.mul(ad.gather_last(t, order.forward, order.inverse),
+                                    ad.constant(gproj))),
         rng.normal(size=16), eps=1e-6)
 
-    # selective_scan (through input, selection and timescale)
+    # selective_scan (through input, selection and timescale), as a batch of one
     length, nstate = 12, 3
-    sx = rng.normal(size=length)
-    sa = -rng.uniform(0.3, 2.0, size=nstate)
-    sb = rng.normal(size=(length, nstate))
-    sc = rng.normal(size=(length, nstate))
-    sdelta = rng.uniform(0.05, 0.6, size=length)
-    sproj = rng.normal(size=length)
+    sx = rng.normal(size=length)[None]
+    sa = -rng.uniform(0.3, 2.0, size=nstate)[None]
+    sb = rng.normal(size=(length, nstate))[None]
+    sc = rng.normal(size=(length, nstate))[None]
+    sdelta = rng.uniform(0.05, 0.6, size=length)[None]
+    sproj = rng.normal(size=length)[None]
 
     def scan_input(t):
         y = ssm.selective_scan(t, ad.constant(sa), ad.constant(sb), ad.constant(sc),
-                               ad.constant(sdelta), 0.4)
+                               ad.constant(sdelta), np.array([0.4]))
         return ad.sum_all(ad.mul(y, ad.constant(sproj)))
 
     results["selective_scan"] = ad.finite_diff_check(scan_input, sx, eps=1e-6)

@@ -182,6 +182,15 @@ class TestConfigPrecedence:
         assert f"{cfg}:{lineno}: bad value for {key}" in capsys.readouterr().err
         assert not (workspace / "prec.csmw").exists()
 
+    @pytest.mark.parametrize("line", ["mask_ratio=1.5", "mask_ratio=nan", "share_weights=7"])
+    def test_out_of_range_ratio_or_switch_in_config_exit_1(self, workspace, capsys, line):
+        code, cfg = self.train(workspace, line + "\n")
+        assert code == 1
+        lineno = len((workspace / "toy.cfg").read_text().splitlines()) + 1
+        key = line.split("=")[0]
+        assert f"{cfg}:{lineno}: bad value for {key}" in capsys.readouterr().err
+        assert not (workspace / "prec.csmw").exists()
+
     def test_zero_cube_depth_in_config_exit_1(self, workspace, capsys):
         code, cfg = self.train(workspace, "cube=2x2x0\n")
         assert code == 1
@@ -306,8 +315,12 @@ class TestUsageErrors:
     # refused before the first training step, so no weights are written
     @pytest.mark.parametrize("flag", [["--steps", "0"], ["--steps", "-2"],
                                       ["--mask-seed", "-1"],
-                                      ["--mask-seed", "18446744073709551616"]],
-                             ids=["steps0", "steps-neg", "mask-seed-neg", "mask-seed-2^64"])
+                                      ["--mask-seed", "18446744073709551616"],
+                                      ["--mask-ratio", "1.5"], ["--mask-ratio", "nan"],
+                                      ["--noise-bits", "-3"], ["--noise-bits", "17"]],
+                             ids=["steps0", "steps-neg", "mask-seed-neg", "mask-seed-2^64",
+                                  "mask-ratio-1.5", "mask-ratio-nan",
+                                  "noise-bits-neg", "noise-bits-17"])
     def test_train_flag_out_of_range_exit_2(self, workspace, capsys, flag):
         code = run(["train", "--cube", workspace / "scene.hsic",
                     "--mask", workspace / "mask.hsic", "--config", workspace / "toy.cfg",
@@ -315,6 +328,15 @@ class TestUsageErrors:
         assert code == 2
         assert f"error: argument {flag[0]}" in capsys.readouterr().err
         assert not (workspace / "m.csmw").exists()
+
+    @pytest.mark.parametrize("bits", ["-3", "17"])
+    def test_simulate_noise_bits_out_of_range_exit_2(self, workspace, capsys, bits):
+        code = run(["simulate", "--cube", workspace / "scene.hsic",
+                    "--mask", workspace / "mask.hsic", "--noise-bits", bits,
+                    "--out", workspace / "m.hsic"])
+        assert code == 2
+        assert "error: argument --noise-bits" in capsys.readouterr().err
+        assert not (workspace / "m.hsic").exists()
 
     def test_corrupt_input_exit_1(self, workspace, capsys):
         bad = workspace / "bad.hsic"

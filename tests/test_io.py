@@ -214,6 +214,21 @@ class TestWeightsFiles:
         with pytest.raises(fileio.FileFormatError, match="needs both"):
             fileio.load_weights(p)
 
+    @pytest.mark.parametrize("values", [np.full((8, 8), 0.5),
+                                        np.repeat([0.0, 1.0], [48, 16]).reshape(8, 8)],
+                             ids=["not-0-1", "zero-count"])
+    def test_mask_breaking_its_invariant_rejected(self, tmp_path, values):
+        # the metadata says ratio 0.25 (16 zeros of 64); the values disagree
+        cfg, weights, _ = self.make_model()
+        weights.add(fileio.MASK_VALUES_KEY, values)
+        weights.add(fileio.MASK_META_KEY,
+                    fileio._mask_meta(training.generate_mask(8, 8, 0.25, seed=3)))
+        p = tmp_path / "bad-mask.csmw"
+        fileio.save_weights(p, weights, cfg)
+        with pytest.raises(fileio.FileFormatError, match="feature mask") as err:
+            fileio.load_weights(p)
+        assert str(err.value).startswith(f"{p}: ")
+
     @pytest.mark.parametrize("meta", [[0.5, 77, 0], [0.5] * 8, [0, 0, 0, 0x7FF8, 0, 0, 0, 0]],
                              ids=["v1-layout", "fractional-words", "ratio-nan"])
     def test_malformed_mask_meta_rejected(self, tmp_path, meta):
@@ -434,7 +449,9 @@ class TestConfigFile:
                                       "patch=0", "patch=-4", "stages=0", "base_channels=0",
                                       "blocks=0", "state_size=0", "expansion=-1",
                                       "levels=-1", "mask_seed=-1",
-                                      "mask_seed=18446744073709551616"])
+                                      "mask_seed=18446744073709551616",
+                                      "mask_ratio=1.5", "mask_ratio=nan", "mask_ratio=-0.1",
+                                      "share_weights=7", "share_weights=-1"])
     def test_bad_value_names_path_and_line(self, tmp_path, line):
         p = tmp_path / "bad.cfg"
         p.write_text(f"# profile\n{line}\n")

@@ -155,11 +155,6 @@ class TestEvaluate:
         report = metrics.evaluate(ref, test)
         assert report.data_range == 0.5
 
-    def test_explicit_range_override(self):
-        ref = np.random.default_rng(10).random((1, 12, 12))
-        report = metrics.evaluate(ref, ref * 0.9, data_range=2.0)
-        assert report.data_range == 2.0
-
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             metrics.evaluate(np.zeros((1, 12, 12)), np.zeros((2, 12, 12)))

@@ -18,6 +18,12 @@ def make_random_case(rng, length, nstate):
     return x, a, b, c, delta, d
 
 
+def scan_one(x, a, b, c, delta, d):
+    """selective_scan of one sequence, run as a batch of one."""
+    return ssm.selective_scan(x[None], a[None], b[None], c[None], delta[None],
+                              np.array([d])).value[0]
+
+
 class TestDiscretizeZoh:
     def test_frozen_reference_values(self):
         # closed form at A=-1, B=1, delta=0.1:
@@ -86,7 +92,7 @@ class TestSelectiveScan:
             length = int(r.integers(1, 257))
             nstate = int(r.integers(1, 17))
             x, a, b, c, delta, d = make_random_case(r, length, nstate)
-            got = ssm.selective_scan(x, a, b, c, delta, d).value
+            got = scan_one(x, a, b, c, delta, d)
             abar, bbar = ssm.discretize_zoh(a[None, :], b, delta[:, None])
             want = ssm.naive_scan_oracle(x, abar, bbar, c, d)
             scale = max(1.0, np.abs(want).max())
@@ -96,7 +102,7 @@ class TestSelectiveScan:
     def test_matches_naive_oracle_long_sequence(self):
         r = np.random.default_rng(2)
         x, a, b, c, delta, d = make_random_case(r, 4096, 16)
-        got = ssm.selective_scan(x, a, b, c, delta, d).value
+        got = scan_one(x, a, b, c, delta, d)
         abar, bbar = ssm.discretize_zoh(a[None, :], b, delta[:, None])
         want = ssm.naive_scan_oracle(x, abar, bbar, c, d)
         assert np.abs(got - want).max() / max(1.0, np.abs(want).max()) <= 1e-12
@@ -105,7 +111,7 @@ class TestSelectiveScan:
         # the 64x64x8 cross-cube scan: one sequence of 4096 eight-step chunks
         r = np.random.default_rng(4)
         x, a, b, c, delta, d = make_random_case(r, 32768, 4)
-        got = ssm.selective_scan(x, a, b, c, delta, d).value
+        got = scan_one(x, a, b, c, delta, d)
         abar, bbar = ssm.discretize_zoh(a[None, :], b, delta[:, None])
         want = ssm.naive_scan_oracle(x, abar, bbar, c, d)
         assert np.abs(got - want).max() / max(1.0, np.abs(want).max()) <= 1e-12
@@ -118,17 +124,17 @@ class TestSelectiveScan:
         b = r.normal(size=(length, 4))
         c = r.normal(size=(length, 4))
         delta = r.uniform(0.01, 0.5, size=length)
-        y = ssm.selective_scan(x, a, b, c, delta, 1.0).value
+        y = scan_one(x, a, b, c, delta, 1.0)
         assert np.isfinite(y).all()
         assert np.abs(y).max() < 1e6
 
     def test_causality(self):
         r = np.random.default_rng(4)
         x, a, b, c, delta, d = make_random_case(r, 32, 4)
-        base = ssm.selective_scan(x, a, b, c, delta, d).value
+        base = scan_one(x, a, b, c, delta, d)
         x2 = x.copy()
         x2[20:] += r.normal(size=12)
-        bumped = ssm.selective_scan(x2, a, b, c, delta, d).value
+        bumped = scan_one(x2, a, b, c, delta, d)
         assert np.array_equal(base[:20], bumped[:20])
         assert not np.array_equal(base[20:], bumped[20:])
 
@@ -143,22 +149,31 @@ class TestSelectiveScan:
         d = r.normal(size=nb)
         batched = ssm.selective_scan(x, a, b, c, delta, d).value
         for i in range(nb):
-            single = ssm.selective_scan(x[i], a[i], b[i], c[i], delta[i], float(d[i])).value
-            assert np.array_equal(batched[i], single)
+            one = slice(i, i + 1)
+            single = ssm.selective_scan(x[one], a[one], b[one], c[one], delta[one], d[one]).value
+            assert np.array_equal(batched[i], single[0])
 
     def test_shape_errors(self):
         r = np.random.default_rng(6)
-        x, a, b, c, delta, d = make_random_case(r, 8, 2)
+        x, a, b, c, delta, d = (np.asarray(v)[None] for v in make_random_case(r, 8, 2))
         with pytest.raises(ValueError, match="do not match"):
-            ssm.selective_scan(x, a, b[:4], c, delta, d)
+            ssm.selective_scan(x, a, b[:, :4], c, delta, d)
         with pytest.raises(ValueError, match="delta"):
-            ssm.selective_scan(x, a, b, c, delta[:4], d)
+            ssm.selective_scan(x, a, b, c, delta[:, :4], d)
+        with pytest.raises(ValueError, match="skip gain"):
+            ssm.selective_scan(x, a, b, c, delta, 0.5)
+
+    def test_unbatched_input_rejected(self):
+        r = np.random.default_rng(6)
+        x, a, b, c, delta, d = make_random_case(r, 8, 2)
+        with pytest.raises(ValueError, match=r"\[B,L\]"):
+            ssm.selective_scan(x, a, b, c, delta, d)
 
     def test_gradcheck_all_inputs(self):
         r = np.random.default_rng(7)
         length, nstate = 12, 3
-        x, a, b, c, delta, d = make_random_case(r, length, nstate)
-        proj = r.normal(size=length)
+        x, a, b, c, delta, d = (np.asarray(v)[None] for v in make_random_case(r, length, nstate))
+        proj = r.normal(size=(1, length))
 
         def check(target, theta):
             def f(t):
@@ -176,7 +191,7 @@ class TestSelectiveScan:
         assert check("c", c) <= 1e-4
         assert check("delta", delta) <= 1e-4
         assert check("a", a) <= 1e-4
-        assert check("d", np.asarray(d)) <= 1e-4
+        assert check("d", d) <= 1e-4
 
 
 class TestContinuousResponse:

@@ -50,6 +50,15 @@ class TestGenerateMask:
         with pytest.raises(ValueError, match="zero ratio"):
             training.generate_mask(4, 4, 1.0, seed=0)
 
+    def test_values_must_be_zero_or_one(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            training.FeatureMask(np.full((4, 4), 0.5), 0.0, 0)
+
+    def test_zero_count_must_match_ratio(self):
+        values = training.generate_mask(16, 16, 0.5, seed=0).values
+        with pytest.raises(ValueError, match="128 zeros"):
+            training.FeatureMask(values, 0.25, 0)
+
 
 class TestApplyMask:
     def test_all_ones_is_identity(self):
@@ -214,6 +223,16 @@ class TestTrainConfig:
     def test_mask_seed_outside_uint64_rejected(self, seed):
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
             training.TrainConfig(mask_seed=seed)
+
+    @pytest.mark.parametrize("bits", [-3, 17, 40])
+    def test_noise_bits_outside_0_16_rejected(self, bits):
+        with pytest.raises(ValueError, match=r"bit depth must lie in \[0, 16\]"):
+            training.TrainConfig(noise_bits=bits)
+
+    @pytest.mark.parametrize("ratio", [1.0, -0.1, float("nan")])
+    def test_zero_ratio_outside_unit_interval_rejected(self, ratio):
+        with pytest.raises(ValueError, match="zero ratio"):
+            training.TrainConfig(zero_ratio=ratio)
 
     def test_largest_mask_seed_accepted(self):
         assert training.TrainConfig(mask_seed=2**64 - 1).mask_seed == 2**64 - 1
