@@ -1,32 +1,4 @@
 """Desk-scale CASSI toolkit: sensing simulation, unfolded SSM reconstruction,
 masked training, and oracle-checked numerics."""
 
-from .cassi import (
-    SensingOperator,
-    add_shot_noise,
-    adjoint_project,
-    build_dense_phi,
-    forward_project,
-    phi_diag,
-    shift_back,
-)
-from .denoiser import ModelWeights, UNetConfig, denoise
-from .metrics import MetricReport, evaluate, psnr, ssim
-from .scans import CubeSpec, ScanOrder, cross_cube_order, global_order, local_patch_order, validate_order
-from .ssm import discretize_zoh, naive_scan_oracle, selective_scan
-from .training import FeatureMask, TrainConfig, generate_mask, train, train_step
-from .unfolding import UnfoldConfig, data_step, dense_oracle_data_step, init_weights, reconstruct
-
-__all__ = [
-    "SensingOperator", "add_shot_noise", "adjoint_project", "build_dense_phi",
-    "forward_project", "phi_diag", "shift_back",
-    "ModelWeights", "UNetConfig", "denoise",
-    "MetricReport", "evaluate", "psnr", "ssim",
-    "CubeSpec", "ScanOrder", "cross_cube_order", "global_order", "local_patch_order",
-    "validate_order",
-    "discretize_zoh", "naive_scan_oracle", "selective_scan",
-    "FeatureMask", "TrainConfig", "generate_mask", "train", "train_step",
-    "UnfoldConfig", "data_step", "dense_oracle_data_step", "init_weights", "reconstruct",
-]
-
 __version__ = "0.1.0"

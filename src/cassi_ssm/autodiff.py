@@ -348,14 +348,13 @@ def _conv_geometry(h, w, k, stride):
     return pad, h_out, w_out
 
 
-def conv2d(x, w, bias=None, stride: int = 1) -> Node:
-    """Cross-correlation of x [C_in,H,W] with kernels w [C_out,C_in,k,k].
+def conv2d(x, w, bias, stride: int = 1) -> Node:
+    """Cross-correlation of x [C_in,H,W] with kernels w [C_out,C_in,k,k], plus bias [C_out].
 
     k in {1, 3}, stride in {1, 2}, zero padding k // 2, so stride 1 keeps
     the spatial dims.
     """
-    x, w = as_node(x), as_node(w)
-    bias = as_node(bias) if bias is not None else None
+    x, w, bias = as_node(x), as_node(w), as_node(bias)
     c_out, c_in, k, k2 = w.shape
     if k != k2:
         raise ValueError(f"kernel must be square, got {k}x{k2}")
@@ -374,13 +373,12 @@ def conv2d(x, w, bias=None, stride: int = 1) -> Node:
         for dj in range(k):
             patch = xp[:, di:di + stride * h_out:stride, dj:dj + stride * w_out:stride]
             out_value += np.einsum("oc,chw->ohw", w.value[:, :, di, dj], patch)
-    if bias is not None:
-        if bias.shape != (c_out,):
-            raise ValueError(f"bias shape {bias.shape} does not match {c_out} output channels")
-        out_value += bias.value[:, None, None]
+    if bias.shape != (c_out,):
+        raise ValueError(f"bias shape {bias.shape} does not match {c_out} output channels")
+    out_value += bias.value[:, None, None]
 
     def backward(g):
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias.accumulate(g.sum(axis=(1, 2)))
         gw = np.zeros_like(w.value) if w.requires_grad else None
         gxp = np.zeros_like(xp) if x.requires_grad else None
@@ -397,17 +395,16 @@ def conv2d(x, w, bias=None, stride: int = 1) -> Node:
         if gxp is not None:
             x.accumulate(gxp[:, pad:pad + h, pad:pad + wd] if pad else gxp)
 
-    parents = (x, w) if bias is None else (x, w, bias)
-    return _make(out_value, parents, backward)
+    return _make(out_value, (x, w, bias), backward)
 
 
-def depthwise_conv2d(x, w, bias=None) -> Node:
+def depthwise_conv2d(x, w, bias) -> Node:
     """Per-channel 3x3 convolution, stride 1, same padding.
 
-    x is [C,H,W] and w is [C,k,k]; channel c is filtered by kernel c only.
+    x is [C,H,W], w is [C,k,k] and bias is [C]; channel c is filtered by
+    kernel c only.
     """
-    x, w = as_node(x), as_node(w)
-    bias = as_node(bias) if bias is not None else None
+    x, w, bias = as_node(x), as_node(w), as_node(bias)
     c, k, k2 = w.shape
     if k != k2 or k % 2 == 0:
         raise ValueError(f"depthwise kernel must be odd square, got {k}x{k2}")
@@ -420,11 +417,10 @@ def depthwise_conv2d(x, w, bias=None) -> Node:
     for di in range(k):
         for dj in range(k):
             out_value += w.value[:, di, dj][:, None, None] * xp[:, di:di + h, dj:dj + wd]
-    if bias is not None:
-        out_value += bias.value[:, None, None]
+    out_value += bias.value[:, None, None]
 
     def backward(g):
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias.accumulate(g.sum(axis=(1, 2)))
         if w.requires_grad:
             gw = np.zeros_like(w.value)
@@ -439,8 +435,7 @@ def depthwise_conv2d(x, w, bias=None) -> Node:
                     gxp[:, di:di + h, dj:dj + wd] += w.value[:, di, dj][:, None, None] * g
             x.accumulate(gxp[:, pad:pad + h, pad:pad + wd])
 
-    parents = (x, w) if bias is None else (x, w, bias)
-    return _make(out_value, parents, backward)
+    return _make(out_value, (x, w, bias), backward)
 
 
 def upsample_nearest2x(a) -> Node:

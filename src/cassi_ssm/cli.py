@@ -202,15 +202,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit the unfolding model on scenes")
     p.add_argument("--cube", action="append", default=[], help="scene file (repeatable)")
     p.add_argument("--scenes", default=None, help="directory of .hsic scenes")
-    p.add_argument("--crop", type=int, default=32)
-    p.add_argument("--bands", type=int, default=4)
+    p.add_argument("--crop", type=fileio.positive_int, default=32,
+                   help="side of the square crop taken from each --scenes scene")
+    p.add_argument("--bands", type=fileio.positive_int, default=4,
+                   help="leading bands kept from each --scenes scene")
     p.add_argument("--mask", required=True)
     p.add_argument("--config", default=None, help="key=value network profile")
     p.add_argument("--stages", type=fileio.positive_int, default=None,
                    help="stage count; overrides the config file (default 3)")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--steps", type=fileio.positive_int, default=200)
-    p.add_argument("--lr", type=float, default=1.0)
+    p.add_argument("--lr", type=training.learning_rate, default=1.0,
+                   help="base learning rate, finite and >= 0")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--masked", action="store_true", help="enable masked training")
     p.add_argument("--mask-ratio", type=training.zero_ratio, default=None,
@@ -236,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dump-scan-order", help="print the forward indices of a scan order")
     p.add_argument("--kind", required=True,
                    choices=["global", "global-reverse", "local", "local-reverse", "cross"])
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--channels", type=int, default=1)
+    p.add_argument("--height", type=fileio.positive_int, required=True)
+    p.add_argument("--width", type=fileio.positive_int, required=True)
+    p.add_argument("--channels", type=fileio.positive_int, default=1)
     p.add_argument("--patch", type=fileio.positive_int, default=4)
     p.add_argument("--cube", type=fileio.cube_dims, default=(2, 2, 4), help="cube dims HxWxC")
     p.set_defaults(func=_cmd_dump_scan_order)

@@ -28,17 +28,6 @@ SPATIAL_DIRECTIONS = ("gf", "gr", "lf", "lr")
 
 
 @dataclass(frozen=True)
-class BlockConfig:
-    """Shape parameters of one spatial-spectral SSM block."""
-
-    channels: int
-    patch: int
-    cube: CubeSpec
-    state_size: int
-    expansion: int
-
-
-@dataclass(frozen=True)
 class UNetConfig:
     """Denoiser shape: encoder levels, blocks per level, and block geometry."""
 
@@ -60,17 +49,15 @@ class UNetConfig:
         for name, value in sizes.items():
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.patch % self.cube[0] or self.patch % self.cube[1]:
+            raise ValueError(f"cube footprint {self.cube[0]}x{self.cube[1]} must divide "
+                             f"patch side {self.patch}")
         if self.base_channels % self.cube[2]:
             raise ValueError(
                 f"cube depth {self.cube[2]} must divide base channels {self.base_channels}")
 
     def channels_at(self, level: int) -> int:
         return self.base_channels * (2 ** level)
-
-    def block_config(self, level: int) -> BlockConfig:
-        c = self.channels_at(level)
-        spec = CubeSpec(self.patch, self.cube[0], self.cube[1], self.cube[2])
-        return BlockConfig(c, self.patch, spec, self.state_size, self.expansion)
 
     def validate_dims(self, height: int, width: int) -> None:
         need = (2 ** self.levels) * self.patch
@@ -145,17 +132,17 @@ def _init_ssm_branch(weights: ModelWeights, rng, prefix: str, channels: int, sta
     weights.add(f"{prefix}/d", np.ones(channels))
 
 
-def _init_block(weights: ModelWeights, rng, prefix: str, cfg: BlockConfig):
-    c, e = cfg.channels, cfg.expansion
+def _init_block(weights: ModelWeights, rng, prefix: str, config: UNetConfig, channels: int):
+    c, e = channels, config.expansion
     weights.add(f"{prefix}/ln1/g", np.ones(c))
     weights.add(f"{prefix}/ln1/b", np.zeros(c))
     for d in SPATIAL_DIRECTIONS:
-        _init_ssm_branch(weights, rng, f"{prefix}/sp/{d}", c, cfg.state_size)
+        _init_ssm_branch(weights, rng, f"{prefix}/sp/{d}", c, config.state_size)
     weights.add(f"{prefix}/sp/proj_w", _conv_init(rng, c, c, 1))
     weights.add(f"{prefix}/sp/proj_b", np.zeros(c))
     weights.add(f"{prefix}/ln2/g", np.ones(c))
     weights.add(f"{prefix}/ln2/b", np.zeros(c))
-    _init_ssm_branch(weights, rng, f"{prefix}/cx", 1, cfg.state_size)
+    _init_ssm_branch(weights, rng, f"{prefix}/cx", 1, config.state_size)
     weights.add(f"{prefix}/ffn/ln/g", np.ones(c))
     weights.add(f"{prefix}/ffn/ln/b", np.zeros(c))
     weights.add(f"{prefix}/ffn/in_w", _conv_init(rng, 2 * e * c, c, 1))
@@ -181,24 +168,22 @@ def init_denoiser_weights(weights: ModelWeights, rng, prefix: str, config: UNetC
     weights.add(f"{prefix}/embed/proj_w", _conv_init(rng, config.base_channels, nb, 3))
     weights.add(f"{prefix}/embed/proj_b", np.zeros(config.base_channels))
     for lvl in range(config.levels):
-        cfg = config.block_config(lvl)
+        c = config.channels_at(lvl)
         for i in range(config.blocks_per_level):
-            _init_block(weights, rng, f"{prefix}/enc{lvl}/blk{i}", cfg)
-        weights.add(f"{prefix}/down{lvl}/w",
-                    _conv_init(rng, config.channels_at(lvl + 1), cfg.channels, 3))
+            _init_block(weights, rng, f"{prefix}/enc{lvl}/blk{i}", config, c)
+        weights.add(f"{prefix}/down{lvl}/w", _conv_init(rng, config.channels_at(lvl + 1), c, 3))
         weights.add(f"{prefix}/down{lvl}/b", np.zeros(config.channels_at(lvl + 1)))
-    mid = config.block_config(config.levels)
+    mid = config.channels_at(config.levels)
     for i in range(config.blocks_per_level):
-        _init_block(weights, rng, f"{prefix}/mid/blk{i}", mid)
+        _init_block(weights, rng, f"{prefix}/mid/blk{i}", config, mid)
     for lvl in reversed(range(config.levels)):
-        cfg = config.block_config(lvl)
-        weights.add(f"{prefix}/up{lvl}/w",
-                    _conv_init(rng, cfg.channels, config.channels_at(lvl + 1), 3))
-        weights.add(f"{prefix}/up{lvl}/b", np.zeros(cfg.channels))
-        weights.add(f"{prefix}/dec{lvl}/fuse_w", _conv_init(rng, cfg.channels, 2 * cfg.channels, 1))
-        weights.add(f"{prefix}/dec{lvl}/fuse_b", np.zeros(cfg.channels))
+        c = config.channels_at(lvl)
+        weights.add(f"{prefix}/up{lvl}/w", _conv_init(rng, c, config.channels_at(lvl + 1), 3))
+        weights.add(f"{prefix}/up{lvl}/b", np.zeros(c))
+        weights.add(f"{prefix}/dec{lvl}/fuse_w", _conv_init(rng, c, 2 * c, 1))
+        weights.add(f"{prefix}/dec{lvl}/fuse_b", np.zeros(c))
         for i in range(config.blocks_per_level):
-            _init_block(weights, rng, f"{prefix}/dec{lvl}/blk{i}", cfg)
+            _init_block(weights, rng, f"{prefix}/dec{lvl}/blk{i}", config, c)
     out_w = np.zeros((nb, config.base_channels, 3, 3)) if zero_residual else \
         _conv_init(rng, nb, config.base_channels, 3)
     weights.add(f"{prefix}/out/w", out_w)
@@ -282,12 +267,13 @@ def gated_ffn(f: "ad.Node", weights: ModelWeights, prefix: str) -> "ad.Node":
     return ad.add(f, out)
 
 
-def ssm_block(f: "ad.Node", weights: ModelWeights, prefix: str, cfg: BlockConfig) -> "ad.Node":
+def ssm_block(f: "ad.Node", weights: ModelWeights, prefix: str,
+              config: UNetConfig) -> "ad.Node":
     """One spatial-spectral SSM block; see the module docstring for wiring."""
     g1 = ad.layer_norm(f, weights[f"{prefix}/ln1/g"], weights[f"{prefix}/ln1/b"])
-    y1 = ad.add(f, spatial_ssm(g1, weights, f"{prefix}/sp", cfg.patch))
+    y1 = ad.add(f, spatial_ssm(g1, weights, f"{prefix}/sp", config.patch))
     g2 = ad.layer_norm(y1, weights[f"{prefix}/ln2/g"], weights[f"{prefix}/ln2/b"])
-    y2 = spectral_cube_ssm(g2, weights, f"{prefix}/cx", cfg.cube)
+    y2 = spectral_cube_ssm(g2, weights, f"{prefix}/cx", CubeSpec(config.patch, *config.cube))
     return gated_ffn(y2, weights, f"{prefix}/ffn")
 
 
@@ -333,22 +319,19 @@ def denoise(x, sigma, mask: np.ndarray, weights: ModelWeights, config: UNetConfi
 
     skips = []
     for lvl in range(config.levels):
-        cfg = config.block_config(lvl)
         for i in range(config.blocks_per_level):
-            f = ssm_block(f, weights, f"{prefix}/enc{lvl}/blk{i}", cfg)
+            f = ssm_block(f, weights, f"{prefix}/enc{lvl}/blk{i}", config)
         skips.append(f)
         f = ad.conv2d(f, weights[f"{prefix}/down{lvl}/w"], weights[f"{prefix}/down{lvl}/b"],
                       stride=2)
-    mid = config.block_config(config.levels)
     for i in range(config.blocks_per_level):
-        f = ssm_block(f, weights, f"{prefix}/mid/blk{i}", mid)
+        f = ssm_block(f, weights, f"{prefix}/mid/blk{i}", config)
     for lvl in reversed(range(config.levels)):
-        cfg = config.block_config(lvl)
         f = ad.upsample_nearest2x(f)
         f = ad.conv2d(f, weights[f"{prefix}/up{lvl}/w"], weights[f"{prefix}/up{lvl}/b"])
         f = ad.concat([f, skips[lvl]])
         f = ad.conv2d(f, weights[f"{prefix}/dec{lvl}/fuse_w"], weights[f"{prefix}/dec{lvl}/fuse_b"])
         for i in range(config.blocks_per_level):
-            f = ssm_block(f, weights, f"{prefix}/dec{lvl}/blk{i}", cfg)
+            f = ssm_block(f, weights, f"{prefix}/dec{lvl}/blk{i}", config)
     residual = ad.conv2d(f, weights[f"{prefix}/out/w"], weights[f"{prefix}/out/b"])
     return ad.add(x, residual)

@@ -273,6 +273,8 @@ def ingest_dataset(directory, crop: int, bands: int, seed: int = 0) -> list[np.n
     The crop corner of each scene is drawn from `seed`, reproducible across
     runs.
     """
+    if crop < 1 or bands < 1:
+        raise ValueError(f"crop and bands must be >= 1, got crop={crop}, bands={bands}")
     paths = sorted(Path(directory).glob("*.hsic"))
     if not paths:
         raise FileNotFoundError(f"no .hsic scenes found in {directory}")

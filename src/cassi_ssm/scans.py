@@ -40,6 +40,8 @@ class CubeSpec:
     c: int
 
     def validate(self, height: int, width: int, channels: int) -> None:
+        if min(height, width, channels) < 1:
+            raise ValueError(f"dims must be positive, got {height}x{width}x{channels}")
         if height % self.patch or width % self.patch:
             raise ValueError(
                 f"patch side {self.patch} must divide spatial dims {height}x{width}")
@@ -83,6 +85,8 @@ def local_patch_order(height: int, width: int, patch: int, reverse: bool = False
 
     reverse flips the complete sequence, not the per-patch runs.
     """
+    if min(height, width, patch) < 1:
+        raise ValueError(f"dims and patch must be positive, got {height}x{width}, patch {patch}")
     if height % patch or width % patch:
         raise ValueError(f"patch side {patch} must divide spatial dims {height}x{width}")
     desc = f"local:{height}x{width}:p={patch}:rev={int(reverse)}"

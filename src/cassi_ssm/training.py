@@ -83,6 +83,14 @@ def zero_ratio(value) -> float:
     return ratio
 
 
+def learning_rate(value) -> float:
+    """A base learning rate as a finite float >= 0; 0 leaves the weights untouched."""
+    rate = float(value)
+    if not (np.isfinite(rate) and rate >= 0.0):
+        raise ValueError(f"learning rate must be finite and >= 0, got {value}")
+    return rate
+
+
 def feature_mask_seed(value) -> int:
     """A feature-mask seed as an int; CSMW files store seeds in [0, 2**64)."""
     seed = int(value)
@@ -106,6 +114,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        learning_rate(self.learning_rate)
         zero_ratio(self.zero_ratio)
         feature_mask_seed(self.mask_seed)
         cassi.noise_bits(self.noise_bits)

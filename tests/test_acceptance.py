@@ -165,7 +165,8 @@ def test_criterion_06_differentiability():
     x = rng.normal(size=(2, 5, 5))
     proj = rng.normal(size=(3, 5, 5))
     results["conv2d"] = ad.finite_diff_check(
-        lambda w: ad.sum_all(ad.mul(ad.conv2d(ad.constant(x), w), ad.constant(proj))),
+        lambda w: ad.sum_all(ad.mul(ad.conv2d(ad.constant(x), w, ad.constant(np.zeros(3))),
+                                    ad.constant(proj))),
         rng.normal(size=(3, 2, 3, 3)), eps=1e-6)
 
     # gather_last
@@ -193,11 +194,12 @@ def test_criterion_06_differentiability():
     results["selective_scan"] = ad.finite_diff_check(scan_input, sx, eps=1e-6)
 
     # block pieces on 4x4x4 features
-    from cassi_ssm.denoiser import _init_block, BlockConfig
+    from cassi_ssm.denoiser import _init_block
     from cassi_ssm.scans import CubeSpec
     bw = ModelWeights()
-    bcfg = BlockConfig(4, 2, CubeSpec(2, 1, 1, 2), 2, 1)
-    _init_block(bw, np.random.default_rng(60), "blk", bcfg)
+    bcfg = UNetConfig(bands=1, base_channels=4, patch=2, cube=(1, 1, 2), state_size=2,
+                      expansion=1)
+    _init_block(bw, np.random.default_rng(60), "blk", bcfg, 4)
     feat = rng.random((4, 4, 4))
     fproj = rng.normal(size=(4, 4, 4))
 
@@ -208,7 +210,7 @@ def test_criterion_06_differentiability():
         lambda t: ad.sum_all(ad.mul(spatial_ssm(t, bw, "blk/sp", patch=2), ad.constant(fproj))),
         feat, eps=1e-6)
     results["cs_ssm"] = ad.finite_diff_check(
-        lambda t: ad.sum_all(ad.mul(spectral_cube_ssm(t, bw, "blk/cx", bcfg.cube),
+        lambda t: ad.sum_all(ad.mul(spectral_cube_ssm(t, bw, "blk/cx", CubeSpec(2, 1, 1, 2)),
                                     ad.constant(fproj))),
         feat, eps=1e-6)
 

@@ -80,14 +80,14 @@ class TestConv2d:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(3, 5, 6))
         eye = np.eye(3).reshape(3, 3, 1, 1)
-        out = ad.conv2d(ad.constant(x), ad.constant(eye))
+        out = ad.conv2d(ad.constant(x), ad.constant(eye), ad.constant(np.zeros(3)))
         assert np.allclose(out.value, x, atol=0)
 
     def test_all_ones_3x3_interior(self):
         c = 0.7
         x = np.full((1, 6, 6), c)
         w = np.ones((1, 1, 3, 3))
-        out = ad.conv2d(ad.constant(x), ad.constant(w)).value
+        out = ad.conv2d(ad.constant(x), ad.constant(w), ad.constant(np.zeros(1))).value
         assert out[0, 2, 3] == pytest.approx(9 * c)
 
     @pytest.mark.parametrize("stride,k", [(1, 3), (2, 3), (1, 1), (2, 1)],
@@ -109,22 +109,25 @@ class TestConv2d:
         y = rng.normal(size=(2, 5, 5))
         w = rng.normal(size=(4, 2, 3, 3))
         alpha, beta = 1.7, -0.4
-        lhs = ad.conv2d(ad.constant(alpha * x + beta * y), ad.constant(w)).value
-        rhs = alpha * ad.conv2d(ad.constant(x), ad.constant(w)).value \
-            + beta * ad.conv2d(ad.constant(y), ad.constant(w)).value
+        b = ad.constant(np.zeros(4))
+        lhs = ad.conv2d(ad.constant(alpha * x + beta * y), ad.constant(w), b).value
+        rhs = alpha * ad.conv2d(ad.constant(x), ad.constant(w), b).value \
+            + beta * ad.conv2d(ad.constant(y), ad.constant(w), b).value
         assert np.abs(lhs - rhs).max() <= 1e-10
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel mismatch"):
-            ad.conv2d(ad.constant(np.zeros((2, 4, 4))), ad.constant(np.zeros((1, 3, 3, 3))))
+            ad.conv2d(ad.constant(np.zeros((2, 4, 4))), ad.constant(np.zeros((1, 3, 3, 3))),
+                      ad.constant(np.zeros(1)))
 
     def test_same_stride1_preserves_dims(self):
-        out = ad.conv2d(ad.constant(np.zeros((1, 7, 9))), ad.constant(np.zeros((2, 1, 3, 3))))
+        out = ad.conv2d(ad.constant(np.zeros((1, 7, 9))), ad.constant(np.zeros((2, 1, 3, 3))),
+                        ad.constant(np.zeros(2)))
         assert out.shape == (2, 7, 9)
 
     def test_stride2_halves_even_dims(self):
         out = ad.conv2d(ad.constant(np.zeros((1, 8, 6))), ad.constant(np.zeros((2, 1, 3, 3))),
-                        stride=2)
+                        ad.constant(np.zeros(2)), stride=2)
         assert out.shape == (2, 4, 3)
 
 
@@ -216,8 +219,9 @@ class TestBackward:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 6, 6))
         w = rng.normal(size=(3, 2, 3, 3))
-        a = ad.conv2d(ad.constant(x), ad.constant(w)).value
-        b = ad.conv2d(ad.constant(x), ad.constant(w)).value
+        bias = ad.constant(np.zeros(3))
+        a = ad.conv2d(ad.constant(x), ad.constant(w), bias).value
+        b = ad.conv2d(ad.constant(x), ad.constant(w), bias).value
         assert np.array_equal(a, b)
 
 
@@ -244,7 +248,8 @@ class TestFiniteDiffCheck:
         proj = rng.normal(size=(3, 5, 5))
 
         def f(w):
-            return ad.sum_all(ad.mul(ad.conv2d(ad.constant(x), w), ad.constant(proj)))
+            return ad.sum_all(ad.mul(ad.conv2d(ad.constant(x), w, ad.constant(np.zeros(3))),
+                                     ad.constant(proj)))
 
         assert ad.finite_diff_check(f, rng.normal(size=(3, 2, 3, 3)), eps=1e-6) <= 1e-4
 
@@ -304,7 +309,7 @@ class TestStructuralOps:
         rng = np.random.default_rng(13)
         x = rng.normal(size=(3, 5, 5))
         w = rng.normal(size=(3, 3, 3))
-        got = ad.depthwise_conv2d(ad.constant(x), ad.constant(w)).value
+        got = ad.depthwise_conv2d(ad.constant(x), ad.constant(w), ad.constant(np.zeros(3))).value
         for c in range(3):
             want = conv2d_loop_oracle(x[c:c + 1], w[c].reshape(1, 1, 3, 3))
             assert np.abs(got[c] - want[0]).max() <= 1e-12
@@ -315,7 +320,8 @@ class TestStructuralOps:
         proj = rng.normal(size=(2, 4, 4))
 
         def f(w):
-            return ad.sum_all(ad.mul(ad.depthwise_conv2d(ad.constant(x), w), ad.constant(proj)))
+            return ad.sum_all(ad.mul(ad.depthwise_conv2d(ad.constant(x), w, ad.constant(np.zeros(2))),
+                                     ad.constant(proj)))
 
         assert ad.finite_diff_check(f, rng.normal(size=(2, 3, 3)), eps=1e-6) <= 1e-4
 

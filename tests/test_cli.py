@@ -297,8 +297,12 @@ class TestUsageErrors:
     @pytest.mark.parametrize("geometry", [["--kind", "cross", "--cube", "0x2x2"],
                                           ["--kind", "cross", "--cube", "2x2x-1"],
                                           ["--kind", "local", "--patch", "0"],
-                                          ["--kind", "cross", "--patch", "-2"]],
-                             ids=["cube0", "cube-neg", "patch0", "patch-neg"])
+                                          ["--kind", "cross", "--patch", "-2"],
+                                          ["--kind", "local", "--height", "-4"],
+                                          ["--kind", "cross", "--width", "0"],
+                                          ["--kind", "cross", "--channels", "0"]],
+                             ids=["cube0", "cube-neg", "patch0", "patch-neg", "height-neg",
+                                  "width0", "channels0"])
     def test_nonpositive_geometry_exit_2(self, capsys, geometry):
         assert run(["dump-scan-order", "--height", "8", "--width", "8", *geometry]) == 2
         assert "error: argument" in capsys.readouterr().err
@@ -317,10 +321,13 @@ class TestUsageErrors:
                                       ["--mask-seed", "-1"],
                                       ["--mask-seed", "18446744073709551616"],
                                       ["--mask-ratio", "1.5"], ["--mask-ratio", "nan"],
-                                      ["--noise-bits", "-3"], ["--noise-bits", "17"]],
+                                      ["--noise-bits", "-3"], ["--noise-bits", "17"],
+                                      ["--lr", "-5"], ["--lr", "nan"], ["--lr", "inf"],
+                                      ["--bands", "-1"], ["--bands", "0"], ["--crop", "0"]],
                              ids=["steps0", "steps-neg", "mask-seed-neg", "mask-seed-2^64",
                                   "mask-ratio-1.5", "mask-ratio-nan",
-                                  "noise-bits-neg", "noise-bits-17"])
+                                  "noise-bits-neg", "noise-bits-17",
+                                  "lr-neg", "lr-nan", "lr-inf", "bands-neg", "bands0", "crop0"])
     def test_train_flag_out_of_range_exit_2(self, workspace, capsys, flag):
         code = run(["train", "--cube", workspace / "scene.hsic",
                     "--mask", workspace / "mask.hsic", "--config", workspace / "toy.cfg",

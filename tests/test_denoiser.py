@@ -8,7 +8,6 @@ from cassi_ssm import autodiff as ad
 from cassi_ssm import denoiser
 from cassi_ssm.denoiser import (
     SPATIAL_DIRECTIONS,
-    BlockConfig,
     ModelWeights,
     UNetConfig,
     denoise,
@@ -33,11 +32,15 @@ def tiny_weights(seed=0, zero_residual=True):
     return w
 
 
-def block_weights(channels=4, state=2, expansion=1, seed=1):
-    cfg = BlockConfig(channels, 2, CubeSpec(2, 1, 1, 2), state, expansion)
+BLOCK = UNetConfig(bands=1, base_channels=4, patch=2, cube=(1, 1, 2), state_size=2,
+                   expansion=1)
+BLOCK_CUBE = CubeSpec(BLOCK.patch, *BLOCK.cube)
+
+
+def block_weights(seed=1):
     w = ModelWeights()
-    _init_block(w, np.random.default_rng(seed), "blk", cfg)
-    return w, cfg
+    _init_block(w, np.random.default_rng(seed), "blk", BLOCK, BLOCK.base_channels)
+    return w
 
 
 def set_value(weights, name, value):
@@ -95,11 +98,11 @@ class TestSpatialSsm:
     def test_identity_configuration(self):
         # all four scans reduced to pure skip (bbar = 0, d = 1) and the 1x1
         # projection set to I/4: the branch must reproduce its input
-        w, cfg = block_weights()
-        c = cfg.channels
+        w = block_weights()
+        c = BLOCK.base_channels
         for d in SPATIAL_DIRECTIONS:
-            set_value(w, f"blk/sp/{d}/w_b", np.zeros((c, cfg.state_size)))
-            set_value(w, f"blk/sp/{d}/b_b", np.zeros((c, cfg.state_size)))
+            set_value(w, f"blk/sp/{d}/w_b", np.zeros((c, BLOCK.state_size)))
+            set_value(w, f"blk/sp/{d}/b_b", np.zeros((c, BLOCK.state_size)))
             set_value(w, f"blk/sp/{d}/d", np.ones(c))
         set_value(w, "blk/sp/proj_w", np.eye(c).reshape(c, c, 1, 1) / 4.0)
         set_value(w, "blk/sp/proj_b", np.zeros(c))
@@ -109,19 +112,19 @@ class TestSpatialSsm:
         assert np.abs(out.value - x).max() <= 1e-10
 
     def test_shape_preserved(self):
-        w, cfg = block_weights()
+        w = block_weights()
         out = spatial_ssm(ad.constant(np.random.default_rng(6).random((4, 4, 6))), w,
                           "blk/sp", patch=2)
         assert out.shape == (4, 4, 6)
 
     def test_divisibility_violation(self):
-        w, cfg = block_weights()
+        w = block_weights()
         with pytest.raises(ValueError, match="divide"):
             spatial_ssm(ad.constant(np.zeros((4, 5, 4))), w, "blk/sp", patch=2)
 
     def test_equivariance_under_pixel_relabeling(self, monkeypatch):
-        w, cfg = block_weights()
-        c, h, wd = cfg.channels, 4, 4
+        w = block_weights()
+        c, h, wd = BLOCK.base_channels, 4, 4
         rng = np.random.default_rng(7)
         x = rng.random((c, h, wd))
         out = spatial_ssm(ad.constant(x), w, "blk/sp", patch=2).value
@@ -145,7 +148,7 @@ class TestSpatialSsm:
         assert np.abs(out2.reshape(c, -1) - out.reshape(c, -1)[:, perm]).max() <= 1e-12
 
     def test_gradcheck(self):
-        w, cfg = block_weights()
+        w = block_weights()
         rng = np.random.default_rng(8)
         proj = rng.normal(size=(4, 4, 4))
 
@@ -157,21 +160,21 @@ class TestSpatialSsm:
 
 class TestSpectralCubeSsm:
     def test_zeroed_scan_is_pure_residual(self):
-        w, cfg = block_weights()
-        set_value(w, "blk/cx/w_b", np.zeros((1, cfg.state_size)))
-        set_value(w, "blk/cx/b_b", np.zeros((1, cfg.state_size)))
+        w = block_weights()
+        set_value(w, "blk/cx/w_b", np.zeros((1, BLOCK.state_size)))
+        set_value(w, "blk/cx/b_b", np.zeros((1, BLOCK.state_size)))
         set_value(w, "blk/cx/d", np.zeros(1))
         x = np.random.default_rng(9).random((4, 4, 4))
-        out = spectral_cube_ssm(ad.constant(x), w, "blk/cx", cfg.cube)
+        out = spectral_cube_ssm(ad.constant(x), w, "blk/cx", BLOCK_CUBE)
         assert np.array_equal(out.value, x)
 
     def test_shape_preserved(self):
-        w, cfg = block_weights()
+        w = block_weights()
         x = np.random.default_rng(10).random((4, 6, 4))
-        assert spectral_cube_ssm(ad.constant(x), w, "blk/cx", cfg.cube).shape == (4, 6, 4)
+        assert spectral_cube_ssm(ad.constant(x), w, "blk/cx", BLOCK_CUBE).shape == (4, 6, 4)
 
     def test_cube_spec_changes_output(self):
-        w, _ = block_weights()
+        w = block_weights()
         x = np.random.default_rng(11).random((4, 4, 4))
         # depth-2 blocks vs full-spectrum cubes give materially different orders
         a = spectral_cube_ssm(ad.constant(x), w, "blk/cx", CubeSpec(2, 1, 1, 2)).value
@@ -179,17 +182,17 @@ class TestSpectralCubeSsm:
         assert not np.allclose(a, b)
 
     def test_divisibility_violation(self):
-        w, cfg = block_weights()
+        w = block_weights()
         with pytest.raises(ValueError, match="divide"):
-            spectral_cube_ssm(ad.constant(np.zeros((3, 4, 4))), w, "blk/cx", cfg.cube)
+            spectral_cube_ssm(ad.constant(np.zeros((3, 4, 4))), w, "blk/cx", BLOCK_CUBE)
 
     def test_gradcheck(self):
-        w, cfg = block_weights()
+        w = block_weights()
         rng = np.random.default_rng(12)
         proj = rng.normal(size=(4, 4, 4))
 
         def f(t):
-            return ad.sum_all(ad.mul(spectral_cube_ssm(t, w, "blk/cx", cfg.cube),
+            return ad.sum_all(ad.mul(spectral_cube_ssm(t, w, "blk/cx", BLOCK_CUBE),
                                      ad.constant(proj)))
 
         assert ad.finite_diff_check(f, rng.random((4, 4, 4)), eps=1e-6) <= 1e-4
@@ -197,8 +200,8 @@ class TestSpectralCubeSsm:
 
 class TestGatedFfn:
     def test_all_zero_weights_identity(self):
-        w, cfg = block_weights()
-        c, e = cfg.channels, cfg.expansion
+        w = block_weights()
+        c, e = BLOCK.base_channels, BLOCK.expansion
         for name, shape in [("ln/g", (c,)), ("ln/b", (c,)),
                             ("in_w", (2 * e * c, c, 1, 1)), ("in_b", (2 * e * c,)),
                             ("dw1_w", (e * c, 3, 3)), ("dw1_b", (e * c,)),
@@ -209,12 +212,12 @@ class TestGatedFfn:
         assert np.array_equal(gated_ffn(ad.constant(x), w, "blk/ffn").value, x)
 
     def test_shape_preserved(self):
-        w, _ = block_weights()
+        w = block_weights()
         x = np.random.default_rng(14).random((4, 6, 6))
         assert gated_ffn(ad.constant(x), w, "blk/ffn").shape == (4, 6, 6)
 
     def test_gradcheck(self):
-        w, _ = block_weights()
+        w = block_weights()
         rng = np.random.default_rng(15)
         proj = rng.normal(size=(4, 4, 4))
 
@@ -226,15 +229,15 @@ class TestGatedFfn:
 
 class TestBlockComposition:
     def test_wiring_matches_component_calls(self):
-        w, cfg = block_weights(seed=16)
-        x = np.random.default_rng(17).random((cfg.channels, 4, 4))
-        got = ssm_block(ad.constant(x), w, "blk", cfg).value
+        w = block_weights(seed=16)
+        x = np.random.default_rng(17).random((BLOCK.base_channels, 4, 4))
+        got = ssm_block(ad.constant(x), w, "blk", BLOCK).value
 
         xn = ad.constant(x)
         g1 = ad.layer_norm(xn, w["blk/ln1/g"], w["blk/ln1/b"])
-        y1 = ad.add(xn, spatial_ssm(g1, w, "blk/sp", cfg.patch))
+        y1 = ad.add(xn, spatial_ssm(g1, w, "blk/sp", BLOCK.patch))
         g2 = ad.layer_norm(y1, w["blk/ln2/g"], w["blk/ln2/b"])
-        y2 = spectral_cube_ssm(g2, w, "blk/cx", cfg.cube)
+        y2 = spectral_cube_ssm(g2, w, "blk/cx", BLOCK_CUBE)
         y3 = gated_ffn(y2, w, "blk/ffn")
         assert np.array_equal(got, y3.value)
         # internal residuals hold at the hook points
@@ -279,6 +282,11 @@ class TestDenoise:
         sizes[field] = (1, 0, 2) if field == "cube" else 0
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             UNetConfig(**sizes)
+
+    @pytest.mark.parametrize("cube", [(3, 3, 2), (4, 3, 2), (3, 4, 2)])
+    def test_cube_footprint_must_divide_patch(self, cube):
+        with pytest.raises(ValueError, match=r"cube footprint \dx\d must divide patch side 4"):
+            UNetConfig(bands=2, base_channels=4, patch=4, cube=cube)
 
     def test_band_count_guard(self):
         w = tiny_weights()

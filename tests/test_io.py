@@ -273,6 +273,17 @@ class TestWeightsFiles:
         with pytest.raises(fileio.FileFormatError, match=f"bad config profile: {message} must be >= 1"):
             fileio.load_weights(p)
 
+    def test_cube_footprint_not_dividing_patch_rejected(self, tmp_path):
+        # a stand-in writes the profile of patch 4 with a 3x3 cube footprint
+        cfg, weights, _ = self.make_model()
+        net = {**dataclasses.asdict(TINY), "patch": 4, "cube": (3, 3, 2)}
+        p = tmp_path / "footprint.csmw"
+        fileio.save_weights(p, weights, SimpleNamespace(stages=cfg.stages, share_weights=True,
+                                                        net=SimpleNamespace(**net)))
+        with pytest.raises(fileio.FileFormatError,
+                           match="bad config profile: cube footprint 3x3 must divide patch side 4"):
+            fileio.load_weights(p)
+
     def test_wrong_magic(self, tmp_path):
         p = tmp_path / "bad.csmw"
         p.write_bytes(b"JUNKJUNKJUNK")
@@ -408,6 +419,13 @@ class TestIngestDataset:
         self.write_scene(tmp_path / "s0.hsic", 3, h=4, w=4)
         with pytest.raises(ValueError, match="smaller than crop"):
             fileio.ingest_dataset(tmp_path, crop=8, bands=2)
+
+    @pytest.mark.parametrize("crop,bands", [(12, -1), (12, 0), (0, 2), (-4, 2)])
+    def test_crop_or_bands_below_one_rejected(self, tmp_path, crop, bands):
+        # bands=-1 would otherwise slice away the last band of each scene
+        self.write_scene(tmp_path / "s0.hsic", 4)
+        with pytest.raises(ValueError, match="crop and bands must be >= 1"):
+            fileio.ingest_dataset(tmp_path, crop=crop, bands=bands)
 
     def test_empty_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -70,6 +70,11 @@ class TestLocalPatchOrder:
         assert np.array_equal(scans.local_patch_order(3, 5, 1, reverse=True).forward,
                               scans.global_order(3, 5, reverse=True).forward)
 
+    @pytest.mark.parametrize("h,w,p", [(-4, 4, 2), (0, 4, 2), (4, 0, 2), (4, 4, 0)])
+    def test_dims_below_one_rejected(self, h, w, p):
+        with pytest.raises(ValueError, match="must be positive"):
+            scans.local_patch_order(h, w, p)
+
     def test_divisibility_error_names_dims(self):
         with pytest.raises(ValueError) as err:
             scans.local_patch_order(6, 4, 4)
@@ -114,6 +119,11 @@ class TestCrossCubeOrder:
     def test_divisibility_error(self):
         with pytest.raises(ValueError, match="divide"):
             scans.cross_cube_order(4, 4, 3, scans.CubeSpec(4, 2, 2, 2))
+
+    @pytest.mark.parametrize("h,w,c", [(-4, 4, 2), (4, 0, 2), (4, 4, 0), (4, 4, -2)])
+    def test_dims_below_one_rejected(self, h, w, c):
+        with pytest.raises(ValueError, match="dims must be positive"):
+            scans.cross_cube_order(h, w, c, scans.CubeSpec(2, 1, 1, 2))
 
 
 class TestValidateOrder:

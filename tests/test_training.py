@@ -234,5 +234,10 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="zero ratio"):
             training.TrainConfig(zero_ratio=ratio)
 
+    @pytest.mark.parametrize("rate", [-5.0, -1e-9, float("nan"), float("inf")])
+    def test_learning_rate_negative_or_non_finite_rejected(self, rate):
+        with pytest.raises(ValueError, match="learning rate must be finite and >= 0"):
+            training.TrainConfig(learning_rate=rate)
+
     def test_largest_mask_seed_accepted(self):
         assert training.TrainConfig(mask_seed=2**64 - 1).mask_seed == 2**64 - 1
