@@ -6,6 +6,12 @@ topological order.  Broadcasting is restricted to scalar-against-tensor;
 every other shape relation must be made explicit through `repeat_expand`,
 `reshape`, `concat` or `split`, which keeps shape bugs loud.
 
+The elementwise ops share one skeleton each: `_binary` (add, sub, mul,
+div) holds the shape check, the `requires_grad` guards and the scalar
+reduction, and `_unary` (scale, softplus, exp, gelu, relu, phi1) computes
+its derivative only when the backward pass runs.  Each op states only its
+value and its gradient map.
+
 All compute is 64-bit.  A tape belongs to one logical thread; node values
 may be shared freely across threads for reading.
 """
@@ -20,6 +26,7 @@ Array = np.ndarray
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 LAYER_NORM_EPS = 1e-6
+FD_EPS = 1e-6           # central-difference step of `finite_diff_check`
 
 
 class Node:
@@ -61,9 +68,9 @@ class Node:
         return f"Node(shape={self.value.shape}, grad={self.requires_grad}{nm})"
 
 
-def constant(value, name=None) -> Node:
+def constant(value) -> Node:
     """Wrap an array or float as a non-differentiable leaf."""
-    return Node(value, requires_grad=False, name=name)
+    return Node(value, requires_grad=False)
 
 
 def parameter(value, name=None) -> Node:
@@ -85,16 +92,6 @@ def _make(value, parents, backward) -> Node:
     return Node(value, requires_grad=True, parents=parents, backward=backward)
 
 
-def _is_scalar(shape) -> bool:
-    return shape == ()
-
-
-def _check_binary(kind, a, b):
-    if a.shape == b.shape or _is_scalar(a.shape) or _is_scalar(b.shape):
-        return
-    raise ValueError(f"shape mismatch for {kind}: {a.shape} vs {b.shape}")
-
-
 def _reduce_to(g: Array, shape) -> Array:
     # inverse of the scalar-against-tensor broadcast
     if shape == () and g.shape != ():
@@ -105,91 +102,66 @@ def _reduce_to(g: Array, shape) -> Array:
 # ---------------------------------------------------------------------------
 # pointwise arithmetic
 
-def add(a, b) -> Node:
+def _binary(kind, a, b, op, grad_a, grad_b) -> Node:
+    """out = op(a, b) with equal shapes or a scalar side.
+
+    `grad_a` and `grad_b` map (g, a_value, b_value, out_value) to the
+    gradient of each input before the scalar broadcast is summed back.
+    """
     a, b = as_node(a), as_node(b)
-    _check_binary("add", a, b)
-    out_value = a.value + b.value
+    if a.shape != b.shape and a.shape != () and b.shape != ():
+        raise ValueError(f"shape mismatch for {kind}: {a.shape} vs {b.shape}")
+    x, y = a.value, b.value
+    out_value = op(x, y)
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate(_reduce_to(g, a.shape))
+            a.accumulate(_reduce_to(grad_a(g, x, y, out_value), a.shape))
         if b.requires_grad:
-            b.accumulate(_reduce_to(g, b.shape))
+            b.accumulate(_reduce_to(grad_b(g, x, y, out_value), b.shape))
 
     return _make(out_value, (a, b), backward)
+
+
+def _unary(a: Node, out_value, deriv) -> Node:
+    """An elementwise op whose derivative `deriv()` is computed only in the backward pass."""
+    return _make(out_value, (a,), lambda g: a.accumulate(g * deriv()))
+
+
+def add(a, b) -> Node:
+    return _binary("add", a, b, np.add, lambda g, x, y, out: g, lambda g, x, y, out: g)
 
 
 def sub(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    _check_binary("sub", a, b)
-    out_value = a.value - b.value
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(_reduce_to(g, a.shape))
-        if b.requires_grad:
-            b.accumulate(_reduce_to(-g, b.shape))
-
-    return _make(out_value, (a, b), backward)
+    return _binary("sub", a, b, np.subtract, lambda g, x, y, out: g, lambda g, x, y, out: -g)
 
 
 def mul(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    _check_binary("mul", a, b)
-    out_value = a.value * b.value
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(_reduce_to(g * b.value, a.shape))
-        if b.requires_grad:
-            b.accumulate(_reduce_to(g * a.value, b.shape))
-
-    return _make(out_value, (a, b), backward)
+    return _binary("mul", a, b, np.multiply,
+                   lambda g, x, y, out: g * y, lambda g, x, y, out: g * x)
 
 
 def div(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    _check_binary("div", a, b)
-    out_value = a.value / b.value
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(_reduce_to(g / b.value, a.shape))
-        if b.requires_grad:
-            b.accumulate(_reduce_to(-g * out_value / b.value, b.shape))
-
-    return _make(out_value, (a, b), backward)
+    return _binary("div", a, b, np.divide,
+                   lambda g, x, y, out: g / y, lambda g, x, y, out: -g * out / y)
 
 
 def scale(a, s: float) -> Node:
     """Multiply by a plain python float (not a tape value)."""
     a = as_node(a)
     s = float(s)
-
-    def backward(g):
-        a.accumulate(g * s)
-
-    return _make(a.value * s, (a,), backward)
+    return _unary(a, a.value * s, lambda: s)
 
 
 def softplus(a) -> Node:
     a = as_node(a)
-    out_value = np.logaddexp(0.0, a.value)
-
-    def backward(g):
-        a.accumulate(g * expit(a.value))
-
-    return _make(out_value, (a,), backward)
+    return _unary(a, np.logaddexp(0.0, a.value), lambda: expit(a.value))
 
 
 def exp(a) -> Node:
     a = as_node(a)
     out_value = np.exp(a.value)
-
-    def backward(g):
-        a.accumulate(g * out_value)
-
-    return _make(out_value, (a,), backward)
+    return _unary(a, out_value, lambda: out_value)
 
 
 def gelu(a) -> Node:
@@ -197,23 +169,12 @@ def gelu(a) -> Node:
     a = as_node(a)
     x = a.value
     cdf = 0.5 * (1.0 + erf(x / _SQRT2))
-    out_value = x * cdf
-
-    def backward(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        a.accumulate(g * (cdf + x * pdf))
-
-    return _make(out_value, (a,), backward)
+    return _unary(a, x * cdf, lambda: cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x)))
 
 
 def relu(a) -> Node:
     a = as_node(a)
-    out_value = np.maximum(a.value, 0.0)
-
-    def backward(g):
-        a.accumulate(g * (a.value > 0.0))
-
-    return _make(out_value, (a,), backward)
+    return _unary(a, np.maximum(a.value, 0.0), lambda: a.value > 0.0)
 
 
 def phi1(a) -> Node:
@@ -226,16 +187,14 @@ def phi1(a) -> Node:
     z = a.value
     small = np.abs(z) < 1e-8
     safe = np.where(small, 1.0, z)
-    out_value = np.where(small, 1.0, np.expm1(z) / safe)
 
-    def backward(g):
+    def deriv():
         # d/dz [(e^z - 1)/z] = ((z - 1) e^z + 1) / z^2; series near 0: 1/2 + z/3
         tiny = np.abs(z) < 1e-5
         zz = np.where(tiny, 1.0, z)
-        deriv = np.where(tiny, 0.5 + z / 3.0, ((z - 1.0) * np.exp(z) + 1.0) / (zz * zz))
-        a.accumulate(g * deriv)
+        return np.where(tiny, 0.5 + z / 3.0, ((z - 1.0) * np.exp(z) + 1.0) / (zz * zz))
 
-    return _make(out_value, (a,), backward)
+    return _unary(a, np.where(small, 1.0, np.expm1(z) / safe), deriv)
 
 
 # ---------------------------------------------------------------------------
@@ -607,14 +566,12 @@ def backward(loss: Node) -> None:
             node.grad = None
 
 
-def finite_diff_check(f, theta: Array, eps: float = 1e-6) -> float:
+def finite_diff_check(f, theta: Array) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    `f` maps a Node wrapping `theta` to a scalar Node.  The error at each
-    coordinate is |analytic - fd| / max(1, |analytic|).
+    `f` maps a Node wrapping `theta` to a scalar Node.  Each coordinate is
+    bumped by +-FD_EPS, and its error is |analytic - fd| / max(1, |analytic|).
     """
-    if not (0.0 < eps <= 1e-3):
-        raise ValueError(f"eps must lie in (0, 1e-3], got {eps}")
     theta = np.asarray(theta, dtype=np.float64)
     leaf = parameter(theta.copy())
     loss = f(leaf)
@@ -628,13 +585,13 @@ def finite_diff_check(f, theta: Array, eps: float = 1e-6) -> float:
     ana_flat = analytic.reshape(-1)
     for i in range(flat.size):
         bumped = flat.copy()
-        bumped[i] += eps
+        bumped[i] += FD_EPS
         hi = float(f(constant(bumped.reshape(theta.shape))).value)
-        bumped[i] -= 2 * eps
+        bumped[i] -= 2 * FD_EPS
         lo = float(f(constant(bumped.reshape(theta.shape))).value)
         if not (np.isfinite(hi) and np.isfinite(lo)):
             raise ValueError("function value is not finite")
-        fd = (hi - lo) / (2 * eps)
+        fd = (hi - lo) / (2 * FD_EPS)
         err = abs(ana_flat[i] - fd) / max(1.0, abs(ana_flat[i]))
         worst = max(worst, err)
     return worst

@@ -80,8 +80,7 @@ def _cmd_reconstruct(args) -> int:
         config = unfolding.UnfoldConfig(stages=args.stages, net=config.net,
                                         share_weights=True)
     mask, _ = fileio.load_cube(args.mask, expect_kind=fileio.KIND_MASK)
-    d = args.d if args.d is not None else _infer_shift_step(
-        meas.shape[2], mask.shape[2], config.net.bands)
+    d = _infer_shift_step(meas.shape[2], mask.shape[2], config.net.bands)
     op = cassi.SensingOperator(mask[0], d, config.net.bands)
     weights = unfolding.init_weights(config, seed=0)
     weights.load_arrays(arrays)
@@ -194,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument("--stages", type=fileio.positive_int, default=None,
                    help="override the stage count of a shared-weights model")
-    p.add_argument("--d", type=int, default=None,
-                   help="shift step; inferred from the measurement width when omitted")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_reconstruct)
 

@@ -8,6 +8,7 @@ malformed field has its own diagnostic.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +29,7 @@ MAX_DIM = 65536
 
 WEIGHTS_MAGIC = b"CSMW"
 WEIGHTS_VERSION = 2
+MAX_RANK = 32    # the fewest dimensions any supported numpy holds (numpy 1.x)
 
 MASK_VALUES_KEY = "mask/values"
 MASK_META_KEY = "mask/meta"
@@ -45,6 +47,13 @@ def _all_finite(values: np.ndarray) -> bool:
     exactly when every value is.
     """
     return bool(np.isfinite(values.sum(dtype=np.float64)))
+
+
+def _f32_values(payload: bytes) -> np.ndarray:
+    """Float32 bytes as float64; a signalling NaN is left to `_all_finite`
+    rather than raising the cast's invalid-value warning."""
+    with np.errstate(invalid="ignore"):
+        return np.frombuffer(payload, dtype="<f4").astype(np.float64)
 
 
 def _f32_payload(values: np.ndarray, where: str) -> bytes:
@@ -97,7 +106,7 @@ def load_cube(path, expect_kind: int | None = None):
     if expect_kind is not None and kind != expect_kind:
         raise FileFormatError(
             f"{path}: kind mismatch (expected {_KIND_NAMES[expect_kind]}, found {_KIND_NAMES[kind]})")
-    values = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(nb, h, w)
+    values = _f32_values(body).reshape(nb, h, w)
     if not _all_finite(values):
         raise FileFormatError(f"{path}: payload holds NaN or Inf")
     return values, kind
@@ -217,9 +226,13 @@ def load_weights(path) -> LoadedModel:
             pos += name_len
             rank = raw[pos]
             pos += 1
+            if rank > MAX_RANK:
+                raise FileFormatError(
+                    f"{path}: tensor {name!r} has rank {rank}, more than the {MAX_RANK} "
+                    f"dimensions an array may hold")
             dims = struct.unpack_from(f"<{rank}I", raw, pos)
             pos += 4 * rank
-            n = int(np.prod(dims)) if rank else 1
+            n = math.prod(dims)
             payload = raw[pos:pos + 4 * n]
             if len(payload) < 4 * n:
                 raise FileFormatError(f"{path}: truncated weights payload")
@@ -228,7 +241,7 @@ def load_weights(path) -> LoadedModel:
             raise FileFormatError(f"{path}: truncated weights file") from exc
         if name in arrays:
             raise FileFormatError(f"{path}: duplicate tensor name {name!r}")
-        arrays[name] = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
+        arrays[name] = _f32_values(payload).reshape(dims)
         if not _all_finite(arrays[name]):
             raise FileFormatError(f"{path}: tensor {name!r} holds NaN or Inf")
     if pos != len(raw):

@@ -167,7 +167,7 @@ def test_criterion_06_differentiability():
     results["conv2d"] = ad.finite_diff_check(
         lambda w: ad.sum_all(ad.mul(ad.conv2d(ad.constant(x), w, ad.constant(np.zeros(3))),
                                     ad.constant(proj))),
-        rng.normal(size=(3, 2, 3, 3)), eps=1e-6)
+        rng.normal(size=(3, 2, 3, 3)))
 
     # gather_last
     order = scans.local_patch_order(4, 4, 2, reverse=True)
@@ -175,7 +175,7 @@ def test_criterion_06_differentiability():
     results["gather_last"] = ad.finite_diff_check(
         lambda t: ad.sum_all(ad.mul(ad.gather_last(t, order.forward, order.inverse),
                                     ad.constant(gproj))),
-        rng.normal(size=16), eps=1e-6)
+        rng.normal(size=16))
 
     # selective_scan (through input, selection and timescale), as a batch of one
     length, nstate = 12, 3
@@ -191,7 +191,7 @@ def test_criterion_06_differentiability():
                                ad.constant(sdelta), np.array([0.4]))
         return ad.sum_all(ad.mul(y, ad.constant(sproj)))
 
-    results["selective_scan"] = ad.finite_diff_check(scan_input, sx, eps=1e-6)
+    results["selective_scan"] = ad.finite_diff_check(scan_input, sx)
 
     # block pieces on 4x4x4 features
     from cassi_ssm.denoiser import _init_block
@@ -205,14 +205,14 @@ def test_criterion_06_differentiability():
 
     results["gdffn"] = ad.finite_diff_check(
         lambda t: ad.sum_all(ad.mul(gated_ffn(t, bw, "blk/ffn"), ad.constant(fproj))),
-        feat, eps=1e-6)
+        feat)
     results["le_ssm"] = ad.finite_diff_check(
         lambda t: ad.sum_all(ad.mul(spatial_ssm(t, bw, "blk/sp", patch=2), ad.constant(fproj))),
-        feat, eps=1e-6)
+        feat)
     results["cs_ssm"] = ad.finite_diff_check(
         lambda t: ad.sum_all(ad.mul(spectral_cube_ssm(t, bw, "blk/cx", CubeSpec(2, 1, 1, 2)),
                                     ad.constant(fproj))),
-        feat, eps=1e-6)
+        feat)
 
     # full 1-level denoiser on an 8x8x2 input: input side and a weight tensor
     dw = ModelWeights()
@@ -224,7 +224,7 @@ def test_criterion_06_differentiability():
     results["denoiser/input"] = ad.finite_diff_check(
         lambda t: ad.sum_all(ad.mul(denoise(t, 0.3, mask, dw, NET_8X8X2, "net"),
                                     ad.constant(dproj))),
-        rng.random((2, 8, 8)), eps=1e-6)
+        rng.random((2, 8, 8)))
 
     x_fixed = rng.random((2, 8, 8))
 
@@ -239,7 +239,7 @@ def test_criterion_06_differentiability():
             dw._store["net/embed/proj_w"] = original
 
     results["denoiser/weight"] = ad.finite_diff_check(
-        through_weight, dw["net/embed/proj_w"].value.copy(), eps=1e-6)
+        through_weight, dw["net/embed/proj_w"].value.copy())
 
     elapsed = time.time() - start
     assert elapsed < 120.0
@@ -396,7 +396,7 @@ def test_criterion_11_cli_round_trip(tmp_path, capsys):
                     "--out", tmp_path / f"model_{tag}.csmw"]) == 0
         assert run(["reconstruct", "--meas", tmp_path / f"meas_{tag}.hsic",
                     "--mask", tmp_path / "mask.hsic",
-                    "--weights", tmp_path / f"model_{tag}.csmw", "--d", "2",
+                    "--weights", tmp_path / f"model_{tag}.csmw",
                     "--out", tmp_path / f"rec_{tag}.hsic"]) == 0
         assert run(["eval", "--ref", tmp_path / "scene.hsic",
                     "--test", tmp_path / f"rec_{tag}.hsic"]) == 0

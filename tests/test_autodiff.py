@@ -212,7 +212,7 @@ class TestBackward:
             return ad.sum_all(ad.mul(y, ad.constant(proj)))
 
         rng2 = rng.normal(size=(2, 4, 4))
-        err = ad.finite_diff_check(f, rng.normal(size=(2, 4, 4)), eps=1e-6)
+        err = ad.finite_diff_check(f, rng.normal(size=(2, 4, 4)))
         assert err <= 1e-4
 
     def test_determinism(self):
@@ -228,19 +228,15 @@ class TestBackward:
 class TestFiniteDiffCheck:
     def test_quadratic_is_exact(self):
         err = ad.finite_diff_check(lambda t: ad.scale(ad.sum_all(ad.mul(t, t)), 0.5),
-                                   np.array([0.3, -1.2, 2.0]), eps=1e-6)
+                                   np.array([0.3, -1.2, 2.0]))
         assert err <= 1e-8
-
-    def test_eps_validation(self):
-        with pytest.raises(ValueError, match="eps"):
-            ad.finite_diff_check(lambda t: ad.sum_all(t), np.zeros(2), eps=0.5)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_rejected(self):
         def f(t):
             return ad.sum_all(ad.mul(ad.exp(ad.scale(t, 1e6)), t))
         with pytest.raises(ValueError, match="finite"):
-            ad.finite_diff_check(f, np.array([1.0]), eps=1e-6)
+            ad.finite_diff_check(f, np.array([1.0]))
 
     def test_through_conv2d(self):
         rng = np.random.default_rng(7)
@@ -251,7 +247,7 @@ class TestFiniteDiffCheck:
             return ad.sum_all(ad.mul(ad.conv2d(ad.constant(x), w, ad.constant(np.zeros(3))),
                                      ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.normal(size=(3, 2, 3, 3)), eps=1e-6) <= 1e-4
+        assert ad.finite_diff_check(f, rng.normal(size=(3, 2, 3, 3))) <= 1e-4
 
 
 class TestStructuralOps:
@@ -270,7 +266,7 @@ class TestStructuralOps:
             top, _ = ad.split(t, [2, 2])
             return ad.sum_all(ad.mul(top, ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.normal(size=(4, 2, 2)), eps=1e-6) <= 1e-4
+        assert ad.finite_diff_check(f, rng.normal(size=(4, 2, 2))) <= 1e-4
 
     def test_repeat_expand_values_and_grad(self):
         v = np.array([1.0, 2.0])
@@ -280,7 +276,7 @@ class TestStructuralOps:
         def f(t):
             return ad.sum_all(ad.mul(ad.repeat_expand(t, 0, 4), ad.constant(np.arange(8.).reshape(4, 2))))
 
-        assert ad.finite_diff_check(f, v, eps=1e-6) <= 1e-8
+        assert ad.finite_diff_check(f, v) <= 1e-8
 
     def test_layer_norm_grad(self):
         rng = np.random.default_rng(10)
@@ -292,7 +288,7 @@ class TestStructuralOps:
             return ad.sum_all(ad.mul(ad.layer_norm(t, ad.constant(g), ad.constant(b)),
                                      ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.normal(size=(4, 3, 3)), eps=1e-6) <= 1e-4
+        assert ad.finite_diff_check(f, rng.normal(size=(4, 3, 3))) <= 1e-4
 
     def test_layer_norm_affine_grad(self):
         rng = np.random.default_rng(12)
@@ -303,7 +299,7 @@ class TestStructuralOps:
             return ad.sum_all(ad.mul(ad.layer_norm(ad.constant(x), t, ad.constant(np.zeros(4))),
                                      ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.normal(size=4), eps=1e-6) <= 1e-4
+        assert ad.finite_diff_check(f, rng.normal(size=4)) <= 1e-4
 
     def test_depthwise_matches_grouped_loop(self):
         rng = np.random.default_rng(13)
@@ -323,7 +319,7 @@ class TestStructuralOps:
             return ad.sum_all(ad.mul(ad.depthwise_conv2d(ad.constant(x), w, ad.constant(np.zeros(2))),
                                      ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.normal(size=(2, 3, 3)), eps=1e-6) <= 1e-4
+        assert ad.finite_diff_check(f, rng.normal(size=(2, 3, 3))) <= 1e-4
 
     def test_upsample_values_and_grad(self):
         x = np.arange(4.0).reshape(1, 2, 2)
@@ -337,7 +333,7 @@ class TestStructuralOps:
         def f(t):
             return ad.sum_all(ad.mul(ad.upsample_nearest2x(t), ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, x, eps=1e-6) <= 1e-8
+        assert ad.finite_diff_check(f, x) <= 1e-8
 
     def test_phi1_values_and_grad(self):
         z = np.array([-2.0, -1e-12, 0.5])
@@ -352,7 +348,7 @@ class TestStructuralOps:
             return ad.sum_all(ad.mul(ad.phi1(t), ad.constant(proj)))
 
         theta = rng.uniform(0.1, 2.0, size=5) * np.sign(rng.normal(size=5))
-        assert ad.finite_diff_check(f, theta, eps=1e-6) <= 1e-4
+        assert ad.finite_diff_check(f, theta) <= 1e-4
 
     def test_div_grad(self):
         rng = np.random.default_rng(17)
@@ -363,7 +359,7 @@ class TestStructuralOps:
             return ad.sum_all(ad.mul(ad.div(ad.constant(proj), ad.add(t, ad.constant(denom))),
                                      ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.uniform(0.1, 1.0, size=6), eps=1e-6) <= 1e-4
+        assert ad.finite_diff_check(f, rng.uniform(0.1, 1.0, size=6)) <= 1e-4
 
     def test_softplus_exp_relu_grads(self):
         rng = np.random.default_rng(18)
@@ -372,7 +368,7 @@ class TestStructuralOps:
             def f(t, op=op):
                 return ad.sum_all(ad.mul(op(t), ad.constant(proj)))
             theta = rng.normal(size=8) + 0.05  # keep clear of the relu kink
-            assert ad.finite_diff_check(f, theta, eps=1e-6) <= 1e-4
+            assert ad.finite_diff_check(f, theta) <= 1e-4
 
     def test_linear_scan_grads(self):
         rng = np.random.default_rng(19)
@@ -392,9 +388,9 @@ class TestStructuralOps:
                                              ad.constant(proj)))
                 return f
 
-            assert ad.finite_diff_check(wrap("abar"), abar, eps=1e-6) <= 1e-4
-            assert ad.finite_diff_check(wrap("bx"), bx, eps=1e-6) <= 1e-4
-            assert ad.finite_diff_check(wrap("cseq"), cseq, eps=1e-6) <= 1e-4
+            assert ad.finite_diff_check(wrap("abar"), abar) <= 1e-4
+            assert ad.finite_diff_check(wrap("bx"), bx) <= 1e-4
+            assert ad.finite_diff_check(wrap("cseq"), cseq) <= 1e-4
 
     # lengths around the 8-step chunks of the parallel scan: inside one chunk,
     # on and just past chunk edges, and many chunks with a ragged tail

@@ -67,7 +67,7 @@ class TestPipeline:
                     "--out", workspace / "model.csmw"]) == 0
         assert run(["reconstruct", "--meas", workspace / "meas.hsic",
                     "--mask", workspace / "mask.hsic", "--weights", workspace / "model.csmw",
-                    "--stages", "2", "--d", "2", "--out", workspace / "rec.hsic"]) == 0
+                    "--stages", "2", "--out", workspace / "rec.hsic"]) == 0
         rec, kind = fileio.load_cube(workspace / "rec.hsic")
         assert kind == fileio.KIND_CUBE and rec.shape == (2, 16, 16)
 
@@ -96,7 +96,7 @@ class TestPipeline:
             run(["reconstruct", "--meas", workspace / f"meas_{tag}.hsic",
                  "--mask", workspace / "mask.hsic",
                  "--weights", workspace / f"model_{tag}.csmw",
-                 "--d", "2", "--out", workspace / f"rec_{tag}.hsic"])
+                 "--out", workspace / f"rec_{tag}.hsic"])
         assert (workspace / "meas_a.hsic").read_bytes() == (workspace / "meas_b.hsic").read_bytes()
         assert (workspace / "model_a.csmw").read_bytes() == (workspace / "model_b.csmw").read_bytes()
         assert (workspace / "rec_a.hsic").read_bytes() == (workspace / "rec_b.hsic").read_bytes()
@@ -216,6 +216,21 @@ class TestCheckpointTensors:
         return run(["reconstruct", "--meas", workspace / "meas.hsic",
                     "--mask", workspace / "mask.hsic", "--weights", weights_file,
                     "--out", workspace / "rec.hsic", *extra])
+
+    def test_measurement_narrower_than_mask_exit_1(self, workspace, model, capsys):
+        # the shift step is inferred from the widths; none fits here
+        config, weights, _, meas = model
+        fileio.save_weights(workspace / "model.csmw", weights, config)
+        fileio.save_cube(workspace / "meas.hsic", meas[None, :, :15], kind=fileio.KIND_MEASUREMENT)
+        assert self.reconstruct(workspace, workspace / "model.csmw") == 1
+        assert "whole shift step" in capsys.readouterr().err
+        assert not (workspace / "rec.hsic").exists()
+
+    def test_shift_step_flag_refused_exit_2(self, workspace, model, capsys):
+        config, weights, _, _ = model
+        fileio.save_weights(workspace / "model.csmw", weights, config)
+        assert self.reconstruct(workspace, workspace / "model.csmw", "--d", "2") == 2
+        assert "unrecognized arguments: --d 2" in capsys.readouterr().err
 
     def test_missing_tensor_exit_1(self, workspace, model, capsys):
         config, weights, _, _ = model

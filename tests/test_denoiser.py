@@ -91,7 +91,7 @@ class TestEmbed:
             return ad.sum_all(ad.mul(embed_with_mask(t, mask, w, "net", sigma=0.2),
                                      ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.random((2, 4, 4)), eps=1e-6) <= 1e-4
+        assert ad.finite_diff_check(f, rng.random((2, 4, 4))) <= 1e-4
 
 
 class TestSpatialSsm:
@@ -155,7 +155,7 @@ class TestSpatialSsm:
         def f(t):
             return ad.sum_all(ad.mul(spatial_ssm(t, w, "blk/sp", patch=2), ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.random((4, 4, 4)), eps=1e-6) <= 1e-4
+        assert ad.finite_diff_check(f, rng.random((4, 4, 4))) <= 1e-4
 
 
 class TestSpectralCubeSsm:
@@ -195,7 +195,7 @@ class TestSpectralCubeSsm:
             return ad.sum_all(ad.mul(spectral_cube_ssm(t, w, "blk/cx", BLOCK_CUBE),
                                      ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.random((4, 4, 4)), eps=1e-6) <= 1e-4
+        assert ad.finite_diff_check(f, rng.random((4, 4, 4))) <= 1e-4
 
 
 class TestGatedFfn:
@@ -224,7 +224,7 @@ class TestGatedFfn:
         def f(t):
             return ad.sum_all(ad.mul(gated_ffn(t, w, "blk/ffn"), ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.random((4, 4, 4)), eps=1e-6) <= 1e-4
+        assert ad.finite_diff_check(f, rng.random((4, 4, 4))) <= 1e-4
 
 
 class TestBlockComposition:
@@ -303,7 +303,7 @@ class TestDenoise:
             return ad.sum_all(ad.mul(denoise(t, 0.3, mask, w, TINY, "net"),
                                      ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.random((2, 8, 8)), eps=1e-6) <= 1e-4
+        assert ad.finite_diff_check(f, rng.random((2, 8, 8))) <= 1e-4
 
     def test_no_dead_parameters(self):
         w = tiny_weights(seed=23, zero_residual=False)

@@ -117,6 +117,15 @@ class TestCubeFiles:
                 fileio.load_cube(p)
             assert str(p) in str(err.value)
 
+    @pytest.mark.filterwarnings("error")
+    def test_signalling_nan_payload_rejected_without_warning(self, tmp_path):
+        p = tmp_path / "snan.hsic"
+        payload = np.ones(4, dtype="<f4").tobytes()
+        p.write_bytes(fileio.CUBE_MAGIC + struct.pack("<BBIII", 1, 0, 2, 2, 1)
+                      + struct.pack("<I", 0x7F800001) + payload[4:])
+        with pytest.raises(fileio.FileFormatError, match="NaN or Inf"):
+            fileio.load_cube(p)
+
     def test_unloadable_payload_not_saved(self, tmp_path):
         # 1e39 is finite in float64 but Inf in float32
         for bad in (np.nan, np.inf, -np.inf, 1e39, -1e39):
@@ -346,6 +355,33 @@ class TestWeightsFiles:
             p.write_bytes(raw[:cut])
             with pytest.raises(fileio.FileFormatError):
                 fileio.load_weights(p)
+
+    @pytest.mark.parametrize("rank", [255, 70])
+    def test_rank_beyond_numpy_rejected(self, tmp_path, rank):
+        # the first entry (sorted by name) is a scalar; its rank byte follows the name
+        cfg, weights, _ = self.make_model()
+        p = tmp_path / "rank.csmw"
+        fileio.save_weights(p, weights, cfg)
+        raw = bytearray(p.read_bytes())
+        name = min(weights.arrays()).encode()
+        raw[raw.index(name) + len(name)] = rank
+        p.write_bytes(bytes(raw))
+        with pytest.raises(fileio.FileFormatError, match=f"rank {rank}"):
+            fileio.load_weights(p)
+
+    def test_element_count_beyond_int64_rejected(self, tmp_path):
+        # 65536**4 == 2**64, which a fixed-width product wraps to 0
+        cfg, weights, _ = self.make_model()
+        p = tmp_path / "huge.csmw"
+        fileio.save_weights(p, weights, cfg)
+        raw = bytearray(p.read_bytes())
+        name = b"shared/out/w"
+        start = raw.index(name) + len(name)
+        assert raw[start] == 4
+        raw[start + 1:start + 17] = struct.pack("<4I", *[65536] * 4)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(fileio.FileFormatError, match="truncated"):
+            fileio.load_weights(p)
 
     def test_digest_mismatch_detected(self, tmp_path):
         cfg, weights, _ = self.make_model()

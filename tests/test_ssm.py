@@ -184,7 +184,7 @@ class TestSelectiveScan:
                 y = ssm.selective_scan(vals["x"], vals["a"], vals["b"], vals["c"],
                                        vals["delta"], vals["d"])
                 return ad.sum_all(ad.mul(y, ad.constant(proj)))
-            return ad.finite_diff_check(f, theta, eps=1e-6)
+            return ad.finite_diff_check(f, theta)
 
         assert check("x", x) <= 1e-4
         assert check("b", b) <= 1e-4

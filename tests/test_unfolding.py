@@ -79,7 +79,7 @@ class TestDataStep:
             return ad.sum_all(ad.mul(unfolding.data_step_node(t, y, op, 0.8),
                                      ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, z, eps=1e-6) <= 1e-4
+        assert ad.finite_diff_check(f, z) <= 1e-4
 
 
 class TestDenseOracle:
