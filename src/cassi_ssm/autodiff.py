@@ -38,9 +38,9 @@ class Node:
     everything reachable only from constants is pruned from the tape.
     """
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, value, requires_grad=False, parents=(), backward=None, name=None):
+    def __init__(self, value, requires_grad=False, parents=(), backward=None):
         value = np.asarray(value, dtype=np.float64)
         if value.ndim > 0 and not value.flags["C_CONTIGUOUS"]:
             value = np.ascontiguousarray(value)
@@ -49,7 +49,6 @@ class Node:
         self.requires_grad = bool(requires_grad)
         self._parents = tuple(parents) if self.requires_grad else ()
         self._backward = backward if self.requires_grad else None
-        self.name = name
 
     @property
     def shape(self):
@@ -64,8 +63,7 @@ class Node:
             self.grad = self.grad + g
 
     def __repr__(self):
-        nm = f" name={self.name!r}" if self.name else ""
-        return f"Node(shape={self.value.shape}, grad={self.requires_grad}{nm})"
+        return f"Node(shape={self.value.shape}, grad={self.requires_grad})"
 
 
 def constant(value) -> Node:
@@ -73,9 +71,9 @@ def constant(value) -> Node:
     return Node(value, requires_grad=False)
 
 
-def parameter(value, name=None) -> Node:
+def parameter(value) -> Node:
     """Wrap an array as a trainable leaf that collects gradients."""
-    return Node(value, requires_grad=True, name=name)
+    return Node(value, requires_grad=True)
 
 
 def as_node(x) -> Node:

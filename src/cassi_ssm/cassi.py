@@ -144,11 +144,13 @@ def add_shot_noise(meas: np.ndarray, bits: int, seed: int) -> np.ndarray:
     """Poisson photon noise at the count scale implied by the detector bit depth.
 
     The measurement is scaled so its maximum maps to 2**bits - 1, sampled
-    per pixel, and rescaled.  Deterministic under the seed.
+    per pixel, and rescaled.  Deterministic under the seed.  Bit depth 0 is
+    noiseless: the measurement comes back unchanged.
     """
-    if not 1 <= bits <= MAX_NOISE_BITS:
-        raise ValueError(f"bit depth must be in [1, {MAX_NOISE_BITS}], got {bits}")
+    bits = noise_bits(bits)
     meas = np.asarray(meas, dtype=np.float64)
+    if bits == 0:
+        return meas
     if (meas < 0).any():
         raise ValueError("measurement must be nonnegative for shot noise")
     peak = meas.max()

@@ -39,9 +39,7 @@ def _load_operator(mask_path: str, bands: int, shift_step: int) -> cassi.Sensing
 def _cmd_simulate(args) -> int:
     cube, _ = fileio.load_cube(args.cube, expect_kind=fileio.KIND_CUBE)
     op = _load_operator(args.mask, cube.shape[0], args.d)
-    meas = cassi.forward_project(cube, op)
-    if args.noise_bits > 0:
-        meas = cassi.add_shot_noise(meas, args.noise_bits, args.seed)
+    meas = cassi.add_shot_noise(cassi.forward_project(cube, op), args.noise_bits, args.seed)
     fileio.save_cube(args.out, meas[None], kind=fileio.KIND_MEASUREMENT)
     print(f"wrote measurement {meas.shape[0]}x{meas.shape[1]} to {args.out}")
     return 0
@@ -123,9 +121,7 @@ def _cmd_train(args) -> int:
     batch = [(scene, op) for scene in scenes]
     state = training.train(batch, weights, config, train_cfg)
     fileio.save_weights(args.out, weights, config, feature_mask=state.mask)
-    first = state.losses[0] if state.losses else float("nan")
-    last = state.losses[-1] if state.losses else float("nan")
-    print(f"trained {args.steps} steps: loss {first:.6g} -> {last:.6g}")
+    print(f"trained {args.steps} steps: loss {state.losses[0]:.6g} -> {state.losses[-1]:.6g}")
     print(f"wrote weights to {args.out}")
     return 0
 
@@ -158,16 +154,15 @@ def _cmd_dump_scan_order(args) -> int:
         order = scans.local_patch_order(args.height, args.width, args.patch,
                                         kind.endswith("reverse"))
     elif kind == "cross":
-        h, w, c = args.cube
-        spec = scans.CubeSpec(args.patch, h, w, c)
-        order = scans.cross_cube_order(args.height, args.width, args.channels, spec)
+        order = scans.cross_cube_order(args.height, args.width, args.channels, args.patch,
+                                       args.cube)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(kind)
     report = scans.validate_order(order)
-    print(f"# {order.descriptor} length={order.length} "
-          f"bijection={report.is_bijection} max_jump={report.max_neighbor_distance}")
     fwd = order.forward
-    for start in range(0, order.length, 16):
+    print(f"# {order.descriptor} length={fwd.size} "
+          f"bijection={report.is_bijection} max_jump={report.max_neighbor_distance}")
+    for start in range(0, fwd.size, 16):
         print(" ".join(str(int(v)) for v in fwd[start:start + 16]))
     return 0
 
@@ -180,10 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="project a cube into a coded measurement")
     p.add_argument("--cube", required=True)
     p.add_argument("--mask", required=True)
-    p.add_argument("--d", type=int, default=2, help="dispersion shift step per band")
+    p.add_argument("--d", type=fileio.non_negative_int, default=2,
+                   help="dispersion shift step per band")
     p.add_argument("--noise-bits", type=cassi.noise_bits, default=0,
                    help=f"shot-noise bit depth in [0, {cassi.MAX_NOISE_BITS}], 0 = noiseless")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=fileio.non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
@@ -197,8 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("train", help="fit the unfolding model on scenes")
-    p.add_argument("--cube", action="append", default=[], help="scene file (repeatable)")
-    p.add_argument("--scenes", default=None, help="directory of .hsic scenes")
+    scenes = p.add_mutually_exclusive_group(required=True)
+    scenes.add_argument("--cube", action="append", default=[], help="scene file (repeatable)")
+    scenes.add_argument("--scenes", default=None, help="directory of .hsic scenes")
     p.add_argument("--crop", type=fileio.positive_int, default=32,
                    help="side of the square crop taken from each --scenes scene")
     p.add_argument("--bands", type=fileio.positive_int, default=4,
@@ -207,11 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="key=value network profile")
     p.add_argument("--stages", type=fileio.positive_int, default=None,
                    help="stage count; overrides the config file (default 3)")
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=fileio.non_negative_int, default=2)
     p.add_argument("--steps", type=fileio.positive_int, default=200)
     p.add_argument("--lr", type=training.learning_rate, default=1.0,
                    help="base learning rate, finite and >= 0")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=fileio.non_negative_int, default=0)
     p.add_argument("--masked", action="store_true", help="enable masked training")
     p.add_argument("--mask-ratio", type=training.zero_ratio, default=None,
                    help="zeroed share of the feature mask; overrides the config file (default 0.5)")

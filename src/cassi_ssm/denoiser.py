@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .scans import CubeSpec, cross_cube_order, global_order, local_patch_order
+from .scans import cross_cube_order, global_order, local_patch_order
 from .ssm import selective_scan
 
 DELTA_BIAS_INIT = float(np.log(np.expm1(0.1)))  # softplus^-1(0.1)
@@ -75,7 +75,7 @@ class ModelWeights:
     def add(self, name: str, array: np.ndarray) -> ad.Node:
         if name in self._store:
             raise ValueError(f"duplicate weight name: {name}")
-        node = ad.parameter(np.asarray(array, dtype=np.float64).copy(), name=name)
+        node = ad.parameter(np.asarray(array, dtype=np.float64).copy())
         self._store[name] = node
         return node
 
@@ -87,9 +87,6 @@ class ModelWeights:
 
     def items(self):
         return self._store.items()
-
-    def parameters(self):
-        return list(self._store.values())
 
     def arrays(self) -> dict:
         return {k: v.value for k, v in self._store.items()}
@@ -237,16 +234,16 @@ def spatial_ssm(f: "ad.Node", weights: ModelWeights, prefix: str, patch: int) ->
     return ad.conv2d(merged, weights[f"{prefix}/proj_w"], weights[f"{prefix}/proj_b"])
 
 
-def spectral_cube_ssm(f: "ad.Node", weights: ModelWeights, prefix: str,
-                      spec: CubeSpec) -> "ad.Node":
+def spectral_cube_ssm(f: "ad.Node", weights: ModelWeights, prefix: str, patch: int,
+                      cube: tuple) -> "ad.Node":
     """Single-direction scan over the whole tensor ordered by local cubes.
 
     The full C x H x W tensor becomes one scalar sequence whose neighbors
     are adjacent bands and pixels; the scan output is restored and added to
-    the input.
+    the input.  `patch` and `cube` fix the order as in `cross_cube_order`.
     """
     nch, height, width = f.shape
-    order = cross_cube_order(height, width, nch, spec)
+    order = cross_cube_order(height, width, nch, patch, cube)
     flat = ad.reshape(f, (1, nch * height * width))
     s = ad.gather_last(flat, order.forward, order.inverse)
     y = _ssm_branch(s, weights, prefix)
@@ -273,7 +270,7 @@ def ssm_block(f: "ad.Node", weights: ModelWeights, prefix: str,
     g1 = ad.layer_norm(f, weights[f"{prefix}/ln1/g"], weights[f"{prefix}/ln1/b"])
     y1 = ad.add(f, spatial_ssm(g1, weights, f"{prefix}/sp", config.patch))
     g2 = ad.layer_norm(y1, weights[f"{prefix}/ln2/g"], weights[f"{prefix}/ln2/b"])
-    y2 = spectral_cube_ssm(g2, weights, f"{prefix}/cx", CubeSpec(config.patch, *config.cube))
+    y2 = spectral_cube_ssm(g2, weights, f"{prefix}/cx", config.patch, config.cube)
     return gated_ffn(y2, weights, f"{prefix}/ffn")
 
 

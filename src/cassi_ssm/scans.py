@@ -18,38 +18,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ScanOrder:
-    """A bijection on [0, length) with its inverse.
+    """A bijection on [0, forward.size) with its inverse.
 
     forward[i] is the source index of sequence position i, so applying the
     order reads out[i] = x[forward[i]].
     """
 
-    length: int
     forward: np.ndarray
     inverse: np.ndarray
     descriptor: str
-
-
-@dataclass(frozen=True)
-class CubeSpec:
-    """Spatial patch side and the small cube tiling used by the cross scan."""
-
-    patch: int
-    h: int
-    w: int
-    c: int
-
-    def validate(self, height: int, width: int, channels: int) -> None:
-        if min(height, width, channels) < 1:
-            raise ValueError(f"dims must be positive, got {height}x{width}x{channels}")
-        if height % self.patch or width % self.patch:
-            raise ValueError(
-                f"patch side {self.patch} must divide spatial dims {height}x{width}")
-        if self.patch % self.h or self.patch % self.w:
-            raise ValueError(
-                f"cube footprint {self.h}x{self.w} must divide patch side {self.patch}")
-        if channels % self.c:
-            raise ValueError(f"cube depth {self.c} must divide {channels} channels")
 
 
 @dataclass(frozen=True)
@@ -64,7 +41,7 @@ def _finish(descriptor: str, forward: np.ndarray) -> ScanOrder:
     inverse[forward] = np.arange(forward.size, dtype=np.intp)
     forward.setflags(write=False)
     inverse.setflags(write=False)
-    return ScanOrder(int(forward.size), forward, inverse, descriptor)
+    return ScanOrder(forward, inverse, descriptor)
 
 
 @functools.cache
@@ -100,23 +77,31 @@ def local_patch_order(height: int, width: int, patch: int, reverse: bool = False
 
 
 @functools.cache
-def cross_cube_order(height: int, width: int, channels: int, spec: CubeSpec) -> ScanOrder:
+def cross_cube_order(height: int, width: int, channels: int, patch: int,
+                     cube: tuple) -> ScanOrder:
     """Scan ordered by small spatial-spectral cubes inside each spatial patch.
 
-    Nesting, outermost first: spatial patches (row-major), channel blocks of
-    depth c, cubes of footprint h x w inside the patch (row-major), and
-    within a cube the spectral index varies fastest so adjacent bands at a
-    pixel sit next to each other, then adjacent pixels.
+    `cube` is the (h, w, c) cube footprint and depth.  Nesting, outermost
+    first: spatial patches (row-major), channel blocks of depth c, cubes of
+    footprint h x w inside the patch (row-major), and within a cube the
+    spectral index varies fastest so adjacent bands at a pixel sit next to
+    each other, then adjacent pixels.
     """
-    spec.validate(height, width, channels)
-    desc = (f"cross:{height}x{width}x{channels}:p={spec.patch}"
-            f":cube={spec.h}x{spec.w}x{spec.c}")
-    p = spec.patch
+    ch, cw, cc = cube
+    if min(height, width, channels) < 1:
+        raise ValueError(f"dims must be positive, got {height}x{width}x{channels}")
+    if height % patch or width % patch:
+        raise ValueError(f"patch side {patch} must divide spatial dims {height}x{width}")
+    if patch % ch or patch % cw:
+        raise ValueError(f"cube footprint {ch}x{cw} must divide patch side {patch}")
+    if channels % cc:
+        raise ValueError(f"cube depth {cc} must divide {channels} channels")
+    desc = f"cross:{height}x{width}x{channels}:p={patch}:cube={ch}x{cw}x{cc}"
     # axes of the flat C x H x W index: (block, band in block, patch row,
     # cube row in patch, row in cube, patch col, cube col in patch, col in cube)
     idx = np.arange(channels * height * width, dtype=np.intp).reshape(
-        channels // spec.c, spec.c, height // p, p // spec.h, spec.h,
-        width // p, p // spec.w, spec.w)
+        channels // cc, cc, height // patch, patch // ch, ch,
+        width // patch, patch // cw, cw)
     return _finish(desc, idx.transpose(2, 5, 0, 3, 6, 4, 7, 1).reshape(-1))
 
 
@@ -136,11 +121,11 @@ def spectral_scan_order(height: int, width: int, channels: int) -> ScanOrder:
 def validate_order(order: ScanOrder) -> OrderReport:
     """Check bijectivity and report the largest flat-index jump between neighbors."""
     fwd = order.forward
+    n = fwd.size
     ok = (
-        fwd.size == order.length
-        and order.inverse.size == order.length
-        and np.array_equal(np.sort(fwd), np.arange(order.length))
-        and np.array_equal(order.inverse[fwd], np.arange(order.length))
+        order.inverse.size == n
+        and np.array_equal(np.sort(fwd), np.arange(n))
+        and np.array_equal(order.inverse[fwd], np.arange(n))
     )
-    jump = int(np.abs(np.diff(fwd.astype(np.int64))).max()) if order.length > 1 else 0
+    jump = int(np.abs(np.diff(fwd.astype(np.int64))).max()) if n > 1 else 0
     return OrderReport(bool(ok), jump)

@@ -46,10 +46,6 @@ class FeatureMask:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @property
-    def shape(self):
-        return self.values.shape
-
     def apply(self, feature: "ad.Node") -> "ad.Node":
         """Multiply every channel of a [C, H, W] feature by the mask."""
         feature = ad.as_node(feature)
@@ -138,14 +134,6 @@ class TrainState:
     mask: FeatureMask | None = None
 
 
-def _simulate(cube: np.ndarray, op: cassi.SensingOperator, cfg: TrainConfig,
-              step: int) -> np.ndarray:
-    y = cassi.forward_project(cube, op)
-    if cfg.noise_bits > 0:
-        y = cassi.add_shot_noise(y, cfg.noise_bits, cfg.noise_seed + step)
-    return y
-
-
 def train_step(batch, weights: ModelWeights, config: UnfoldConfig, cfg: TrainConfig,
                mask: FeatureMask | None = None, lr: float | None = None,
                step: int = 0) -> float:
@@ -154,32 +142,40 @@ def train_step(batch, weights: ModelWeights, config: UnfoldConfig, cfg: TrainCon
     `batch` is a list of (cube, operator) pairs.  The loss is the mean
     squared error between the masked reconstruction and the ground-truth
     cube, averaged over the batch.  A zero learning rate leaves weights
-    untouched.
+    untouched.  A diverging step raises FloatingPointError naming the step:
+    an overflow, invalid value or division by zero anywhere in it, a stage
+    penalty mu that underflows to 0, or a non-finite loss or gradient.
     """
     if not batch:
         raise ValueError("empty batch")
-    for node in weights.parameters():
+    for name, node in weights.items():
         if not np.isfinite(node.value).all():
-            raise FloatingPointError(f"non-finite weight tensor {node.name} at step {step}")
-    weights.zero_grad()
-    total = None
-    for cube, op in batch:
-        y = _simulate(np.asarray(cube, dtype=np.float64), op, cfg, step)
-        recon = reconstruct_node(y, op, weights, config, feature_mask=mask)
-        err = ad.sub(recon, ad.constant(cube))
-        term = ad.mean_all(ad.mul(err, err))
-        total = term if total is None else ad.add(total, term)
-    loss = ad.scale(total, 1.0 / len(batch))
-    if not np.isfinite(loss.value):
-        raise FloatingPointError(f"non-finite loss at step {step}")
-    ad.backward(loss)
+            raise FloatingPointError(f"non-finite weight tensor {name} at step {step}")
     rate = cfg.lr_at(step) if lr is None else lr
-    if rate != 0.0:
-        for node in weights.parameters():
-            if node.grad is not None:
-                if not np.isfinite(node.grad).all():
-                    raise FloatingPointError(f"non-finite gradient in {node.name} at step {step}")
-                node.value = node.value - rate * node.grad
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            weights.zero_grad()
+            total = None
+            for cube, op in batch:
+                y = cassi.add_shot_noise(cassi.forward_project(cube, op), cfg.noise_bits,
+                                         cfg.noise_seed + step)
+                recon = reconstruct_node(y, op, weights, config, feature_mask=mask)
+                err = ad.sub(recon, ad.constant(cube))
+                term = ad.mean_all(ad.mul(err, err))
+                total = term if total is None else ad.add(total, term)
+            loss = ad.scale(total, 1.0 / len(batch))
+            if not np.isfinite(loss.value):
+                raise FloatingPointError("non-finite loss")
+            ad.backward(loss)
+            if rate != 0.0:
+                for name, node in weights.items():
+                    if node.grad is None:
+                        continue
+                    if not np.isfinite(node.grad).all():
+                        raise FloatingPointError(f"non-finite gradient in {name}")
+                    node.value = node.value - rate * node.grad
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"training diverged at step {step}: {exc}") from exc
     return float(loss.value)
 
 

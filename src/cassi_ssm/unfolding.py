@@ -104,6 +104,8 @@ def reconstruct_node(y: np.ndarray, op: cassi.SensingOperator, weights: ModelWei
     z = cassi.shift_back_node(ad.constant(np.asarray(y, dtype=np.float64)), op)
     for k in range(config.stages):
         mu = ad.softplus(weights[f"est/alpha_raw{k}"])
+        if not mu.value > 0:
+            raise FloatingPointError(f"stage {k} penalty mu underflowed to 0")
         sigma = ad.softplus(weights[f"est/beta_raw{k}"])
         x = data_step_node(z, y, op, mu)
         z = denoise(x, sigma, op.mask, weights, config.net, config.stage_prefix(k),

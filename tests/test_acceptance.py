@@ -104,18 +104,18 @@ def test_criterion_04_scan_engine():
         assert scans.validate_order(scans.global_order(h, w, bool(rng.integers(2)))).is_bijection
         assert scans.validate_order(scans.local_patch_order(h, w, 2, bool(rng.integers(2)))).is_bijection
         assert scans.validate_order(
-            scans.cross_cube_order(h, w, c, scans.CubeSpec(2, 1, 1, 2))).is_bijection
+            scans.cross_cube_order(h, w, c, 2, (1, 1, 2))).is_bijection
     # enumerated fixtures against the nested-loop oracles
     assert scans.local_patch_order(4, 4, 2).forward.tolist() == \
         [0, 1, 4, 5, 2, 3, 6, 7, 8, 9, 12, 13, 10, 11, 14, 15]
-    assert scans.cross_cube_order(2, 2, 2, scans.CubeSpec(2, 1, 2, 2)).forward.tolist() == \
+    assert scans.cross_cube_order(2, 2, 2, 2, (1, 2, 2)).forward.tolist() == \
         [0, 4, 1, 5, 2, 6, 3, 7]
     # locality: cross-cube order vs the naive per-pixel spectral scan
     margins = []
-    for h, w, c, spec in [(8, 8, 8, scans.CubeSpec(8, 2, 2, 2)),
-                          (4, 4, 8, scans.CubeSpec(4, 2, 2, 4)),
-                          (8, 8, 4, scans.CubeSpec(8, 1, 2, 2))]:
-        cross = scans.validate_order(scans.cross_cube_order(h, w, c, spec)).max_neighbor_distance
+    for h, w, c, patch, cube in [(8, 8, 8, 8, (2, 2, 2)),
+                                 (4, 4, 8, 4, (2, 2, 4)),
+                                 (8, 8, 4, 8, (1, 2, 2))]:
+        cross = scans.validate_order(scans.cross_cube_order(h, w, c, patch, cube)).max_neighbor_distance
         naive = scans.validate_order(scans.spectral_scan_order(h, w, c)).max_neighbor_distance
         assert cross <= naive
         margins.append(f"{cross}<={naive}")
@@ -195,7 +195,6 @@ def test_criterion_06_differentiability():
 
     # block pieces on 4x4x4 features
     from cassi_ssm.denoiser import _init_block
-    from cassi_ssm.scans import CubeSpec
     bw = ModelWeights()
     bcfg = UNetConfig(bands=1, base_channels=4, patch=2, cube=(1, 1, 2), state_size=2,
                       expansion=1)
@@ -210,7 +209,7 @@ def test_criterion_06_differentiability():
         lambda t: ad.sum_all(ad.mul(spatial_ssm(t, bw, "blk/sp", patch=2), ad.constant(fproj))),
         feat)
     results["cs_ssm"] = ad.finite_diff_check(
-        lambda t: ad.sum_all(ad.mul(spectral_cube_ssm(t, bw, "blk/cx", CubeSpec(2, 1, 1, 2)),
+        lambda t: ad.sum_all(ad.mul(spectral_cube_ssm(t, bw, "blk/cx", 2, (1, 1, 2)),
                                     ad.constant(fproj))),
         feat)
 

@@ -208,8 +208,10 @@ class TestShotNoise:
             cassi.add_shot_noise(np.array([[-0.1]]), 11, seed=0)
 
     def test_bits_range(self):
-        with pytest.raises(ValueError, match="bit depth"):
-            cassi.add_shot_noise(np.ones((2, 2)), 0, seed=0)
+        with pytest.raises(ValueError, match=r"bit depth must lie in \[0, 16\]"):
+            cassi.add_shot_noise(np.ones((2, 2)), 17, seed=0)
+        meas = np.random.default_rng(11).random((3, 5))
+        assert np.array_equal(cassi.add_shot_noise(meas, 0, seed=0), meas)
 
 
 class TestDifferentiableWrappers:

@@ -338,11 +338,13 @@ class TestUsageErrors:
                                       ["--mask-ratio", "1.5"], ["--mask-ratio", "nan"],
                                       ["--noise-bits", "-3"], ["--noise-bits", "17"],
                                       ["--lr", "-5"], ["--lr", "nan"], ["--lr", "inf"],
-                                      ["--bands", "-1"], ["--bands", "0"], ["--crop", "0"]],
+                                      ["--bands", "-1"], ["--bands", "0"], ["--crop", "0"],
+                                      ["--d", "-1"], ["--seed", "-1"]],
                              ids=["steps0", "steps-neg", "mask-seed-neg", "mask-seed-2^64",
                                   "mask-ratio-1.5", "mask-ratio-nan",
                                   "noise-bits-neg", "noise-bits-17",
-                                  "lr-neg", "lr-nan", "lr-inf", "bands-neg", "bands0", "crop0"])
+                                  "lr-neg", "lr-nan", "lr-inf", "bands-neg", "bands0", "crop0",
+                                  "d-neg", "seed-neg"])
     def test_train_flag_out_of_range_exit_2(self, workspace, capsys, flag):
         code = run(["train", "--cube", workspace / "scene.hsic",
                     "--mask", workspace / "mask.hsic", "--config", workspace / "toy.cfg",
@@ -359,6 +361,30 @@ class TestUsageErrors:
         assert code == 2
         assert "error: argument --noise-bits" in capsys.readouterr().err
         assert not (workspace / "m.hsic").exists()
+
+    # refused at parse time, even where the noiseless default leaves the seed unused
+    @pytest.mark.parametrize("flag", ["--d", "--seed"])
+    def test_simulate_negative_shift_or_seed_exit_2(self, workspace, capsys, flag):
+        code = run(["simulate", "--cube", workspace / "scene.hsic",
+                    "--mask", workspace / "mask.hsic", flag, "-1",
+                    "--out", workspace / "m.hsic"])
+        assert code == 2
+        assert f"error: argument {flag}" in capsys.readouterr().err
+        assert not (workspace / "m.hsic").exists()
+
+    def test_train_without_scene_source_exit_2(self, workspace, capsys):
+        code = run(["train", "--mask", workspace / "mask.hsic",
+                    "--out", workspace / "m.csmw"])
+        assert code == 2
+        assert "one of the arguments --cube --scenes is required" in capsys.readouterr().err
+
+    def test_train_with_both_scene_sources_exit_2(self, workspace, capsys):
+        code = run(["train", "--cube", workspace / "scene.hsic", "--scenes", workspace / "absent",
+                    "--mask", workspace / "mask.hsic", "--config", workspace / "toy.cfg",
+                    "--steps", "1", "--out", workspace / "m.csmw"])
+        assert code == 2
+        assert "not allowed with argument --cube" in capsys.readouterr().err
+        assert not (workspace / "m.csmw").exists()
 
     def test_corrupt_input_exit_1(self, workspace, capsys):
         bad = workspace / "bad.hsic"

@@ -19,7 +19,7 @@ from cassi_ssm.denoiser import (
     ssm_block,
     _init_block,
 )
-from cassi_ssm.scans import CubeSpec, ScanOrder, global_order, local_patch_order
+from cassi_ssm.scans import ScanOrder, global_order, local_patch_order
 
 TINY = UNetConfig(bands=2, base_channels=4, levels=1, blocks_per_level=1,
                   patch=2, cube=(1, 1, 2), state_size=2, expansion=1)
@@ -34,7 +34,6 @@ def tiny_weights(seed=0, zero_residual=True):
 
 BLOCK = UNetConfig(bands=1, base_channels=4, patch=2, cube=(1, 1, 2), state_size=2,
                    expansion=1)
-BLOCK_CUBE = CubeSpec(BLOCK.patch, *BLOCK.cube)
 
 
 def block_weights(seed=1):
@@ -138,7 +137,7 @@ class TestSpatialSsm:
             fwd = inv[order.forward]
             back = np.empty_like(fwd)
             back[fwd] = np.arange(len(fwd))
-            return ScanOrder(order.length, fwd, back, order.descriptor + "~relabel")
+            return ScanOrder(fwd, back, order.descriptor + "~relabel")
 
         # the branch must scan the relabeled pixels in the relabeled orders
         for make in (global_order, local_patch_order):
@@ -165,26 +164,26 @@ class TestSpectralCubeSsm:
         set_value(w, "blk/cx/b_b", np.zeros((1, BLOCK.state_size)))
         set_value(w, "blk/cx/d", np.zeros(1))
         x = np.random.default_rng(9).random((4, 4, 4))
-        out = spectral_cube_ssm(ad.constant(x), w, "blk/cx", BLOCK_CUBE)
+        out = spectral_cube_ssm(ad.constant(x), w, "blk/cx", BLOCK.patch, BLOCK.cube)
         assert np.array_equal(out.value, x)
 
     def test_shape_preserved(self):
         w = block_weights()
         x = np.random.default_rng(10).random((4, 6, 4))
-        assert spectral_cube_ssm(ad.constant(x), w, "blk/cx", BLOCK_CUBE).shape == (4, 6, 4)
+        assert spectral_cube_ssm(ad.constant(x), w, "blk/cx", BLOCK.patch, BLOCK.cube).shape == (4, 6, 4)
 
     def test_cube_spec_changes_output(self):
         w = block_weights()
         x = np.random.default_rng(11).random((4, 4, 4))
         # depth-2 blocks vs full-spectrum cubes give materially different orders
-        a = spectral_cube_ssm(ad.constant(x), w, "blk/cx", CubeSpec(2, 1, 1, 2)).value
-        b = spectral_cube_ssm(ad.constant(x), w, "blk/cx", CubeSpec(2, 1, 1, 4)).value
+        a = spectral_cube_ssm(ad.constant(x), w, "blk/cx", 2, (1, 1, 2)).value
+        b = spectral_cube_ssm(ad.constant(x), w, "blk/cx", 2, (1, 1, 4)).value
         assert not np.allclose(a, b)
 
     def test_divisibility_violation(self):
         w = block_weights()
         with pytest.raises(ValueError, match="divide"):
-            spectral_cube_ssm(ad.constant(np.zeros((3, 4, 4))), w, "blk/cx", BLOCK_CUBE)
+            spectral_cube_ssm(ad.constant(np.zeros((3, 4, 4))), w, "blk/cx", BLOCK.patch, BLOCK.cube)
 
     def test_gradcheck(self):
         w = block_weights()
@@ -192,7 +191,7 @@ class TestSpectralCubeSsm:
         proj = rng.normal(size=(4, 4, 4))
 
         def f(t):
-            return ad.sum_all(ad.mul(spectral_cube_ssm(t, w, "blk/cx", BLOCK_CUBE),
+            return ad.sum_all(ad.mul(spectral_cube_ssm(t, w, "blk/cx", BLOCK.patch, BLOCK.cube),
                                      ad.constant(proj)))
 
         assert ad.finite_diff_check(f, rng.random((4, 4, 4))) <= 1e-4
@@ -237,7 +236,7 @@ class TestBlockComposition:
         g1 = ad.layer_norm(xn, w["blk/ln1/g"], w["blk/ln1/b"])
         y1 = ad.add(xn, spatial_ssm(g1, w, "blk/sp", BLOCK.patch))
         g2 = ad.layer_norm(y1, w["blk/ln2/g"], w["blk/ln2/b"])
-        y2 = spectral_cube_ssm(g2, w, "blk/cx", BLOCK_CUBE)
+        y2 = spectral_cube_ssm(g2, w, "blk/cx", BLOCK.patch, BLOCK.cube)
         y3 = gated_ffn(y2, w, "blk/ffn")
         assert np.array_equal(got, y3.value)
         # internal residuals hold at the hook points

@@ -19,18 +19,19 @@ def local_order_loop_oracle(height, width, patch):
     return np.array(out)
 
 
-def cross_order_loop_oracle(height, width, channels, spec):
+def cross_order_loop_oracle(height, width, channels, patch, cube):
     """Literal enumeration matching the documented cross-cube nesting."""
+    ch, cw, cd = cube
     plane = height * width
     out = []
-    for pr in range(0, height, spec.patch):
-        for pc in range(0, width, spec.patch):
-            for b0 in range(0, channels, spec.c):
-                for cr in range(pr, pr + spec.patch, spec.h):
-                    for cc in range(pc, pc + spec.patch, spec.w):
-                        for r in range(cr, cr + spec.h):
-                            for x in range(cc, cc + spec.w):
-                                for b in range(b0, b0 + spec.c):
+    for pr in range(0, height, patch):
+        for pc in range(0, width, patch):
+            for b0 in range(0, channels, cd):
+                for cr in range(pr, pr + patch, ch):
+                    for cc in range(pc, pc + patch, cw):
+                        for r in range(cr, cr + ch):
+                            for x in range(cc, cc + cw):
+                                for b in range(b0, b0 + cd):
                                     out.append(b * plane + r * width + x)
     return np.array(out)
 
@@ -84,31 +85,32 @@ class TestLocalPatchOrder:
 
 class TestCrossCubeOrder:
     def test_enumerated_fixture(self):
-        spec = scans.CubeSpec(patch=2, h=1, w=2, c=2)
-        got = scans.cross_cube_order(2, 2, 2, spec).forward.tolist()
+        patch, cube = 2, (1, 2, 2)
+        got = scans.cross_cube_order(2, 2, 2, patch, cube).forward.tolist()
         assert got == [0, 4, 1, 5, 2, 6, 3, 7]
-        assert got == cross_order_loop_oracle(2, 2, 2, spec).tolist()
+        assert got == cross_order_loop_oracle(2, 2, 2, patch, cube).tolist()
 
+    # spec is (patch, cube)
     @pytest.mark.parametrize("h,w,c,spec", [
-        (4, 4, 4, scans.CubeSpec(4, 2, 2, 2)),
-        (8, 4, 2, scans.CubeSpec(4, 2, 2, 2)),
-        (4, 4, 8, scans.CubeSpec(2, 1, 2, 4)),
-        (8, 8, 4, scans.CubeSpec(4, 4, 4, 4)),
+        (4, 4, 4, (4, (2, 2, 2))),
+        (8, 4, 2, (4, (2, 2, 2))),
+        (4, 4, 8, (2, (1, 2, 4))),
+        (8, 8, 4, (4, (4, 4, 4))),
     ])
     def test_matches_loop_oracle(self, h, w, c, spec):
-        got = scans.cross_cube_order(h, w, c, spec).forward
-        assert np.array_equal(got, cross_order_loop_oracle(h, w, c, spec))
+        got = scans.cross_cube_order(h, w, c, *spec).forward
+        assert np.array_equal(got, cross_order_loop_oracle(h, w, c, *spec))
 
     def test_degenerate_per_pixel_spectral(self):
-        spec = scans.CubeSpec(patch=4, h=1, w=1, c=4)
-        got = scans.cross_cube_order(4, 4, 4, spec).forward
+        patch, cube = 4, (1, 1, 4)
+        got = scans.cross_cube_order(4, 4, 4, patch, cube).forward
         assert np.array_equal(got, scans.spectral_scan_order(4, 4, 4).forward)
 
     def test_degenerate_single_cube_per_patch(self):
         # cube fills the patch: plain patch-local spatial walk with the
         # per-pixel channel run
-        spec = scans.CubeSpec(patch=2, h=2, w=2, c=2)
-        got = scans.cross_cube_order(2, 2, 2, spec).forward.tolist()
+        patch, cube = 2, (2, 2, 2)
+        got = scans.cross_cube_order(2, 2, 2, patch, cube).forward.tolist()
         want = []
         for r in range(2):
             for x in range(2):
@@ -118,12 +120,12 @@ class TestCrossCubeOrder:
 
     def test_divisibility_error(self):
         with pytest.raises(ValueError, match="divide"):
-            scans.cross_cube_order(4, 4, 3, scans.CubeSpec(4, 2, 2, 2))
+            scans.cross_cube_order(4, 4, 3, 4, (2, 2, 2))
 
     @pytest.mark.parametrize("h,w,c", [(-4, 4, 2), (4, 0, 2), (4, 4, 0), (4, 4, -2)])
     def test_dims_below_one_rejected(self, h, w, c):
         with pytest.raises(ValueError, match="dims must be positive"):
-            scans.cross_cube_order(h, w, c, scans.CubeSpec(2, 1, 1, 2))
+            scans.cross_cube_order(h, w, c, 2, (1, 1, 2))
 
 
 class TestValidateOrder:
@@ -131,7 +133,7 @@ class TestValidateOrder:
         for order in (
             scans.global_order(5, 7),
             scans.local_patch_order(8, 8, 4, reverse=True),
-            scans.cross_cube_order(4, 4, 4, scans.CubeSpec(4, 2, 2, 2)),
+            scans.cross_cube_order(4, 4, 4, 4, (2, 2, 2)),
             scans.spectral_scan_order(3, 5, 6),
         ):
             report = scans.validate_order(order)
@@ -143,24 +145,24 @@ class TestValidateOrder:
     def test_cross_cube_beats_naive_spectral_scan(self):
         # whole-image patch with shallow cubes: the cross order keeps
         # correlated samples close, the plain spectral scan does not
-        for h, w, c, spec in [
-            (8, 8, 8, scans.CubeSpec(8, 2, 2, 2)),
-            (4, 4, 8, scans.CubeSpec(4, 2, 2, 4)),
-            (8, 8, 4, scans.CubeSpec(8, 1, 2, 2)),
+        for h, w, c, patch, cube in [
+            (8, 8, 8, 8, (2, 2, 2)),
+            (4, 4, 8, 4, (2, 2, 4)),
+            (8, 8, 4, 8, (1, 2, 2)),
         ]:
-            cross = scans.validate_order(scans.cross_cube_order(h, w, c, spec))
+            cross = scans.validate_order(scans.cross_cube_order(h, w, c, patch, cube))
             naive = scans.validate_order(scans.spectral_scan_order(h, w, c))
             assert cross.max_neighbor_distance <= naive.max_neighbor_distance
 
     def test_broken_order_reported(self):
-        bad = scans.ScanOrder(3, np.array([0, 0, 2]), np.array([0, 1, 2]), "bad")
+        bad = scans.ScanOrder(np.array([0, 0, 2]), np.array([0, 1, 2]), "bad")
         assert not scans.validate_order(bad).is_bijection
 
 
 class TestDeterminismAndCache:
     def test_pure_function_of_parameters(self):
-        a = scans.cross_cube_order(4, 4, 4, scans.CubeSpec(4, 2, 2, 2))
-        b = scans.cross_cube_order(4, 4, 4, scans.CubeSpec(4, 2, 2, 2))
+        a = scans.cross_cube_order(4, 4, 4, 4, (2, 2, 2))
+        b = scans.cross_cube_order(4, 4, 4, 4, (2, 2, 2))
         assert a is b  # cached by descriptor
         assert np.array_equal(a.forward, b.forward)
 
@@ -173,7 +175,7 @@ class TestDeterminismAndCache:
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3))
     def test_random_dims_bijection_property(self, ph, pw, c):
         h, w = 2 * ph, 2 * pw
-        order = scans.cross_cube_order(h, w, 2 * c, scans.CubeSpec(2, 1, 1, c))
+        order = scans.cross_cube_order(h, w, 2 * c, 2, (1, 1, c))
         assert scans.validate_order(order).is_bijection
         assert scans.validate_order(scans.local_patch_order(h, w, 2)).is_bijection
         assert scans.validate_order(scans.global_order(h, w, reverse=True)).is_bijection

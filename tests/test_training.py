@@ -1,6 +1,8 @@
 """Masked-training mechanics: exact mask counts, fixed-mask reuse, and the
 gradient-descent loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,35 @@ class TestTrainStep:
         weights["shared/out/b"].value = np.array([np.nan, 0.0])
         with pytest.raises(FloatingPointError, match="shared/out/b"):
             training.train_step([(cube, op)], weights, cfg, training.TrainConfig())
+
+
+class TestDivergence:
+    """A run whose weights blow up is reported as divergence at its step, silently."""
+
+    NET = UNetConfig(bands=4, base_channels=8, levels=1, blocks_per_level=1,
+                     patch=4, cube=(2, 2, 2), state_size=4, expansion=2)
+
+    def run_masked(self, lr):
+        cfg = unfolding.UnfoldConfig(stages=3, net=self.NET, share_weights=True)
+        weights = unfolding.init_weights(cfg, seed=23, zero_residual=False)
+        op = cassi.SensingOperator(toy_mask(16, 16, seed=22), 2, 4)
+        batch = [(toy_scene(16, 16, 4, seed=s), op) for s in (1, 2)]
+        tc = training.TrainConfig(learning_rate=lr, steps=4, masked=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FloatingPointError) as err:
+                training.train(batch, weights, cfg, tc)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        return str(err.value)
+
+    def test_overflow_reported_at_its_step(self):
+        assert self.run_masked(1.0) == \
+            "training diverged at step 2: overflow encountered in exp"
+
+    def test_underflowed_stage_penalty_reported_at_its_step(self):
+        # softplus(alpha_raw) reaches exactly 0 without any floating-point flag
+        assert self.run_masked(0.2) == \
+            "training diverged at step 3: stage 0 penalty mu underflowed to 0"
 
 
 class TestMaskedMode:
