@@ -26,7 +26,6 @@ Array = np.ndarray
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 LAYER_NORM_EPS = 1e-6
-FD_EPS = 1e-6           # central-difference step of `finite_diff_check`
 
 
 class Node:
@@ -198,15 +197,6 @@ def phi1(a) -> Node:
 # ---------------------------------------------------------------------------
 # reductions and shape ops
 
-def sum_all(a) -> Node:
-    a = as_node(a)
-
-    def backward(g):
-        a.accumulate(np.full_like(a.value, float(g)))
-
-    return _make(np.asarray(a.value.sum()), (a,), backward)
-
-
 def mean_all(a) -> Node:
     a = as_node(a)
     n = a.value.size
@@ -285,7 +275,9 @@ def gather_last(a, forward_idx, inverse_idx) -> Node:
     L = a.shape[-1]
     if len(forward_idx) != L:
         raise ValueError(f"order length {len(forward_idx)} does not match axis length {L}")
-    out_value = a.value[..., forward_idx]
+    # np.take returns a C-ordered copy; fancy indexing gives an F-ordered
+    # one here, which Node would copy a second time
+    out_value = np.take(a.value, forward_idx, axis=-1)
 
     def backward(g):
         a.accumulate(g[..., inverse_idx])
@@ -563,33 +555,3 @@ def backward(loss: Node) -> None:
         if node._parents:
             node.grad = None
 
-
-def finite_diff_check(f, theta: Array) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    `f` maps a Node wrapping `theta` to a scalar Node.  Each coordinate is
-    bumped by +-FD_EPS, and its error is |analytic - fd| / max(1, |analytic|).
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    leaf = parameter(theta.copy())
-    loss = f(leaf)
-    if not np.isfinite(loss.value):
-        raise ValueError("function value is not finite")
-    backward(loss)
-    analytic = leaf.grad if leaf.grad is not None else np.zeros_like(theta)
-
-    flat = theta.reshape(-1)
-    worst = 0.0
-    ana_flat = analytic.reshape(-1)
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] += FD_EPS
-        hi = float(f(constant(bumped.reshape(theta.shape))).value)
-        bumped[i] -= 2 * FD_EPS
-        lo = float(f(constant(bumped.reshape(theta.shape))).value)
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise ValueError("function value is not finite")
-        fd = (hi - lo) / (2 * FD_EPS)
-        err = abs(ana_flat[i] - fd) / max(1.0, abs(ana_flat[i]))
-        worst = max(worst, err)
-    return worst

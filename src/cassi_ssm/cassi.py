@@ -16,7 +16,6 @@ import numpy as np
 
 from . import autodiff as ad
 
-DENSE_ORACLE_LIMIT = 4096
 MAX_NOISE_BITS = 16
 
 
@@ -112,24 +111,6 @@ def phi_diag(op: SensingOperator) -> np.ndarray:
     """
     m2 = op.mask * op.mask
     return _detector_sum(lambda b: m2, op)
-
-
-def build_dense_phi(op: SensingOperator) -> np.ndarray:
-    """Explicit Phi matrix, [H*W', H*W*bands]; test oracle for the operator.
-
-    Columns follow the band-major cube flattening b*H*W + r*W + x, rows the
-    row-major measurement flattening r*W' + col.
-    """
-    n = op.height * op.width * op.bands
-    if n > DENSE_ORACLE_LIMIT:
-        raise ValueError(f"dense oracle limited to {DENSE_ORACLE_LIMIT} unknowns, got {n}")
-    h, w, wp, d = op.height, op.width, op.detector_width, op.shift_step
-    phi = np.zeros((h * wp, n))
-    for b in range(op.bands):
-        for r in range(h):
-            for x in range(w):
-                phi[r * wp + d * b + x, b * h * w + r * w + x] = op.mask[r, x]
-    return phi
 
 
 def noise_bits(value) -> int:

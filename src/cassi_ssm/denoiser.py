@@ -82,9 +82,6 @@ class ModelWeights:
     def __getitem__(self, name: str) -> ad.Node:
         return self._store[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._store
-
     def items(self):
         return self._store.items()
 

@@ -145,9 +145,13 @@ def config_digest(config: UnfoldConfig) -> bytes:
 def _mask_meta(mask: FeatureMask) -> np.ndarray:
     """Eight little-endian 16-bit words, each exact in float32: the float64
     bits of zero_ratio, then the seed as a uint64."""
-    seed = feature_mask_seed(mask.seed)
-    words = np.frombuffer(struct.pack("<dQ", float(mask.zero_ratio), seed), dtype="<u2")
+    words = np.frombuffer(struct.pack("<dQ", float(mask.zero_ratio), mask.seed), dtype="<u2")
     return words.astype(np.float64)
+
+
+def _u16_words(words: np.ndarray) -> bool:
+    """True when every entry is an integer in [0, 0xFFFF], as the writers store them."""
+    return np.array_equal(words, words.astype("<u2"))
 
 
 def _load_mask(path, arrays: dict, version: int) -> FeatureMask | None:
@@ -159,9 +163,9 @@ def _load_mask(path, arrays: dict, version: int) -> FeatureMask | None:
     if values is None or meta is None:
         raise FileFormatError(
             f"{path}: feature mask needs both {MASK_VALUES_KEY!r} and {MASK_META_KEY!r}")
-    if version == 1 and meta.shape == (3,):
+    if version == 1 and meta.shape == (3,) and _u16_words(meta[1:]):
         ratio, seed = float(meta[0]), int(meta[1]) | (int(meta[2]) << 16)
-    elif version != 1 and meta.shape == (8,) and np.array_equal(meta, meta.astype("<u2")):
+    elif version != 1 and meta.shape == (8,) and _u16_words(meta):
         ratio, seed = struct.unpack("<dQ", meta.astype("<u2").tobytes())
     else:
         raise FileFormatError(f"{path}: malformed feature-mask metadata")
@@ -372,6 +376,8 @@ def parse_config_file(path) -> dict:
         key, value = (part.strip() for part in text.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
             out[key] = _CONFIG_KEYS[key](value)
         except ValueError as exc:

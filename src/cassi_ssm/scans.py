@@ -105,19 +105,6 @@ def cross_cube_order(height: int, width: int, channels: int, patch: int,
     return _finish(desc, idx.transpose(2, 5, 0, 3, 6, 4, 7, 1).reshape(-1))
 
 
-@functools.cache
-def spectral_scan_order(height: int, width: int, channels: int) -> ScanOrder:
-    """Plain per-pixel spectral scan: full spectrum of each pixel in row-major order.
-
-    Used as the locality baseline the cross-cube order is compared against.
-    """
-    desc = f"spectral:{height}x{width}x{channels}"
-    plane = height * width
-    pix = np.arange(plane, dtype=np.intp)
-    fwd = (pix[:, None] + np.arange(channels, dtype=np.intp)[None, :] * plane).reshape(-1)
-    return _finish(desc, fwd)
-
-
 def validate_order(order: ScanOrder) -> OrderReport:
     """Check bijectivity and report the largest flat-index jump between neighbors."""
     fwd = order.forward

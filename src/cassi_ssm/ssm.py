@@ -1,44 +1,16 @@
-"""State-space primitive: ZOH discretization and the selective scan.
+"""State-space primitive: the selective scan.
 
 The continuous dynamics h'(t) = A h(t) + B x(t), y = C h + D x are run as a
 discrete recurrence after zero-order-hold discretization.  A is diagonal
 with negative entries, and B, C, Delta vary per token (input-dependent
 selection), which is what makes the scan "selective".
 
-`selective_scan` is differentiable end to end; `naive_scan_oracle` is the
-literal reference loop it is verified against.  `discretize_zoh` and
-`naive_scan_oracle` deliberately share no code with `ad.phi1` and
-`selective_scan`: they are the independent oracle those are checked
-against, so the ZOH formula is written twice on purpose.
+`selective_scan` is differentiable end to end.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import autodiff as ad
-
-ZOH_SERIES_GUARD = 1e-8
-
-
-def discretize_zoh(a, b, delta):
-    """Zero-order-hold discretization, per element over broadcastable arrays.
-
-    abar = exp(delta*a); bbar = (delta*a)^-1 (exp(delta*a) - 1) * delta*b,
-    with the analytic limit delta*b used when |delta*a| < 1e-8.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    if (delta <= 0).any():
-        raise ValueError("delta must be positive")
-    da = delta * a
-    abar = np.exp(da)
-    small = np.abs(da) < ZOH_SERIES_GUARD
-    safe = np.where(small, 1.0, da)
-    factor = np.where(small, 1.0, np.expm1(da) / safe)
-    bbar = factor * delta * b
-    return abar, bbar
 
 
 def selective_scan(x, a, b, c, delta, d) -> "ad.Node":
@@ -72,45 +44,3 @@ def selective_scan(x, a, b, c, delta, d) -> "ad.Node":
     x_e = ad.repeat_expand(x, 2, nstate)
     y = ad.linear_scan(abar, ad.mul(bbar, x_e), c)
     return ad.add(y, ad.mul(x, ad.repeat_expand(d, 1, length)))
-
-
-def naive_scan_oracle(x, abar, bbar, c, d) -> np.ndarray:
-    """Literal recurrence over explicit discrete per-token parameters.
-
-    x [L], abar/bbar/c [L, N], d scalar.  No algebraic shortcuts; this is
-    the ground truth selective_scan is checked against.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    abar = np.asarray(abar, dtype=np.float64)
-    if x.ndim != 1 or abar.shape[0] != x.shape[0]:
-        raise ValueError(f"sequence lengths disagree: x {x.shape}, abar {abar.shape}")
-    length, nstate = abar.shape
-    h = np.zeros(nstate)
-    y = np.empty(length)
-    for t in range(length):
-        h = abar[t] * h + bbar[t] * x[t]
-        y[t] = float(np.dot(c[t], h)) + d * x[t]
-    return y
-
-
-def continuous_response_check(a, b, c, d, u: float, delta: float, steps: int) -> float:
-    """Max deviation between the ZOH trajectory and the exact continuous response.
-
-    For a constant input u the ZOH discretization is exact, so the sampled
-    outputs must match y(t_k) with h(t) = A^-1 (e^{At} - I) B u at
-    t_k = k*delta, independent of delta.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    abar, bbar = discretize_zoh(a, b, delta)
-    h = np.zeros_like(a)
-    worst = 0.0
-    for k in range(1, steps + 1):
-        h = abar * h + bbar * u
-        t = k * delta
-        h_exact = (np.exp(a * t) - 1.0) / a * b * u
-        y_disc = float(np.dot(c, h)) + d * u
-        y_exact = float(np.dot(c, h_exact)) + d * u
-        worst = max(worst, abs(y_disc - y_exact))
-    return worst

@@ -23,8 +23,9 @@ from .unfolding import UnfoldConfig, reconstruct_node
 class FeatureMask:
     """Spatial 0-1 mask with an exact number of zeros.
 
-    values is [H, W] holding only 0.0 and 1.0, and the zero count equals
-    round(zero_ratio * H * W); construction refuses anything else.
+    values is [H, W] holding only 0.0 and 1.0, the zero count equals
+    round(zero_ratio * H * W), and seed lies in [0, 2**64); construction
+    refuses anything else.
     """
 
     values: np.ndarray
@@ -33,6 +34,7 @@ class FeatureMask:
 
     def __post_init__(self):
         ratio = zero_ratio(self.zero_ratio)
+        object.__setattr__(self, "seed", feature_mask_seed(self.seed))
         v = np.ascontiguousarray(self.values, dtype=np.float64)
         if v.ndim != 2:
             raise ValueError(f"feature mask must be [H, W], got shape {v.shape}")

@@ -84,19 +84,6 @@ def data_step(z: np.ndarray, y: np.ndarray, op: cassi.SensingOperator, mu: float
     return data_step_node(ad.constant(z), y, op, float(mu)).value
 
 
-def dense_oracle_data_step(z: np.ndarray, y: np.ndarray, op: cassi.SensingOperator,
-                           mu: float) -> np.ndarray:
-    """Ground truth for data_step: solve (Phi^T Phi + mu I) x = Phi^T y + mu z densely."""
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    phi = cassi.build_dense_phi(op)
-    n = phi.shape[1]
-    rhs = phi.T @ np.asarray(y, dtype=np.float64).ravel() + mu * np.asarray(z, dtype=np.float64).ravel()
-    system = phi.T @ phi + mu * np.eye(n)
-    x = np.linalg.solve(system, rhs)
-    return x.reshape(op.bands, op.height, op.width)
-
-
 def reconstruct_node(y: np.ndarray, op: cassi.SensingOperator, weights: ModelWeights,
                      config: UnfoldConfig, feature_mask=None) -> "ad.Node":
     """Build the full unfolding graph; returns the clamped stage-K estimate."""

@@ -23,6 +23,9 @@ from cassi_ssm.denoiser import (
     spectral_cube_ssm,
 )
 from cassi_ssm.demo import toy_mask, toy_scene
+from oracles import (
+    build_dense_phi, continuous_response_check, dense_oracle_data_step, discretize_zoh,
+    finite_diff_check, naive_scan_oracle, spectral_scan_order, ssim_loop_oracle, total)
 
 GRAD_TOL = 1e-4
 
@@ -66,7 +69,7 @@ def test_criterion_02_gram_structure():
     worst_diag = 0.0
     for _ in range(100):
         op = random_operator(rng)
-        phi = cassi.build_dense_phi(op)
+        phi = build_dense_phi(op)
         gram = phi @ phi.T
         off = gram - np.diag(np.diag(gram))
         assert np.abs(off).max() == 0.0
@@ -86,7 +89,7 @@ def test_criterion_03_data_step_oracle():
         y = rng.random((4, op.detector_width))
         for mu in (0.1, 1.0, 10.0):
             got = unfolding.data_step(z, y, op, mu)
-            want = unfolding.dense_oracle_data_step(z, y, op, mu)
+            want = dense_oracle_data_step(z, y, op, mu)
             worst = max(worst, np.abs(got - want).max() / max(1.0, np.abs(want).max()))
     elapsed = time.time() - start
     assert worst <= 1e-8
@@ -116,7 +119,7 @@ def test_criterion_04_scan_engine():
                                  (4, 4, 8, 4, (2, 2, 4)),
                                  (8, 8, 4, 8, (1, 2, 2))]:
         cross = scans.validate_order(scans.cross_cube_order(h, w, c, patch, cube)).max_neighbor_distance
-        naive = scans.validate_order(scans.spectral_scan_order(h, w, c)).max_neighbor_distance
+        naive = scans.validate_order(spectral_scan_order(h, w, c)).max_neighbor_distance
         assert cross <= naive
         margins.append(f"{cross}<={naive}")
     report(4, f"bijections + fixtures verified; locality margins {', '.join(margins)}")
@@ -136,8 +139,8 @@ def test_criterion_05_ssm_correctness():
         d = float(rng.normal())
         got = ssm.selective_scan(x[None], a[None], b[None], c[None], delta[None],
                                  np.array([d])).value[0]
-        abar, bbar = ssm.discretize_zoh(a[None, :], b, delta[:, None])
-        want = ssm.naive_scan_oracle(x, abar, bbar, c, d)
+        abar, bbar = discretize_zoh(a[None, :], b, delta[:, None])
+        want = naive_scan_oracle(x, abar, bbar, c, d)
         worst = max(worst, np.abs(got - want).max() / max(1.0, np.abs(want).max()))
     assert worst <= 1e-12
 
@@ -148,9 +151,9 @@ def test_criterion_05_ssm_correctness():
         a = -rng.uniform(0.2, 3.0, size=n)
         b = rng.normal(size=n)
         c = rng.normal(size=n)
-        dev = ssm.continuous_response_check(a, b, c, float(rng.normal()),
-                                            u=float(rng.normal()),
-                                            delta=float(rng.uniform(0.05, 1.0)), steps=16)
+        dev = continuous_response_check(a, b, c, float(rng.normal()),
+                                        u=float(rng.normal()),
+                                        delta=float(rng.uniform(0.05, 1.0)), steps=16)
         worst_zoh = max(worst_zoh, dev)
     assert worst_zoh <= 1e-9
     report(5, f"scan vs naive defect {worst:.2e}; ZOH vs analytic {worst_zoh:.2e}")
@@ -164,17 +167,17 @@ def test_criterion_06_differentiability():
     # conv2d
     x = rng.normal(size=(2, 5, 5))
     proj = rng.normal(size=(3, 5, 5))
-    results["conv2d"] = ad.finite_diff_check(
-        lambda w: ad.sum_all(ad.mul(ad.conv2d(ad.constant(x), w, ad.constant(np.zeros(3))),
-                                    ad.constant(proj))),
+    results["conv2d"] = finite_diff_check(
+        lambda w: total(ad.mul(ad.conv2d(ad.constant(x), w, ad.constant(np.zeros(3))),
+                            ad.constant(proj))),
         rng.normal(size=(3, 2, 3, 3)))
 
     # gather_last
     order = scans.local_patch_order(4, 4, 2, reverse=True)
     gproj = rng.normal(size=16)
-    results["gather_last"] = ad.finite_diff_check(
-        lambda t: ad.sum_all(ad.mul(ad.gather_last(t, order.forward, order.inverse),
-                                    ad.constant(gproj))),
+    results["gather_last"] = finite_diff_check(
+        lambda t: total(ad.mul(ad.gather_last(t, order.forward, order.inverse),
+                            ad.constant(gproj))),
         rng.normal(size=16))
 
     # selective_scan (through input, selection and timescale), as a batch of one
@@ -189,9 +192,9 @@ def test_criterion_06_differentiability():
     def scan_input(t):
         y = ssm.selective_scan(t, ad.constant(sa), ad.constant(sb), ad.constant(sc),
                                ad.constant(sdelta), np.array([0.4]))
-        return ad.sum_all(ad.mul(y, ad.constant(sproj)))
+        return total(ad.mul(y, ad.constant(sproj)))
 
-    results["selective_scan"] = ad.finite_diff_check(scan_input, sx)
+    results["selective_scan"] = finite_diff_check(scan_input, sx)
 
     # block pieces on 4x4x4 features
     from cassi_ssm.denoiser import _init_block
@@ -202,15 +205,15 @@ def test_criterion_06_differentiability():
     feat = rng.random((4, 4, 4))
     fproj = rng.normal(size=(4, 4, 4))
 
-    results["gdffn"] = ad.finite_diff_check(
-        lambda t: ad.sum_all(ad.mul(gated_ffn(t, bw, "blk/ffn"), ad.constant(fproj))),
+    results["gdffn"] = finite_diff_check(
+        lambda t: total(ad.mul(gated_ffn(t, bw, "blk/ffn"), ad.constant(fproj))),
         feat)
-    results["le_ssm"] = ad.finite_diff_check(
-        lambda t: ad.sum_all(ad.mul(spatial_ssm(t, bw, "blk/sp", patch=2), ad.constant(fproj))),
+    results["le_ssm"] = finite_diff_check(
+        lambda t: total(ad.mul(spatial_ssm(t, bw, "blk/sp", patch=2), ad.constant(fproj))),
         feat)
-    results["cs_ssm"] = ad.finite_diff_check(
-        lambda t: ad.sum_all(ad.mul(spectral_cube_ssm(t, bw, "blk/cx", 2, (1, 1, 2)),
-                                    ad.constant(fproj))),
+    results["cs_ssm"] = finite_diff_check(
+        lambda t: total(ad.mul(spectral_cube_ssm(t, bw, "blk/cx", 2, (1, 1, 2)),
+                            ad.constant(fproj))),
         feat)
 
     # full 1-level denoiser on an 8x8x2 input: input side and a weight tensor
@@ -220,9 +223,9 @@ def test_criterion_06_differentiability():
     mask = rng.random((8, 8))
     dproj = rng.normal(size=(2, 8, 8))
 
-    results["denoiser/input"] = ad.finite_diff_check(
-        lambda t: ad.sum_all(ad.mul(denoise(t, 0.3, mask, dw, NET_8X8X2, "net"),
-                                    ad.constant(dproj))),
+    results["denoiser/input"] = finite_diff_check(
+        lambda t: total(ad.mul(denoise(t, 0.3, mask, dw, NET_8X8X2, "net"),
+                            ad.constant(dproj))),
         rng.random((2, 8, 8)))
 
     x_fixed = rng.random((2, 8, 8))
@@ -232,12 +235,12 @@ def test_criterion_06_differentiability():
         original = dw._store["net/embed/proj_w"]
         dw._store["net/embed/proj_w"] = t
         try:
-            return ad.sum_all(ad.mul(denoise(x_fixed, 0.3, mask, dw, NET_8X8X2, "net"),
-                                     ad.constant(dproj)))
+            return total(ad.mul(denoise(x_fixed, 0.3, mask, dw, NET_8X8X2, "net"),
+                                ad.constant(dproj)))
         finally:
             dw._store["net/embed/proj_w"] = original
 
-    results["denoiser/weight"] = ad.finite_diff_check(
+    results["denoiser/weight"] = finite_diff_check(
         through_weight, dw["net/embed/proj_w"].value.copy())
 
     elapsed = time.time() - start
@@ -357,7 +360,6 @@ def test_criterion_10_metrics_oracles():
         pytest.approx(want, abs=1e-12)
 
     # definitional oracles
-    from test_metrics import ssim_loop_oracle
     worst = 0.0
     for seed in range(5):
         r = np.random.default_rng(seed)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cassi_ssm import autodiff as ad
 from cassi_ssm.scans import global_order, local_patch_order
+from oracles import finite_diff_check, total
 
 
 def conv2d_loop_oracle(x, w, bias=None, stride=1):
@@ -183,13 +184,13 @@ class TestBackward:
         rng = np.random.default_rng(1)
         xv, wv = rng.normal(size=7), rng.normal(size=7)
         w = ad.parameter(wv)
-        loss = ad.sum_all(ad.mul(w, ad.constant(xv)))
+        loss = total(ad.mul(w, ad.constant(xv)))
         ad.backward(loss)
         assert np.allclose(w.grad, xv)
 
     def test_quadratic(self):
         w = ad.parameter(np.array([1.0, -2.0, 3.0]))
-        loss = ad.scale(ad.sum_all(ad.mul(w, w)), 0.5)
+        loss = ad.scale(total(ad.mul(w, w)), 0.5)
         ad.backward(loss)
         assert np.allclose(w.grad, w.value)
 
@@ -209,10 +210,10 @@ class TestBackward:
 
         def f(theta):
             y = ad.gelu(ad.mul(ad.softplus(theta), ad.constant(rng2)))
-            return ad.sum_all(ad.mul(y, ad.constant(proj)))
+            return total(ad.mul(y, ad.constant(proj)))
 
         rng2 = rng.normal(size=(2, 4, 4))
-        err = ad.finite_diff_check(f, rng.normal(size=(2, 4, 4)))
+        err = finite_diff_check(f, rng.normal(size=(2, 4, 4)))
         assert err <= 1e-4
 
     def test_determinism(self):
@@ -227,16 +228,16 @@ class TestBackward:
 
 class TestFiniteDiffCheck:
     def test_quadratic_is_exact(self):
-        err = ad.finite_diff_check(lambda t: ad.scale(ad.sum_all(ad.mul(t, t)), 0.5),
-                                   np.array([0.3, -1.2, 2.0]))
+        err = finite_diff_check(lambda t: ad.scale(total(ad.mul(t, t)), 0.5),
+                                np.array([0.3, -1.2, 2.0]))
         assert err <= 1e-8
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_rejected(self):
         def f(t):
-            return ad.sum_all(ad.mul(ad.exp(ad.scale(t, 1e6)), t))
+            return total(ad.mul(ad.exp(ad.scale(t, 1e6)), t))
         with pytest.raises(ValueError, match="finite"):
-            ad.finite_diff_check(f, np.array([1.0]))
+            finite_diff_check(f, np.array([1.0]))
 
     def test_through_conv2d(self):
         rng = np.random.default_rng(7)
@@ -244,10 +245,10 @@ class TestFiniteDiffCheck:
         proj = rng.normal(size=(3, 5, 5))
 
         def f(w):
-            return ad.sum_all(ad.mul(ad.conv2d(ad.constant(x), w, ad.constant(np.zeros(3))),
-                                     ad.constant(proj)))
+            return total(ad.mul(ad.conv2d(ad.constant(x), w, ad.constant(np.zeros(3))),
+                                ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.normal(size=(3, 2, 3, 3))) <= 1e-4
+        assert finite_diff_check(f, rng.normal(size=(3, 2, 3, 3))) <= 1e-4
 
 
 class TestStructuralOps:
@@ -264,9 +265,9 @@ class TestStructuralOps:
 
         def f(t):
             top, _ = ad.split(t, [2, 2])
-            return ad.sum_all(ad.mul(top, ad.constant(proj)))
+            return total(ad.mul(top, ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.normal(size=(4, 2, 2))) <= 1e-4
+        assert finite_diff_check(f, rng.normal(size=(4, 2, 2))) <= 1e-4
 
     def test_repeat_expand_values_and_grad(self):
         v = np.array([1.0, 2.0])
@@ -274,9 +275,9 @@ class TestStructuralOps:
         assert out.shape == (2, 3) and np.array_equal(out.value, [[1, 1, 1], [2, 2, 2]])
 
         def f(t):
-            return ad.sum_all(ad.mul(ad.repeat_expand(t, 0, 4), ad.constant(np.arange(8.).reshape(4, 2))))
+            return total(ad.mul(ad.repeat_expand(t, 0, 4), ad.constant(np.arange(8.).reshape(4, 2))))
 
-        assert ad.finite_diff_check(f, v) <= 1e-8
+        assert finite_diff_check(f, v) <= 1e-8
 
     def test_layer_norm_grad(self):
         rng = np.random.default_rng(10)
@@ -285,10 +286,10 @@ class TestStructuralOps:
         proj = rng.normal(size=(4, 3, 3))
 
         def f(t):
-            return ad.sum_all(ad.mul(ad.layer_norm(t, ad.constant(g), ad.constant(b)),
-                                     ad.constant(proj)))
+            return total(ad.mul(ad.layer_norm(t, ad.constant(g), ad.constant(b)),
+                                ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.normal(size=(4, 3, 3))) <= 1e-4
+        assert finite_diff_check(f, rng.normal(size=(4, 3, 3))) <= 1e-4
 
     def test_layer_norm_affine_grad(self):
         rng = np.random.default_rng(12)
@@ -296,10 +297,10 @@ class TestStructuralOps:
         proj = rng.normal(size=(4, 3, 3))
 
         def f(t):
-            return ad.sum_all(ad.mul(ad.layer_norm(ad.constant(x), t, ad.constant(np.zeros(4))),
-                                     ad.constant(proj)))
+            return total(ad.mul(ad.layer_norm(ad.constant(x), t, ad.constant(np.zeros(4))),
+                                ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.normal(size=4)) <= 1e-4
+        assert finite_diff_check(f, rng.normal(size=4)) <= 1e-4
 
     def test_depthwise_matches_grouped_loop(self):
         rng = np.random.default_rng(13)
@@ -316,10 +317,10 @@ class TestStructuralOps:
         proj = rng.normal(size=(2, 4, 4))
 
         def f(w):
-            return ad.sum_all(ad.mul(ad.depthwise_conv2d(ad.constant(x), w, ad.constant(np.zeros(2))),
-                                     ad.constant(proj)))
+            return total(ad.mul(ad.depthwise_conv2d(ad.constant(x), w, ad.constant(np.zeros(2))),
+                                ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.normal(size=(2, 3, 3))) <= 1e-4
+        assert finite_diff_check(f, rng.normal(size=(2, 3, 3))) <= 1e-4
 
     def test_upsample_values_and_grad(self):
         x = np.arange(4.0).reshape(1, 2, 2)
@@ -331,9 +332,9 @@ class TestStructuralOps:
         proj = rng.normal(size=(1, 4, 4))
 
         def f(t):
-            return ad.sum_all(ad.mul(ad.upsample_nearest2x(t), ad.constant(proj)))
+            return total(ad.mul(ad.upsample_nearest2x(t), ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, x) <= 1e-8
+        assert finite_diff_check(f, x) <= 1e-8
 
     def test_phi1_values_and_grad(self):
         z = np.array([-2.0, -1e-12, 0.5])
@@ -345,10 +346,10 @@ class TestStructuralOps:
         proj = rng.normal(size=5)
 
         def f(t):
-            return ad.sum_all(ad.mul(ad.phi1(t), ad.constant(proj)))
+            return total(ad.mul(ad.phi1(t), ad.constant(proj)))
 
         theta = rng.uniform(0.1, 2.0, size=5) * np.sign(rng.normal(size=5))
-        assert ad.finite_diff_check(f, theta) <= 1e-4
+        assert finite_diff_check(f, theta) <= 1e-4
 
     def test_div_grad(self):
         rng = np.random.default_rng(17)
@@ -356,19 +357,19 @@ class TestStructuralOps:
         proj = rng.normal(size=6)
 
         def f(t):
-            return ad.sum_all(ad.mul(ad.div(ad.constant(proj), ad.add(t, ad.constant(denom))),
-                                     ad.constant(proj)))
+            return total(ad.mul(ad.div(ad.constant(proj), ad.add(t, ad.constant(denom))),
+                                ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.uniform(0.1, 1.0, size=6)) <= 1e-4
+        assert finite_diff_check(f, rng.uniform(0.1, 1.0, size=6)) <= 1e-4
 
     def test_softplus_exp_relu_grads(self):
         rng = np.random.default_rng(18)
         proj = rng.normal(size=8)
         for op in (ad.softplus, ad.exp, ad.relu, ad.gelu):
             def f(t, op=op):
-                return ad.sum_all(ad.mul(op(t), ad.constant(proj)))
+                return total(ad.mul(op(t), ad.constant(proj)))
             theta = rng.normal(size=8) + 0.05  # keep clear of the relu kink
-            assert ad.finite_diff_check(f, theta) <= 1e-4
+            assert finite_diff_check(f, theta) <= 1e-4
 
     def test_linear_scan_grads(self):
         rng = np.random.default_rng(19)
@@ -384,13 +385,13 @@ class TestStructuralOps:
                     args = {"abar": ad.constant(abar), "bx": ad.constant(bx),
                             "cseq": ad.constant(cseq)}
                     args[target] = t
-                    return ad.sum_all(ad.mul(ad.linear_scan(args["abar"], args["bx"], args["cseq"]),
-                                             ad.constant(proj)))
+                    return total(ad.mul(ad.linear_scan(args["abar"], args["bx"], args["cseq"]),
+                                        ad.constant(proj)))
                 return f
 
-            assert ad.finite_diff_check(wrap("abar"), abar) <= 1e-4
-            assert ad.finite_diff_check(wrap("bx"), bx) <= 1e-4
-            assert ad.finite_diff_check(wrap("cseq"), cseq) <= 1e-4
+            assert finite_diff_check(wrap("abar"), abar) <= 1e-4
+            assert finite_diff_check(wrap("bx"), bx) <= 1e-4
+            assert finite_diff_check(wrap("cseq"), cseq) <= 1e-4
 
     # lengths around the 8-step chunks of the parallel scan: inside one chunk,
     # on and just past chunk edges, and many chunks with a ragged tail
@@ -412,7 +413,7 @@ class TestStructuralOps:
             proj = rng.normal(size=(nb, length))
             leaves = [ad.parameter(v) for v in (abar, bx, cseq)]
             out = ad.linear_scan(*leaves)
-            ad.backward(ad.sum_all(ad.mul(out, ad.constant(proj))))
+            ad.backward(total(ad.mul(out, ad.constant(proj))))
             got = [out.value] + [leaf.grad for leaf in leaves]
             for what, g, want in zip(("out", "abar", "bx", "cseq"), got,
                                      linear_scan_loop_oracle(abar, bx, cseq, proj)):

@@ -1,14 +1,18 @@
 """Every field of a dataclass in `src/` is read somewhere in `src/`, and
-every top-level function and class in `src/` is named somewhere else.
+every top-level function, class and constant in `src/` is named by the
+code that runs the package.
 
 A field that no code reads is a setting that has no effect: a caller can
 set it and nothing changes.  The check is done with `ast`: a field counts
 as read when some attribute load in `src/` has its name.
 
-A top-level function or class that nothing names is code nothing runs.  It
-counts as named when a name, attribute, import or string constant in
-`src/`, `tests/` or `perfbench/` spells it outside its own definition;
-strings count because `perfbench/spans.py` looks functions up by name.
+A top-level name that nothing names is code nothing runs.  It counts as
+named when a name, attribute, import or string constant in `src/` or
+`perfbench/` spells it outside its own definition; strings count because
+`perfbench/spans.py` looks functions up by name.  `tests/` does not count:
+a function only tests call is a test helper, and its home is
+`tests/oracles.py`.  Dunder names such as `__version__` are read by
+tooling, not by code, and are not checked.
 """
 
 import ast
@@ -62,6 +66,20 @@ def test_no_dataclass_field_is_unread():
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+USERS = ("src", "perfbench")
+
+
+def defined_names(stmt: ast.stmt) -> set[str]:
+    """Names a top-level statement binds: a def, a class or a plain constant."""
+    if isinstance(stmt, DEFINITIONS):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return set()
+    return {t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")}
 
 
 def spelled_names(node: ast.AST) -> set[str]:
@@ -78,52 +96,61 @@ def spelled_names(node: ast.AST) -> set[str]:
     return names
 
 
-def unnamed_definitions(defining: dict, others) -> list[str]:
-    """Top-level defs of the `defining` trees (label -> tree) that no tree names.
+def unnamed_definitions(trees: dict) -> list[str]:
+    """Top-level names of `src/` trees that no `src/` or `perfbench/` tree names.
 
-    A definition's own body does not count, so recursion is not a use.
+    `trees` maps repo-relative paths to modules.  A definition's own
+    statement does not count, so recursion is not a use.
     """
     named, defined = set(), []
-    for label, tree in defining.items():
+    for path, tree in trees.items():
+        top = path.split("/", 1)[0]
+        if top not in USERS:
+            continue
         for stmt in tree.body:
-            own = stmt.name if isinstance(stmt, DEFINITIONS) else None
-            if own is not None:
-                defined.append((label, own))
-            named |= spelled_names(stmt) - {own}
-    for tree in others:
-        named |= spelled_names(tree)
-    return [f"{label}:{name}" for label, name in defined if name not in named]
+            own = defined_names(stmt) if top == "src" else set()
+            defined += [(path, name) for name in sorted(own)]
+            named |= spelled_names(stmt) - own
+    return [f"{path}:{name}" for path, name in defined if name not in named]
 
 
 def test_unnamed_definitions_detected():
     lib = ast.parse(
+        "__version__ = '1'\n"
+        "LIMIT = 4\n"
+        "UNUSED = 5\n"
+        "BENCH_ONLY: int = 6\n"
         "class Used:\n"
         "    pass\n"
         "class Orphan:\n"
         "    def method(self):\n"
         "        return Orphan()\n"
         "def helper():\n"
-        "    return Used()\n"
+        "    return Used(LIMIT)\n"
         "def recursive(n):\n"
         "    return recursive(n - 1) if n else 0\n"
         "def by_string():\n"
         "    pass\n"
         "def imported():\n"
+        "    pass\n"
+        "def tested_only():\n"
         "    pass\n")
-    caller = ast.parse(
+    bench = ast.parse(
         "from lib import imported\n"
         "import lib\n"
-        "lib.helper()\n"
+        "lib.helper(lib.BENCH_ONLY)\n"
         "getattr(lib, 'by_string')\n")
-    assert unnamed_definitions({"lib": lib}, [caller]) == ["lib:Orphan", "lib:recursive"]
+    test = ast.parse(
+        "import lib\n"
+        "lib.tested_only(lib.UNUSED, lib.Orphan, lib.recursive)\n")
+    trees = {"src/lib.py": lib, "perfbench/bench.py": bench, "tests/test_lib.py": test}
+    assert unnamed_definitions(trees) == [
+        "src/lib.py:UNUSED", "src/lib.py:Orphan", "src/lib.py:recursive", "src/lib.py:tested_only"]
 
 
 def test_every_top_level_definition_is_named():
-    def parse(paths):
-        return {str(p.relative_to(ROOT)): ast.parse(p.read_text(), filename=str(p))
-                for p in sorted(paths)}
-
-    src = parse(ROOT.glob("src/**/*.py"))
-    others = parse([*ROOT.glob("tests/**/*.py"), *ROOT.glob("perfbench/**/*.py")])
-    dead = unnamed_definitions(src, others.values())
-    assert not dead, "top-level definitions nothing names: " + ", ".join(dead)
+    paths = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("perfbench/**/*.py")])
+    trees = {p.relative_to(ROOT).as_posix(): ast.parse(p.read_text(), filename=str(p))
+             for p in paths}
+    dead = unnamed_definitions(trees)
+    assert not dead, "top-level names only tests or nothing name: " + ", ".join(dead)

@@ -20,6 +20,7 @@ from cassi_ssm.denoiser import (
     _init_block,
 )
 from cassi_ssm.scans import ScanOrder, global_order, local_patch_order
+from oracles import finite_diff_check, total
 
 TINY = UNetConfig(bands=2, base_channels=4, levels=1, blocks_per_level=1,
                   patch=2, cube=(1, 1, 2), state_size=2, expansion=1)
@@ -87,10 +88,10 @@ class TestEmbed:
         proj = rng.normal(size=(4, 4, 4))
 
         def f(t):
-            return ad.sum_all(ad.mul(embed_with_mask(t, mask, w, "net", sigma=0.2),
-                                     ad.constant(proj)))
+            return total(ad.mul(embed_with_mask(t, mask, w, "net", sigma=0.2),
+                                ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.random((2, 4, 4))) <= 1e-4
+        assert finite_diff_check(f, rng.random((2, 4, 4))) <= 1e-4
 
 
 class TestSpatialSsm:
@@ -152,9 +153,9 @@ class TestSpatialSsm:
         proj = rng.normal(size=(4, 4, 4))
 
         def f(t):
-            return ad.sum_all(ad.mul(spatial_ssm(t, w, "blk/sp", patch=2), ad.constant(proj)))
+            return total(ad.mul(spatial_ssm(t, w, "blk/sp", patch=2), ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.random((4, 4, 4))) <= 1e-4
+        assert finite_diff_check(f, rng.random((4, 4, 4))) <= 1e-4
 
 
 class TestSpectralCubeSsm:
@@ -191,10 +192,10 @@ class TestSpectralCubeSsm:
         proj = rng.normal(size=(4, 4, 4))
 
         def f(t):
-            return ad.sum_all(ad.mul(spectral_cube_ssm(t, w, "blk/cx", BLOCK.patch, BLOCK.cube),
-                                     ad.constant(proj)))
+            return total(ad.mul(spectral_cube_ssm(t, w, "blk/cx", BLOCK.patch, BLOCK.cube),
+                                ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.random((4, 4, 4))) <= 1e-4
+        assert finite_diff_check(f, rng.random((4, 4, 4))) <= 1e-4
 
 
 class TestGatedFfn:
@@ -221,9 +222,9 @@ class TestGatedFfn:
         proj = rng.normal(size=(4, 4, 4))
 
         def f(t):
-            return ad.sum_all(ad.mul(gated_ffn(t, w, "blk/ffn"), ad.constant(proj)))
+            return total(ad.mul(gated_ffn(t, w, "blk/ffn"), ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.random((4, 4, 4))) <= 1e-4
+        assert finite_diff_check(f, rng.random((4, 4, 4))) <= 1e-4
 
 
 class TestBlockComposition:
@@ -299,17 +300,17 @@ class TestDenoise:
         proj = rng.normal(size=(2, 8, 8))
 
         def f(t):
-            return ad.sum_all(ad.mul(denoise(t, 0.3, mask, w, TINY, "net"),
-                                     ad.constant(proj)))
+            return total(ad.mul(denoise(t, 0.3, mask, w, TINY, "net"),
+                                ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.random((2, 8, 8))) <= 1e-4
+        assert finite_diff_check(f, rng.random((2, 8, 8))) <= 1e-4
 
     def test_no_dead_parameters(self):
         w = tiny_weights(seed=23, zero_residual=False)
         rng = np.random.default_rng(24)
         x = rng.random((2, 8, 8))
         out = denoise(x, 0.4, rng.random((8, 8)), w, TINY, "net")
-        loss = ad.sum_all(ad.mul(out, ad.constant(rng.normal(size=out.shape))))
+        loss = total(ad.mul(out, ad.constant(rng.normal(size=out.shape))))
         ad.backward(loss)
         dead = [name for name, node in w.items()
                 if node.grad is None or not np.any(node.grad)]
@@ -321,5 +322,5 @@ class TestDenoise:
         sigma = ad.parameter(np.asarray(0.2))
         out = denoise(ad.constant(rng.random((2, 8, 8))), sigma, rng.random((8, 8)),
                       w, TINY, "net")
-        ad.backward(ad.sum_all(ad.mul(out, ad.constant(rng.normal(size=out.shape)))))
+        ad.backward(total(ad.mul(out, ad.constant(rng.normal(size=out.shape)))))
         assert sigma.grad is not None and float(sigma.grad) != 0.0

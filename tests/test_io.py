@@ -249,18 +249,35 @@ class TestWeightsFiles:
         with pytest.raises(fileio.FileFormatError, match="feature-mask"):
             fileio.load_weights(p)
 
-    def test_version_1_file_loads(self, tmp_path):
-        # version 1 stored the mask meta as [ratio, seed & 0xFFFF, seed >> 16];
-        # the version byte follows the magic
+    def save_version_1(self, path, meta):
+        """A version-1 file of the masked model with the given mask meta.
+
+        Version 1 stored the meta as [ratio, seed & 0xFFFF, seed >> 16 & 0xFFFF];
+        the version byte follows the magic.  Returns the model's config,
+        weight arrays and mask.
+        """
         cfg, weights, mask = self.make_model(masked=True)
         arrays = weights.arrays()
         weights.add(fileio.MASK_VALUES_KEY, mask.values)
-        weights.add(fileio.MASK_META_KEY, np.array([0.5, 77, 3], dtype=np.float64))
-        p = tmp_path / "v1.csmw"
-        fileio.save_weights(p, weights, cfg)
-        raw = bytearray(p.read_bytes())
+        weights.add(fileio.MASK_META_KEY, np.array(meta, dtype=np.float64))
+        fileio.save_weights(path, weights, cfg)
+        raw = bytearray(path.read_bytes())
         raw[4] = 1
-        p.write_bytes(bytes(raw))
+        path.write_bytes(bytes(raw))
+        return cfg, arrays, mask
+
+    @pytest.mark.parametrize("meta", [[0.5, -3, 0], [0.5, 1.5, 0], [0.5, 70000, 0],
+                                      [0.5, 77, 70000]],
+                             ids=["negative", "fractional", "low-overflow", "high-overflow"])
+    def test_malformed_version_1_mask_meta_rejected(self, tmp_path, meta):
+        p = tmp_path / "v1.csmw"
+        self.save_version_1(p, meta)
+        with pytest.raises(fileio.FileFormatError, match="malformed feature-mask metadata"):
+            fileio.load_weights(p)
+
+    def test_version_1_file_loads(self, tmp_path):
+        p = tmp_path / "v1.csmw"
+        cfg, arrays, mask = self.save_version_1(p, [0.5, 77, 3])
         loaded = fileio.load_weights(p)
         assert loaded.config == cfg
         assert loaded.arrays.keys() == arrays.keys()
@@ -491,6 +508,13 @@ class TestConfigFile:
         p.write_text("warp_factor=9\n")
         with pytest.raises(ValueError, match="unknown config key"):
             fileio.parse_config_file(p)
+
+    def test_duplicate_key_names_path_and_line(self, tmp_path):
+        p = tmp_path / "dup.cfg"
+        p.write_text("patch=4\nstages=3\npatch=2\n")
+        with pytest.raises(ValueError, match="duplicate key 'patch'") as err:
+            fileio.parse_config_file(p)
+        assert str(err.value).startswith(f"{p}:3: ")
 
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "bad.cfg"

@@ -4,31 +4,7 @@ import numpy as np
 import pytest
 
 from cassi_ssm import metrics
-
-
-def ssim_loop_oracle(a, b, data_range):
-    """Literal windowed SSIM: explicit loops over every valid 11x11 window."""
-    k, sigma = 11, 1.5
-    ax = np.arange(k) - (k - 1) / 2.0
-    g1 = np.exp(-0.5 * (ax / sigma) ** 2)
-    win = np.outer(g1, g1)
-    win /= win.sum()
-    c1 = (0.01 * data_range) ** 2
-    c2 = (0.03 * data_range) ** 2
-    h, w = a.shape
-    vals = []
-    for i in range(h - k + 1):
-        for j in range(w - k + 1):
-            wa = a[i:i + k, j:j + k]
-            wb = b[i:i + k, j:j + k]
-            mu_a = (win * wa).sum()
-            mu_b = (win * wb).sum()
-            var_a = (win * (wa - mu_a) ** 2).sum()
-            var_b = (win * (wb - mu_b) ** 2).sum()
-            cov = (win * (wa - mu_a) * (wb - mu_b)).sum()
-            vals.append(((2 * mu_a * mu_b + c1) * (2 * cov + c2))
-                        / ((mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)))
-    return float(np.mean(vals))
+from oracles import ssim_loop_oracle
 
 
 class TestPsnr:

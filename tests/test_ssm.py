@@ -6,6 +6,8 @@ import pytest
 
 from cassi_ssm import autodiff as ad
 from cassi_ssm import ssm
+from oracles import (
+    continuous_response_check, discretize_zoh, finite_diff_check, naive_scan_oracle, total)
 
 
 def make_random_case(rng, length, nstate):
@@ -28,34 +30,34 @@ class TestDiscretizeZoh:
     def test_frozen_reference_values(self):
         # closed form at A=-1, B=1, delta=0.1:
         # abar = e^-0.1, bbar = (1 - e^-0.1)
-        abar, bbar = ssm.discretize_zoh(-1.0, 1.0, 0.1)
+        abar, bbar = discretize_zoh(-1.0, 1.0, 0.1)
         assert abar == pytest.approx(0.904837418, abs=1e-9)
         assert bbar == pytest.approx(0.0951625820, abs=1e-9)
 
     def test_small_argument_limit(self):
-        _, bbar = ssm.discretize_zoh(-1.0, 3.0, 1e-12)
+        _, bbar = discretize_zoh(-1.0, 3.0, 1e-12)
         assert bbar == pytest.approx(3.0 * 1e-12, rel=1e-9)
 
     def test_half_life(self):
-        abar, _ = ssm.discretize_zoh(-1.0, 1.0, float(np.log(2.0)))
+        abar, _ = discretize_zoh(-1.0, 1.0, float(np.log(2.0)))
         assert abar == pytest.approx(0.5, abs=1e-15)
 
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError, match="delta"):
-            ssm.discretize_zoh(-1.0, 1.0, 0.0)
+            discretize_zoh(-1.0, 1.0, 0.0)
 
     def test_discrete_transition_in_unit_interval(self):
         rng = np.random.default_rng(0)
         a = -rng.uniform(0.01, 5.0, size=50)
         delta = rng.uniform(1e-3, 2.0, size=50)
-        abar, _ = ssm.discretize_zoh(a, np.ones(50), delta)
+        abar, _ = discretize_zoh(a, np.ones(50), delta)
         assert ((abar > 0) & (abar < 1)).all()
 
 
 class TestNaiveOracle:
     def test_zero_input(self):
-        y = ssm.naive_scan_oracle(np.zeros(5), np.full((5, 2), 0.5), np.ones((5, 2)),
-                                  np.ones((5, 2)), 1.0)
+        y = naive_scan_oracle(np.zeros(5), np.full((5, 2), 0.5), np.ones((5, 2)),
+                              np.ones((5, 2)), 1.0)
         assert not y.any()
 
     def test_single_step(self):
@@ -64,23 +66,23 @@ class TestNaiveOracle:
         bbar = np.array([[0.5, 0.25]])
         c = np.array([[1.0, 2.0]])
         d = 0.5
-        y = ssm.naive_scan_oracle(x, abar, bbar, c, d)
+        y = naive_scan_oracle(x, abar, bbar, c, d)
         assert y[0] == pytest.approx(float(c[0] @ (bbar[0] * x[0])) + d * x[0])
 
     def test_unrolled_impulse(self):
-        y = ssm.naive_scan_oracle([1.0, 0.0, 0.0], np.full((3, 1), 0.5),
-                                  np.ones((3, 1)), np.ones((3, 1)), 0.0)
+        y = naive_scan_oracle([1.0, 0.0, 0.0], np.full((3, 1), 0.5),
+                              np.ones((3, 1)), np.ones((3, 1)), 0.0)
         assert np.allclose(y, [1.0, 0.5, 0.25])
 
     def test_skip_path(self):
-        y = ssm.naive_scan_oracle([1.0, 0.0, 0.0], np.full((3, 1), 0.5),
-                                  np.ones((3, 1)), np.ones((3, 1)), 1.0)
+        y = naive_scan_oracle([1.0, 0.0, 0.0], np.full((3, 1), 0.5),
+                              np.ones((3, 1)), np.ones((3, 1)), 1.0)
         assert np.allclose(y, [2.0, 0.5, 0.25])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="lengths"):
-            ssm.naive_scan_oracle(np.zeros(3), np.zeros((4, 1)), np.zeros((4, 1)),
-                                  np.zeros((4, 1)), 0.0)
+            naive_scan_oracle(np.zeros(3), np.zeros((4, 1)), np.zeros((4, 1)),
+                              np.zeros((4, 1)), 0.0)
 
 
 class TestSelectiveScan:
@@ -93,8 +95,8 @@ class TestSelectiveScan:
             nstate = int(r.integers(1, 17))
             x, a, b, c, delta, d = make_random_case(r, length, nstate)
             got = scan_one(x, a, b, c, delta, d)
-            abar, bbar = ssm.discretize_zoh(a[None, :], b, delta[:, None])
-            want = ssm.naive_scan_oracle(x, abar, bbar, c, d)
+            abar, bbar = discretize_zoh(a[None, :], b, delta[:, None])
+            want = naive_scan_oracle(x, abar, bbar, c, d)
             scale = max(1.0, np.abs(want).max())
             worst = max(worst, np.abs(got - want).max() / scale)
         assert worst <= 1e-12
@@ -103,8 +105,8 @@ class TestSelectiveScan:
         r = np.random.default_rng(2)
         x, a, b, c, delta, d = make_random_case(r, 4096, 16)
         got = scan_one(x, a, b, c, delta, d)
-        abar, bbar = ssm.discretize_zoh(a[None, :], b, delta[:, None])
-        want = ssm.naive_scan_oracle(x, abar, bbar, c, d)
+        abar, bbar = discretize_zoh(a[None, :], b, delta[:, None])
+        want = naive_scan_oracle(x, abar, bbar, c, d)
         assert np.abs(got - want).max() / max(1.0, np.abs(want).max()) <= 1e-12
 
     def test_matches_naive_oracle_cross_scan_length(self):
@@ -112,8 +114,8 @@ class TestSelectiveScan:
         r = np.random.default_rng(4)
         x, a, b, c, delta, d = make_random_case(r, 32768, 4)
         got = scan_one(x, a, b, c, delta, d)
-        abar, bbar = ssm.discretize_zoh(a[None, :], b, delta[:, None])
-        want = ssm.naive_scan_oracle(x, abar, bbar, c, d)
+        abar, bbar = discretize_zoh(a[None, :], b, delta[:, None])
+        want = naive_scan_oracle(x, abar, bbar, c, d)
         assert np.abs(got - want).max() / max(1.0, np.abs(want).max()) <= 1e-12
 
     def test_stability_bounded_over_1e5_steps(self):
@@ -183,8 +185,8 @@ class TestSelectiveScan:
                 vals[target] = t
                 y = ssm.selective_scan(vals["x"], vals["a"], vals["b"], vals["c"],
                                        vals["delta"], vals["d"])
-                return ad.sum_all(ad.mul(y, ad.constant(proj)))
-            return ad.finite_diff_check(f, theta)
+                return total(ad.mul(y, ad.constant(proj)))
+            return finite_diff_check(f, theta)
 
         assert check("x", x) <= 1e-4
         assert check("b", b) <= 1e-4
@@ -196,13 +198,13 @@ class TestSelectiveScan:
 
 class TestContinuousResponse:
     def test_zero_input(self):
-        dev = ssm.continuous_response_check(np.array([-1.0]), np.array([1.0]),
-                                            np.array([1.0]), 0.0, u=0.0, delta=0.3, steps=8)
+        dev = continuous_response_check(np.array([-1.0]), np.array([1.0]),
+                                        np.array([1.0]), 0.0, u=0.0, delta=0.3, steps=8)
         assert dev == 0.0
 
     def test_reference_case(self):
-        dev = ssm.continuous_response_check(np.array([-1.0]), np.array([1.0]),
-                                            np.array([1.0]), 0.0, u=1.0, delta=0.25, steps=16)
+        dev = continuous_response_check(np.array([-1.0]), np.array([1.0]),
+                                        np.array([1.0]), 0.0, u=1.0, delta=0.25, steps=16)
         assert dev <= 1e-9
 
     def test_exactness_is_delta_independent(self):
@@ -210,7 +212,7 @@ class TestContinuousResponse:
         b = np.array([1.1, -0.4])
         c = np.array([0.5, 2.0])
         for delta in (0.25, 0.5, 1.0):
-            dev = ssm.continuous_response_check(a, b, c, 0.3, u=0.8, delta=delta, steps=16)
+            dev = continuous_response_check(a, b, c, 0.3, u=0.8, delta=delta, steps=16)
             assert dev <= 1e-9
 
     def test_multi_state_random(self):
@@ -218,5 +220,5 @@ class TestContinuousResponse:
         a = -rng.uniform(0.2, 3.0, size=6)
         b = rng.normal(size=6)
         c = rng.normal(size=6)
-        dev = ssm.continuous_response_check(a, b, c, 0.0, u=1.5, delta=0.1, steps=50)
+        dev = continuous_response_check(a, b, c, 0.0, u=1.5, delta=0.1, steps=50)
         assert dev <= 1e-9

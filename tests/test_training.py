@@ -10,6 +10,7 @@ from cassi_ssm import autodiff as ad
 from cassi_ssm import cassi, training, unfolding
 from cassi_ssm.denoiser import UNetConfig
 from cassi_ssm.demo import toy_mask, toy_scene
+from oracles import finite_diff_check, total
 
 TINY = UNetConfig(bands=2, base_channels=4, levels=1, blocks_per_level=1,
                   patch=2, cube=(1, 1, 2), state_size=2, expansion=1)
@@ -56,6 +57,12 @@ class TestGenerateMask:
         with pytest.raises(ValueError, match="0 or 1"):
             training.FeatureMask(np.full((4, 4), 0.5), 0.0, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_refused(self, seed):
+        values = training.generate_mask(4, 4, 0.5, seed=0).values
+        with pytest.raises(ValueError, match="seed"):
+            training.FeatureMask(values, 0.5, seed)
+
     def test_zero_count_must_match_ratio(self):
         values = training.generate_mask(16, 16, 0.5, seed=0).values
         with pytest.raises(ValueError, match="128 zeros"):
@@ -88,7 +95,7 @@ class TestApplyMask:
         rng = np.random.default_rng(7)
         x = ad.parameter(rng.random((2, 4, 4)))
         proj = rng.normal(size=(2, 4, 4))
-        ad.backward(ad.sum_all(ad.mul(fm.apply(x), ad.constant(proj))))
+        ad.backward(total(ad.mul(fm.apply(x), ad.constant(proj))))
         zero_at = fm.values == 0
         assert (x.grad[:, zero_at] == 0).all()
         assert np.any(x.grad[:, ~zero_at])
@@ -99,9 +106,9 @@ class TestApplyMask:
         proj = rng.normal(size=(2, 4, 4))
 
         def f(t):
-            return ad.sum_all(ad.mul(fm.apply(t), ad.constant(proj)))
+            return total(ad.mul(fm.apply(t), ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, rng.random((2, 4, 4))) <= 1e-4
+        assert finite_diff_check(f, rng.random((2, 4, 4))) <= 1e-4
 
     def test_shape_guard(self):
         fm = training.generate_mask(4, 4, 0.5, seed=10)

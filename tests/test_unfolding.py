@@ -7,6 +7,7 @@ import pytest
 from cassi_ssm import autodiff as ad
 from cassi_ssm import cassi, unfolding
 from cassi_ssm.denoiser import UNetConfig
+from oracles import dense_oracle_data_step, finite_diff_check, total
 
 TINY = UNetConfig(bands=2, base_channels=4, levels=1, blocks_per_level=1,
                   patch=2, cube=(1, 1, 2), state_size=2, expansion=1)
@@ -54,7 +55,7 @@ class TestDataStep:
         for seed in range(100):
             op, z, y = make_instance(seed)
             got = unfolding.data_step(z, y, op, mu)
-            want = unfolding.dense_oracle_data_step(z, y, op, mu)
+            want = dense_oracle_data_step(z, y, op, mu)
             worst = max(worst, np.abs(got - want).max() / max(1.0, np.abs(want).max()))
         assert worst <= 1e-8
 
@@ -67,7 +68,7 @@ class TestDataStep:
         op, z, y = make_instance(2)
         mu = ad.parameter(np.asarray(0.7))
         out = unfolding.data_step_node(ad.constant(z), y, op, mu)
-        ad.backward(ad.sum_all(out))
+        ad.backward(total(out))
         assert mu.grad is not None and float(mu.grad) != 0.0
 
     def test_gradcheck_wrt_z(self):
@@ -76,10 +77,10 @@ class TestDataStep:
         proj = rng.normal(size=z.shape)
 
         def f(t):
-            return ad.sum_all(ad.mul(unfolding.data_step_node(t, y, op, 0.8),
-                                     ad.constant(proj)))
+            return total(ad.mul(unfolding.data_step_node(t, y, op, 0.8),
+                                ad.constant(proj)))
 
-        assert ad.finite_diff_check(f, z) <= 1e-4
+        assert finite_diff_check(f, z) <= 1e-4
 
 
 class TestDenseOracle:
@@ -87,21 +88,21 @@ class TestDenseOracle:
         op = cassi.SensingOperator(np.ones((2, 2)), 0, 1)
         z = np.full((1, 2, 2), 0.4)
         y = np.full((2, 2), 0.8)
-        x = unfolding.dense_oracle_data_step(z, y, op, 1.0)
+        x = dense_oracle_data_step(z, y, op, 1.0)
         assert np.allclose(x, (0.8 + 0.4) / 2.0)
 
     def test_large_mu_returns_prior(self):
         op, z, y = make_instance(4)
         mu = 1e8
-        x = unfolding.dense_oracle_data_step(z, y, op, mu)
+        x = dense_oracle_data_step(z, y, op, mu)
         residual = cassi.adjoint_project(y - cassi.forward_project(z, op), op)
         assert np.abs(x - z).max() <= np.linalg.norm(residual) / mu + 1e-12
 
     def test_scale_guard(self):
         op = cassi.SensingOperator(np.ones((40, 40)), 1, 3)
         with pytest.raises(ValueError, match="dense oracle"):
-            unfolding.dense_oracle_data_step(np.zeros((3, 40, 40)),
-                                             np.zeros((40, 40 + 2)), op, 1.0)
+            dense_oracle_data_step(np.zeros((3, 40, 40)),
+                                   np.zeros((40, 40 + 2)), op, 1.0)
 
 
 class TestReconstruct:
@@ -157,7 +158,8 @@ class TestReconstruct:
     def test_per_stage_weights_mode(self):
         cfg = unfolding.UnfoldConfig(stages=2, net=TINY, share_weights=False)
         weights = unfolding.init_weights(cfg, seed=4, zero_residual=False)
-        assert "stage0/out/w" in weights and "stage1/out/w" in weights
+        arrays = weights.arrays()
+        assert "stage0/out/w" in arrays and "stage1/out/w" in arrays
         rng = np.random.default_rng(10)
         op = cassi.SensingOperator(rng.random((8, 8)), 2, 2)
         y = rng.random((8, op.detector_width))
@@ -183,6 +185,6 @@ class TestWeightsInit:
 
     def test_estimation_scalars_present_per_stage(self):
         cfg = unfolding.UnfoldConfig(stages=3, net=TINY)
-        w = unfolding.init_weights(cfg, seed=12)
+        arrays = unfolding.init_weights(cfg, seed=12).arrays()
         for k in range(3):
-            assert f"est/alpha_raw{k}" in w and f"est/beta_raw{k}" in w
+            assert f"est/alpha_raw{k}" in arrays and f"est/beta_raw{k}" in arrays
