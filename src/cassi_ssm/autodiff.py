@@ -19,7 +19,6 @@ may be shared freely across threads for reading.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf, expit
 
 Array = np.ndarray
 
@@ -152,7 +151,9 @@ def scale(a, s: float) -> Node:
 
 def softplus(a) -> Node:
     a = as_node(a)
-    return _unary(a, np.logaddexp(0.0, a.value), lambda: expit(a.value))
+    out_value = np.logaddexp(0.0, a.value)
+    # the derivative 1 / (1 + exp(-x)) is 1 - exp(-softplus(x))
+    return _unary(a, out_value, lambda: -np.expm1(-out_value))
 
 
 def exp(a) -> Node:
@@ -161,11 +162,94 @@ def exp(a) -> Node:
     return _unary(a, out_value, lambda: out_value)
 
 
+# The error function of W. J. Cody, "Rational Chebyshev approximations for
+# the error function", Math. Comp. 23 (1969), with the coefficients of
+# netlib's CALERF.  Each rational is (numerator, denominator), highest degree
+# first; the denominator is monic and its leading 1 is left out.
+_ERF_NEAR = ((1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
+              3.77485237685302021e02, 3.20937758913846947e03),
+             (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+              2.84423683343917062e03))
+_ERFC_MID = ((2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+              6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+              1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03),
+             (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+              1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+              3.43936767414372164e03, 1.23033935480374942e03))
+_ERFC_FAR = ((1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+              1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
+             (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+              6.05183413124413191e-2, 2.33520497626869185e-3))
+_ERF_NEAR_MAX = 0.46875      # |x| up to here: erf = x * R(x^2)
+_ERFC_MID_MAX = 4.0          # up to here: erfc = exp(-x^2) * R(x)
+_ERFC_ZERO = 26.543          # from here on erfc underflows to 0
+_INV_SQRT_PI = 5.6418958354775628695e-1
+
+
+def _rational(t: Array, coeffs) -> Array:
+    """num(t) / den(t) by Horner's rule, for `coeffs` laid out as `_ERF_NEAR`."""
+    num, den = coeffs
+    p = num[0] * t
+    q = t.copy()
+    for a, b in zip(num[1:-1], den[:-1]):
+        p += a
+        p *= t
+        q += b
+        q *= t
+    p += num[-1]
+    q += den[-1]
+    p /= q
+    return p
+
+
+def _exp_neg_square(y: Array) -> Array:
+    """exp(-y*y), with y*y split at s = y truncated to 1/16 so s*s is exact."""
+    s = np.trunc(y * 16.0) / 16.0
+    return np.exp(-s * s) * np.exp(-(y - s) * (y + s))
+
+
+def _erfc_mid(y: Array) -> Array:
+    return _rational(y, _ERFC_MID) * _exp_neg_square(y)
+
+
+def _erfc_far(y: Array) -> Array:
+    """erfc for y > _ERFC_MID_MAX, with NaN passed through."""
+    erfc = np.where(np.isnan(y), y, 0.0)
+    idx = np.flatnonzero(y < _ERFC_ZERO)
+    t = y[idx]
+    s = 1.0 / (t * t)
+    erfc[idx] = (_INV_SQRT_PI - s * _rational(s, _ERFC_FAR)) / t * _exp_neg_square(t)
+    return erfc
+
+
+def _erf(x: Array) -> Array:
+    """The error function, within a few ulp, in Cody's three ranges of |x|.
+
+    Each range is gathered by index, not by boolean mask: a mask whose
+    entries alternate at random makes numpy's masked copies several times
+    slower than the arithmetic.
+    """
+    flat = x.ravel()
+    y = np.abs(flat)
+    out = np.empty_like(y)
+    near = y <= _ERF_NEAR_MAX
+    idx = np.flatnonzero(near)
+    t = flat[idx]
+    out[idx] = t * _rational(t * t, _ERF_NEAR)
+    inside = y <= _ERFC_MID_MAX
+    for idx, erfc in ((np.flatnonzero(~near & inside), _erfc_mid),
+                      (np.flatnonzero(~inside), _erfc_far)):    # NaN goes far
+        if idx.size:
+            r = np.subtract(1.0, erfc(y[idx]))
+            out[idx] = np.copysign(r, flat[idx], out=r)
+    return out.reshape(x.shape)
+
+
 def gelu(a) -> Node:
     """Exact GELU: x * Phi(x) with the Gaussian CDF."""
     a = as_node(a)
     x = a.value
-    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+    cdf = 0.5 * (1.0 + _erf(x / _SQRT2))
     return _unary(a, x * cdf, lambda: cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x)))
 
 

@@ -82,6 +82,10 @@ class ModelWeights:
     def __getitem__(self, name: str) -> ad.Node:
         return self._store[name]
 
+    # without this, `in` and `list()` would probe __getitem__ with 0, 1, ...
+    # and fail with KeyError: 0; now both raise TypeError
+    __iter__ = None
+
     def items(self):
         return self._store.items()
 

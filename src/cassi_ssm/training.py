@@ -9,6 +9,7 @@ gradient descent with a cosine-decayed learning rate.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,8 +91,15 @@ def learning_rate(value) -> float:
 
 
 def feature_mask_seed(value) -> int:
-    """A feature-mask seed as an int; CSMW files store seeds in [0, 2**64)."""
-    seed = int(value)
+    """A feature-mask seed as an int; CSMW files store seeds in [0, 2**64).
+
+    Python and numpy integers and decimal strings are taken; any other
+    number, 2.0 included, is refused rather than truncated.
+    """
+    try:
+        seed = int(value) if isinstance(value, str) else operator.index(value)
+    except TypeError:
+        raise ValueError(f"feature-mask seed must be an integer, got {value!r}") from None
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"feature-mask seed must lie in [0, 2**64), got {value}")
     return seed

@@ -1,6 +1,9 @@
 """Tensor engine tests: forward semantics against literal oracles, gradients
 against central finite differences."""
 
+import decimal
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +77,60 @@ class TestElementwise:
     def test_scalar_broadcast(self):
         out = ad.mul(ad.constant(np.ones((2, 2))), ad.constant(3.0))
         assert np.array_equal(out.value, np.full((2, 2), 3.0))
+
+
+def ulp_error(got, want):
+    """|got - want| in units in the last place of `want`, the subnormal spacing near 0."""
+    want = np.asarray(want, dtype=np.float64)
+    return np.abs(got - want) / np.spacing(np.maximum(np.abs(want), np.finfo(np.float64).tiny))
+
+
+class TestErf:
+    """The numpy error function behind `gelu`, against the C library's `math.erf`."""
+
+    def test_dense_grid_within_few_ulp(self):
+        x = np.linspace(-30.0, 30.0, 240_001)
+        want = np.array([math.erf(v) for v in x])
+        assert ulp_error(ad._erf(x), want).max() <= 5
+
+    @pytest.mark.parametrize("x", [0.0, 5e-324, 1e-310, 1e-20, 0.46875, np.nextafter(0.46875, 1.0),
+                                   1.0, 4.0, np.nextafter(4.0, 5.0), 26.543, 30.0])
+    def test_edge_points_within_few_ulp_and_odd(self, x):
+        got = ad._erf(np.array([x, -x]))
+        assert ulp_error(got, [math.erf(x), math.erf(-x)]).max() <= 5
+        assert got[1] == -got[0]
+        assert np.signbit(got).tolist() == [False, True]     # -0 keeps its sign
+
+    def test_tails_exactly_one(self):
+        x = np.array([6.0, 26.543, 30.0, 1e300, np.inf])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = ad._erf(np.concatenate([x, -x]))
+        assert got.tolist() == [1.0] * 5 + [-1.0] * 5
+
+    def test_nan_and_shape_pass_through(self):
+        got = ad._erf(np.array([[np.nan, 0.5], [-2.0, 9.0]]))
+        assert got.shape == (2, 2) and np.isnan(got[0, 0])
+        assert ad._erf(np.array(0.5)).shape == ()
+
+    def test_exp_of_minus_square_keeps_precision(self):
+        # exp(-y*y) taken directly is off by up to ~500 ulp here: y*y rounds
+        y = np.linspace(0.46875, 26.5, 4_001)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            want = np.array([float((-decimal.Decimal(v) ** 2).exp()) for v in y])
+        assert ulp_error(ad._exp_neg_square(y), want).max() <= 5
+
+    def test_gelu_is_x_times_gaussian_cdf(self):
+        x = np.linspace(-12.0, 12.0, 4_801)
+        want = np.array([v * 0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x])
+        err = np.abs(ad.gelu(ad.constant(x)).value - want)
+        assert (err <= 4 * np.finfo(np.float64).eps * np.abs(x)).all()
+
+    def test_softplus_derivative_is_logistic(self):
+        x = np.linspace(-700.0, 700.0, 28_001)
+        p = ad.parameter(x)
+        ad.backward(total(ad.softplus(p)))
+        assert ulp_error(p.grad, 1.0 / (1.0 + np.exp(-x))).max() <= 4
 
 
 class TestConv2d:

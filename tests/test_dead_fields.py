@@ -97,21 +97,28 @@ def spelled_names(node: ast.AST) -> set[str]:
 
 
 def unnamed_definitions(trees: dict) -> list[str]:
-    """Top-level names of `src/` trees that no `src/` or `perfbench/` tree names.
+    """Top-level names of `src/` trees that no live `src/` or `perfbench/` statement names.
 
     `trees` maps repo-relative paths to modules.  A definition's own
-    statement does not count, so recursion is not a use.
+    statement does not count, so recursion is not a use.  Nor does a
+    statement all of whose names are already flagged, so a name that only
+    dead code names is dead too; the flags grow until they stop changing.
     """
-    named, defined = set(), []
+    stmts = []
     for path, tree in trees.items():
         top = path.split("/", 1)[0]
         if top not in USERS:
             continue
         for stmt in tree.body:
-            own = defined_names(stmt) if top == "src" else set()
-            defined += [(path, name) for name in sorted(own)]
-            named |= spelled_names(stmt) - own
-    return [f"{path}:{name}" for path, name in defined if name not in named]
+            own = {(path, name) for name in defined_names(stmt)} if top == "src" else set()
+            stmts.append((own, spelled_names(stmt) - {name for _, name in own}))
+    defined = [pair for own, _ in stmts for pair in sorted(own)]
+    dead, flagged = None, set()
+    while flagged != dead:
+        dead = flagged
+        named = set().union(*(spelled for own, spelled in stmts if not own or not own <= dead))
+        flagged = {pair for pair in defined if pair[1] not in named}
+    return [f"{path}:{name}" for path, name in defined if (path, name) in dead]
 
 
 def test_unnamed_definitions_detected():
@@ -134,7 +141,12 @@ def test_unnamed_definitions_detected():
         "def imported():\n"
         "    pass\n"
         "def tested_only():\n"
-        "    pass\n")
+        "    pass\n"
+        "def chain_head():\n"
+        "    return chain_link()\n"
+        "def chain_link():\n"
+        "    return CHAIN_END\n"
+        "CHAIN_END = 7\n")
     bench = ast.parse(
         "from lib import imported\n"
         "import lib\n"
@@ -145,7 +157,8 @@ def test_unnamed_definitions_detected():
         "lib.tested_only(lib.UNUSED, lib.Orphan, lib.recursive)\n")
     trees = {"src/lib.py": lib, "perfbench/bench.py": bench, "tests/test_lib.py": test}
     assert unnamed_definitions(trees) == [
-        "src/lib.py:UNUSED", "src/lib.py:Orphan", "src/lib.py:recursive", "src/lib.py:tested_only"]
+        "src/lib.py:UNUSED", "src/lib.py:Orphan", "src/lib.py:recursive", "src/lib.py:tested_only",
+        "src/lib.py:chain_head", "src/lib.py:chain_link", "src/lib.py:CHAIN_END"]
 
 
 def test_every_top_level_definition_is_named():

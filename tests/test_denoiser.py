@@ -47,6 +47,15 @@ def set_value(weights, name, value):
     weights[name].value = np.asarray(value, dtype=np.float64)
 
 
+class TestModelWeights:
+    def test_membership_and_iteration_raise_type_error(self):
+        w = tiny_weights()
+        with pytest.raises(TypeError, match="not iterable"):
+            "net/embed/fuse_w" in w
+        with pytest.raises(TypeError, match="not iterable"):
+            list(w)
+
+
 class TestEmbed:
     def test_zero_input_zero_mask_zero_bias(self):
         w = tiny_weights()

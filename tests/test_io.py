@@ -527,7 +527,7 @@ class TestConfigFile:
                                       "patch=0", "patch=-4", "stages=0", "base_channels=0",
                                       "blocks=0", "state_size=0", "expansion=-1",
                                       "levels=-1", "mask_seed=-1",
-                                      "mask_seed=18446744073709551616",
+                                      "mask_seed=18446744073709551616", "mask_seed=1.5",
                                       "mask_ratio=1.5", "mask_ratio=nan", "mask_ratio=-0.1",
                                       "share_weights=7", "share_weights=-1"])
     def test_bad_value_names_path_and_line(self, tmp_path, line):

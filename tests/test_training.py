@@ -63,6 +63,17 @@ class TestGenerateMask:
         with pytest.raises(ValueError, match="seed"):
             training.FeatureMask(values, 0.5, seed)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0)])
+    def test_non_integer_seed_refused(self, seed):
+        values = training.generate_mask(4, 4, 0.5, seed=0).values
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            training.FeatureMask(values, 0.5, seed)
+
+    def test_numpy_integer_seed_taken_as_int(self):
+        values = training.generate_mask(4, 4, 0.5, seed=0).values
+        seed = training.FeatureMask(values, 0.5, np.uint64(2**64 - 1)).seed
+        assert seed == 2**64 - 1 and type(seed) is int
+
     def test_zero_count_must_match_ratio(self):
         values = training.generate_mask(16, 16, 0.5, seed=0).values
         with pytest.raises(ValueError, match="128 zeros"):
@@ -276,6 +287,11 @@ class TestTrainConfig:
     def test_learning_rate_negative_or_non_finite_rejected(self, rate):
         with pytest.raises(ValueError, match="learning rate must be finite and >= 0"):
             training.TrainConfig(learning_rate=rate)
+
+    @pytest.mark.parametrize("seed", [2.7, 2.0])
+    def test_non_integer_mask_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            training.TrainConfig(mask_seed=seed)
 
     def test_largest_mask_seed_accepted(self):
         assert training.TrainConfig(mask_seed=2**64 - 1).mask_seed == 2**64 - 1
