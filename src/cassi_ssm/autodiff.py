@@ -6,11 +6,11 @@ topological order.  Broadcasting is restricted to scalar-against-tensor;
 every other shape relation must be made explicit through `repeat_expand`,
 `reshape`, `concat` or `split`, which keeps shape bugs loud.
 
-The elementwise ops share one skeleton each: `_binary` (add, sub, mul,
-div) holds the shape check, the `requires_grad` guards and the scalar
-reduction, and `_unary` (scale, softplus, exp, gelu, relu, phi1) computes
-its derivative only when the backward pass runs.  Each op states only its
-value and its gradient map.
+Each op family has one skeleton, so an op states only its value and its
+gradient map: `_binary` (add, sub, mul, div) holds the shape check, the
+`requires_grad` guards and the scalar reduction; `unary` serves every
+single-input op and runs its gradient map only in the backward pass; and
+`_window_conv` holds the windows, bias and backward of both convolutions.
 
 All compute is 64-bit.  A tape belongs to one logical thread; node values
 may be shared freely across threads for reading.
@@ -119,9 +119,10 @@ def _binary(kind, a, b, op, grad_a, grad_b) -> Node:
     return _make(out_value, (a, b), backward)
 
 
-def _unary(a: Node, out_value, deriv) -> Node:
-    """An elementwise op whose derivative `deriv()` is computed only in the backward pass."""
-    return _make(out_value, (a,), lambda g: a.accumulate(g * deriv()))
+def unary(a: Node, out_value, vjp) -> Node:
+    """The result `out_value` of an op on `a`; `vjp(g)`, the gradient of `a`
+    given the output gradient `g`, runs only in the backward pass."""
+    return _make(out_value, (a,), lambda g: a.accumulate(vjp(g)))
 
 
 def add(a, b) -> Node:
@@ -146,20 +147,20 @@ def scale(a, s: float) -> Node:
     """Multiply by a plain python float (not a tape value)."""
     a = as_node(a)
     s = float(s)
-    return _unary(a, a.value * s, lambda: s)
+    return unary(a, a.value * s, lambda g: g * s)
 
 
 def softplus(a) -> Node:
     a = as_node(a)
     out_value = np.logaddexp(0.0, a.value)
     # the derivative 1 / (1 + exp(-x)) is 1 - exp(-softplus(x))
-    return _unary(a, out_value, lambda: -np.expm1(-out_value))
+    return unary(a, out_value, lambda g: g * -np.expm1(-out_value))
 
 
 def exp(a) -> Node:
     a = as_node(a)
     out_value = np.exp(a.value)
-    return _unary(a, out_value, lambda: out_value)
+    return unary(a, out_value, lambda g: g * out_value)
 
 
 # The error function of W. J. Cody, "Rational Chebyshev approximations for
@@ -250,12 +251,12 @@ def gelu(a) -> Node:
     a = as_node(a)
     x = a.value
     cdf = 0.5 * (1.0 + _erf(x / _SQRT2))
-    return _unary(a, x * cdf, lambda: cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x)))
+    return unary(a, x * cdf, lambda g: g * (cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))))
 
 
 def relu(a) -> Node:
     a = as_node(a)
-    return _unary(a, np.maximum(a.value, 0.0), lambda: a.value > 0.0)
+    return unary(a, np.maximum(a.value, 0.0), lambda g: g * (a.value > 0.0))
 
 
 def phi1(a) -> Node:
@@ -269,13 +270,13 @@ def phi1(a) -> Node:
     small = np.abs(z) < 1e-8
     safe = np.where(small, 1.0, z)
 
-    def deriv():
+    def vjp(g):
         # d/dz [(e^z - 1)/z] = ((z - 1) e^z + 1) / z^2; series near 0: 1/2 + z/3
         tiny = np.abs(z) < 1e-5
         zz = np.where(tiny, 1.0, z)
-        return np.where(tiny, 0.5 + z / 3.0, ((z - 1.0) * np.exp(z) + 1.0) / (zz * zz))
+        return g * np.where(tiny, 0.5 + z / 3.0, ((z - 1.0) * np.exp(z) + 1.0) / (zz * zz))
 
-    return _unary(a, np.where(small, 1.0, np.expm1(z) / safe), deriv)
+    return unary(a, np.where(small, 1.0, np.expm1(z) / safe), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -284,21 +285,13 @@ def phi1(a) -> Node:
 def mean_all(a) -> Node:
     a = as_node(a)
     n = a.value.size
-
-    def backward(g):
-        a.accumulate(np.full_like(a.value, float(g) / n))
-
-    return _make(np.asarray(a.value.mean()), (a,), backward)
+    return unary(a, np.asarray(a.value.mean()), lambda g: np.full_like(a.value, float(g) / n))
 
 
 def reshape(a, shape) -> Node:
     a = as_node(a)
     shape = tuple(int(s) for s in shape)
-
-    def backward(g):
-        a.accumulate(g.reshape(a.shape))
-
-    return _make(a.value.reshape(shape), (a,), backward)
+    return unary(a, a.value.reshape(shape), lambda g: g.reshape(a.shape))
 
 
 def concat(nodes) -> Node:
@@ -325,12 +318,12 @@ def split(a, sizes):
     for lo, hi in zip(offsets[:-1], offsets[1:]):
         rows = slice(int(lo), int(hi))
 
-        def backward(g, rows=rows):
+        def vjp(g, rows=rows):
             full = np.zeros_like(a.value)
             full[rows] = g
-            a.accumulate(full)
+            return full
 
-        outs.append(_make(a.value[rows].copy(), (a,), backward))
+        outs.append(unary(a, a.value[rows].copy(), vjp))
     return outs
 
 
@@ -342,11 +335,7 @@ def repeat_expand(a, axis: int, n: int) -> Node:
     """
     a = as_node(a)
     out_value = np.repeat(np.expand_dims(a.value, axis), n, axis=axis)
-
-    def backward(g):
-        a.accumulate(g.sum(axis=axis))
-
-    return _make(out_value, (a,), backward)
+    return unary(a, out_value, lambda g: g.sum(axis=axis))
 
 
 def gather_last(a, forward_idx, inverse_idx) -> Node:
@@ -362,23 +351,52 @@ def gather_last(a, forward_idx, inverse_idx) -> Node:
     # np.take returns a C-ordered copy; fancy indexing gives an F-ordered
     # one here, which Node would copy a second time
     out_value = np.take(a.value, forward_idx, axis=-1)
-
-    def backward(g):
-        a.accumulate(g[..., inverse_idx])
-
-    return _make(out_value, (a,), backward)
+    return unary(a, out_value, lambda g: g[..., inverse_idx])
 
 
 # ---------------------------------------------------------------------------
 # convolution and friends
 
-def _conv_geometry(h, w, k, stride):
+def _window_conv(x: Node, w: Node, bias: Node, stride, tap, tap_grad_w, tap_grad_x) -> Node:
+    """Sum over the k x k kernel taps of x [C,H,W], zero padded by k // 2, plus bias [C_out].
+
+    Tap (di, dj) is `w[..., di, dj]` and meets the strided window of the padded
+    input that starts at (di, dj).  `tap(w_tap, window)` is its share of the
+    output; `tap_grad_w(g, window)` and `tap_grad_x(w_tap, g)` are its gradients.
+    """
+    c_out, k = w.shape[0], w.shape[-1]
+    if bias.shape != (c_out,):
+        raise ValueError(f"bias shape {bias.shape} does not match {c_out} output channels")
+    _, h, wd = x.shape
     pad = k // 2
     h_out = (h + 2 * pad - k) // stride + 1
-    w_out = (w + 2 * pad - k) // stride + 1
+    w_out = (wd + 2 * pad - k) // stride + 1
     if h_out < 1 or w_out < 1:
-        raise ValueError(f"convolution output would be empty: input {h}x{w}, k={k}, stride={stride}")
-    return pad, h_out, w_out
+        raise ValueError(f"convolution output would be empty: input {h}x{wd}, k={k}, stride={stride}")
+    xp = np.pad(x.value, ((0, 0), (pad, pad), (pad, pad))) if pad else x.value
+    windows = [((di, dj), (slice(None), slice(di, di + stride * h_out, stride),
+                           slice(dj, dj + stride * w_out, stride)))
+               for di in range(k) for dj in range(k)]
+    out_value = np.zeros((c_out, h_out, w_out))
+    for (di, dj), win in windows:
+        out_value += tap(w.value[..., di, dj], xp[win])
+    out_value += bias.value[:, None, None]
+
+    def backward(g):
+        if bias.requires_grad:
+            bias.accumulate(g.sum(axis=(1, 2)))
+        if w.requires_grad:
+            gw = np.zeros_like(w.value)
+            for (di, dj), win in windows:
+                gw[..., di, dj] = tap_grad_w(g, xp[win])
+            w.accumulate(gw)
+        if x.requires_grad:
+            gxp = np.zeros_like(xp)
+            for (di, dj), win in windows:
+                gxp[win] += tap_grad_x(w.value[..., di, dj], g)
+            x.accumulate(gxp[:, pad:pad + h, pad:pad + wd] if pad else gxp)
+
+    return _make(out_value, (x, w, bias), backward)
 
 
 def conv2d(x, w, bias, stride: int = 1) -> Node:
@@ -397,38 +415,10 @@ def conv2d(x, w, bias, stride: int = 1) -> Node:
         raise ValueError(f"stride {stride} not supported (expected 1 or 2)")
     if x.value.ndim != 3 or x.shape[0] != c_in:
         raise ValueError(f"channel mismatch: input {x.shape} vs kernel {w.shape}")
-    _, h, wd = x.shape
-    pad, h_out, w_out = _conv_geometry(h, wd, k, stride)
-
-    xp = np.pad(x.value, ((0, 0), (pad, pad), (pad, pad))) if pad else x.value
-    out_value = np.zeros((c_out, h_out, w_out))
-    for di in range(k):
-        for dj in range(k):
-            patch = xp[:, di:di + stride * h_out:stride, dj:dj + stride * w_out:stride]
-            out_value += np.einsum("oc,chw->ohw", w.value[:, :, di, dj], patch)
-    if bias.shape != (c_out,):
-        raise ValueError(f"bias shape {bias.shape} does not match {c_out} output channels")
-    out_value += bias.value[:, None, None]
-
-    def backward(g):
-        if bias.requires_grad:
-            bias.accumulate(g.sum(axis=(1, 2)))
-        gw = np.zeros_like(w.value) if w.requires_grad else None
-        gxp = np.zeros_like(xp) if x.requires_grad else None
-        for di in range(k):
-            for dj in range(k):
-                patch = xp[:, di:di + stride * h_out:stride, dj:dj + stride * w_out:stride]
-                if gw is not None:
-                    gw[:, :, di, dj] = np.einsum("ohw,chw->oc", g, patch)
-                if gxp is not None:
-                    gxp[:, di:di + stride * h_out:stride, dj:dj + stride * w_out:stride] += np.einsum(
-                        "oc,ohw->chw", w.value[:, :, di, dj], g)
-        if gw is not None:
-            w.accumulate(gw)
-        if gxp is not None:
-            x.accumulate(gxp[:, pad:pad + h, pad:pad + wd] if pad else gxp)
-
-    return _make(out_value, (x, w, bias), backward)
+    return _window_conv(x, w, bias, stride,
+                        lambda wt, win: np.einsum("oc,chw->ohw", wt, win),
+                        lambda g, win: np.einsum("ohw,chw->oc", g, win),
+                        lambda wt, g: np.einsum("oc,ohw->chw", wt, g))
 
 
 def depthwise_conv2d(x, w, bias) -> Node:
@@ -443,32 +433,10 @@ def depthwise_conv2d(x, w, bias) -> Node:
         raise ValueError(f"depthwise kernel must be odd square, got {k}x{k2}")
     if x.value.ndim != 3 or x.shape[0] != c:
         raise ValueError(f"channel mismatch: input {x.shape} vs depthwise kernel {w.shape}")
-    _, h, wd = x.shape
-    pad = k // 2
-    xp = np.pad(x.value, ((0, 0), (pad, pad), (pad, pad)))
-    out_value = np.zeros((c, h, wd))
-    for di in range(k):
-        for dj in range(k):
-            out_value += w.value[:, di, dj][:, None, None] * xp[:, di:di + h, dj:dj + wd]
-    out_value += bias.value[:, None, None]
-
-    def backward(g):
-        if bias.requires_grad:
-            bias.accumulate(g.sum(axis=(1, 2)))
-        if w.requires_grad:
-            gw = np.zeros_like(w.value)
-            for di in range(k):
-                for dj in range(k):
-                    gw[:, di, dj] = (g * xp[:, di:di + h, dj:dj + wd]).sum(axis=(1, 2))
-            w.accumulate(gw)
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for di in range(k):
-                for dj in range(k):
-                    gxp[:, di:di + h, dj:dj + wd] += w.value[:, di, dj][:, None, None] * g
-            x.accumulate(gxp[:, pad:pad + h, pad:pad + wd])
-
-    return _make(out_value, (x, w, bias), backward)
+    return _window_conv(x, w, bias, 1,
+                        lambda wt, win: wt[:, None, None] * win,
+                        lambda g, win: (g * win).sum(axis=(1, 2)),
+                        lambda wt, g: wt[:, None, None] * g)
 
 
 def upsample_nearest2x(a) -> Node:
@@ -476,11 +444,7 @@ def upsample_nearest2x(a) -> Node:
     a = as_node(a)
     c, h, w = a.shape
     out_value = np.repeat(np.repeat(a.value, 2, axis=1), 2, axis=2)
-
-    def backward(g):
-        a.accumulate(g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))
-
-    return _make(out_value, (a,), backward)
+    return unary(a, out_value, lambda g: g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))
 
 
 def layer_norm(x, gamma, beta) -> Node:

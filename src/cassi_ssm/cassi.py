@@ -147,19 +147,16 @@ def add_shot_noise(meas: np.ndarray, bits: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # differentiable wrappers: each map's backward applies its adjoint
 
-def _linear_node(x: "ad.Node", apply, adjoint, op: SensingOperator) -> "ad.Node":
-    """Tape node for the linear map `apply(x, op)`; its backward is `adjoint(g, op)`."""
-    x = ad.as_node(x)
-    return ad._make(apply(x.value, op), (x,), lambda g: x.accumulate(adjoint(g, op)))
-
-
 def forward_project_node(cube: "ad.Node", op: SensingOperator) -> "ad.Node":
-    return _linear_node(cube, forward_project, adjoint_project, op)
+    cube = ad.as_node(cube)
+    return ad.unary(cube, forward_project(cube.value, op), lambda g: adjoint_project(g, op))
 
 
 def adjoint_project_node(meas: "ad.Node", op: SensingOperator) -> "ad.Node":
-    return _linear_node(meas, adjoint_project, forward_project, op)
+    meas = ad.as_node(meas)
+    return ad.unary(meas, adjoint_project(meas.value, op), lambda g: forward_project(g, op))
 
 
 def shift_back_node(meas: "ad.Node", op: SensingOperator) -> "ad.Node":
-    return _linear_node(meas, shift_back, lambda g, op: _detector_sum(lambda b: g[b], op), op)
+    meas = ad.as_node(meas)
+    return ad.unary(meas, shift_back(meas.value, op), lambda g: _detector_sum(lambda b: g[b], op))

@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-band", help="write one band as a PGM image")
     p.add_argument("--cube", required=True)
-    p.add_argument("--band", type=int, required=True)
+    p.add_argument("--band", type=fileio.non_negative_int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_export_band)
 

@@ -41,6 +41,11 @@ class UNetConfig:
     expansion: int = 2
 
     def __post_init__(self):
+        if not (isinstance(self.cube, (tuple, list)) and len(self.cube) == 3
+                and all(isinstance(side, (int, np.integer)) for side in self.cube)):
+            raise ValueError(f"cube must be three integers (height, width, depth), got {self.cube!r}")
+        # a tuple of ints, so the scan-order cache can hash it
+        object.__setattr__(self, "cube", tuple(int(side) for side in self.cube))
         if self.levels < 0 or self.blocks_per_level < 1:
             raise ValueError("levels must be >= 0 and blocks_per_level >= 1")
         sizes = {"bands": self.bands, "base_channels": self.base_channels, "patch": self.patch,

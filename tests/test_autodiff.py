@@ -35,6 +35,17 @@ def conv2d_loop_oracle(x, w, bias=None, stride=1):
     return out
 
 
+def input_grad_errors(op, inputs, proj, **kwargs):
+    """finite_diff_check of sum(proj * op(**inputs)) in each input, the others held constant."""
+    errors = {}
+    for name, theta in inputs.items():
+        def f(t, name=name):
+            nodes = {n: ad.constant(v) for n, v in inputs.items()} | {name: t}
+            return total(ad.mul(op(**nodes, **kwargs), ad.constant(proj)))
+        errors[name] = finite_diff_check(f, theta)
+    return errors
+
+
 def linear_scan_loop_oracle(abar, bx, cseq, proj):
     """Literal per-step recurrence h[t] = abar[t] h[t-1] + bx[t] over [B,L,N]
     inputs: the outputs <cseq[t], h[t]> and the gradients of sum(proj * out)
@@ -183,6 +194,15 @@ class TestConv2d:
                         ad.constant(np.zeros(2)))
         assert out.shape == (2, 7, 9)
 
+    # refused up front: a bias of another shape would get a gradient of its own shape wrong
+    @pytest.mark.parametrize("op,w_shape", [(ad.conv2d, (4, 4, 3, 3)),
+                                            (ad.depthwise_conv2d, (4, 3, 3))],
+                             ids=["conv2d", "depthwise"])
+    def test_bias_shape_mismatch(self, op, w_shape):
+        with pytest.raises(ValueError, match=r"bias shape \(1,\) does not match 4 output channels"):
+            op(ad.constant(np.zeros((4, 5, 5))), ad.constant(np.zeros(w_shape)),
+               ad.parameter(np.ones(1)))
+
     def test_stride2_halves_even_dims(self):
         out = ad.conv2d(ad.constant(np.zeros((1, 8, 6))), ad.constant(np.zeros((2, 1, 3, 3))),
                         ad.constant(np.zeros(2)), stride=2)
@@ -222,6 +242,17 @@ class TestGather:
         order = local_patch_order(4, 4, 2, reverse=True)
         out = ad.gather_last(ad.constant(x), order.forward, order.inverse).value
         assert np.array_equal(np.sort(out, axis=1), np.sort(x, axis=1))
+
+    def test_grad(self):
+        rng = np.random.default_rng(19)
+        # a rotation, not an involution, so the backward must gather through the inverse
+        fwd, inv = np.roll(np.arange(16), 3), np.roll(np.arange(16), -3)
+        proj = rng.normal(size=(2, 16))
+
+        def f(t):
+            return total(ad.mul(ad.gather_last(t, fwd, inv), ad.constant(proj)))
+
+        assert finite_diff_check(f, rng.normal(size=(2, 16))) <= 1e-8
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 5), st.randoms(use_true_random=False))
@@ -298,14 +329,13 @@ class TestFiniteDiffCheck:
 
     def test_through_conv2d(self):
         rng = np.random.default_rng(7)
-        x = rng.normal(size=(2, 5, 5))
-        proj = rng.normal(size=(3, 5, 5))
-
-        def f(w):
-            return total(ad.mul(ad.conv2d(ad.constant(x), w, ad.constant(np.zeros(3))),
-                                ad.constant(proj)))
-
-        assert finite_diff_check(f, rng.normal(size=(3, 2, 3, 3))) <= 1e-4
+        for stride, k in [(1, 3), (2, 3), (1, 1), (2, 1)]:
+            side = 5 if stride == 1 else 3
+            inputs = {"x": rng.normal(size=(2, 5, 5)), "w": rng.normal(size=(3, 2, k, k)),
+                      "bias": rng.normal(size=3)}
+            errors = input_grad_errors(ad.conv2d, inputs, rng.normal(size=(3, side, side)),
+                                       stride=stride)
+            assert max(errors.values()) <= 1e-4, (stride, k, errors)
 
 
 class TestStructuralOps:
@@ -335,6 +365,15 @@ class TestStructuralOps:
             return total(ad.mul(ad.repeat_expand(t, 0, 4), ad.constant(np.arange(8.).reshape(4, 2))))
 
         assert finite_diff_check(f, v) <= 1e-8
+
+    def test_reshape_and_mean_all_grads(self):
+        rng = np.random.default_rng(20)
+        proj = rng.normal(size=(4, 3))
+
+        def f(t):
+            return ad.mean_all(ad.mul(ad.reshape(t, (4, 3)), ad.constant(proj)))
+
+        assert finite_diff_check(f, rng.normal(size=(2, 6))) <= 1e-8
 
     def test_layer_norm_grad(self):
         rng = np.random.default_rng(10)
@@ -370,14 +409,10 @@ class TestStructuralOps:
 
     def test_depthwise_grad(self):
         rng = np.random.default_rng(14)
-        x = rng.normal(size=(2, 4, 4))
-        proj = rng.normal(size=(2, 4, 4))
-
-        def f(w):
-            return total(ad.mul(ad.depthwise_conv2d(ad.constant(x), w, ad.constant(np.zeros(2))),
-                                ad.constant(proj)))
-
-        assert finite_diff_check(f, rng.normal(size=(2, 3, 3))) <= 1e-4
+        inputs = {"x": rng.normal(size=(2, 4, 4)), "w": rng.normal(size=(2, 3, 3)),
+                  "bias": rng.normal(size=2)}
+        errors = input_grad_errors(ad.depthwise_conv2d, inputs, rng.normal(size=(2, 4, 4)))
+        assert max(errors.values()) <= 1e-4, errors
 
     def test_upsample_values_and_grad(self):
         x = np.arange(4.0).reshape(1, 2, 2)

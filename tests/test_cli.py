@@ -291,6 +291,13 @@ class TestExportAndDump:
                     "--band", "9", "--out", workspace / "band.pgm"]) == 1
         assert "out of range" in capsys.readouterr().err
 
+    # a negative index is refused at parse time, before the cube is read
+    def test_export_band_negative_exit_2(self, workspace, capsys):
+        assert run(["export-band", "--cube", workspace / "scene.hsic",
+                    "--band", "-1", "--out", workspace / "band.pgm"]) == 2
+        assert "error: argument --band" in capsys.readouterr().err
+        assert not (workspace / "band.pgm").exists()
+
     def test_dump_scan_order(self, capsys):
         assert run(["dump-scan-order", "--kind", "local", "--height", "4",
                     "--width", "4", "--patch", "2"]) == 0

@@ -297,6 +297,20 @@ class TestDenoise:
         with pytest.raises(ValueError, match=r"cube footprint \dx\d must divide patch side 4"):
             UNetConfig(bands=2, base_channels=4, patch=4, cube=cube)
 
+    # stored as a tuple, which the scan-order cache can hash
+    def test_cube_list_stored_as_tuple(self):
+        cfg = UNetConfig(bands=2, base_channels=4, levels=1, blocks_per_level=1,
+                         patch=2, cube=[1, 1, 2], state_size=2, expansion=1)
+        assert cfg.cube == (1, 1, 2) and type(cfg.cube) is tuple
+        out = denoise(np.zeros((2, 8, 8)), 0.1, np.ones((8, 8)), tiny_weights(), cfg, "net")
+        assert out.shape == (2, 8, 8)
+
+    @pytest.mark.parametrize("cube", [(2, 2), (2, 2, 2, 2), 2, (2.0, 2, 2)],
+                             ids=["two", "four", "int", "float"])
+    def test_cube_must_be_three_integers(self, cube):
+        with pytest.raises(ValueError, match="cube must be three integers"):
+            UNetConfig(bands=2, base_channels=4, patch=4, cube=cube)
+
     def test_band_count_guard(self):
         w = tiny_weights()
         with pytest.raises(ValueError, match="bands"):
