@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .checks import integer
 
 MAX_NOISE_BITS = 16
 
@@ -33,10 +34,8 @@ class SensingOperator:
             raise ValueError(f"mask must be 2-D, got shape {mask.shape}")
         if not np.isfinite(mask).all():
             raise ValueError("mask contains non-finite values")
-        if self.shift_step < 0:
-            raise ValueError(f"shift step must be >= 0, got {self.shift_step}")
-        if self.bands < 1:
-            raise ValueError(f"band count must be >= 1, got {self.bands}")
+        object.__setattr__(self, "shift_step", integer(self.shift_step, "shift step"))
+        object.__setattr__(self, "bands", integer(self.bands, "band count", 1))
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
 
@@ -115,10 +114,7 @@ def phi_diag(op: SensingOperator) -> np.ndarray:
 
 def noise_bits(value) -> int:
     """A detector bit depth for shot noise in [0, MAX_NOISE_BITS]; 0 means noiseless."""
-    bits = int(value)
-    if not 0 <= bits <= MAX_NOISE_BITS:
-        raise ValueError(f"noise bit depth must lie in [0, {MAX_NOISE_BITS}], got {value}")
-    return bits
+    return integer(value, "noise bit depth", 0, MAX_NOISE_BITS)
 
 
 def add_shot_noise(meas: np.ndarray, bits: int, seed: int) -> np.ndarray:

@@ -101,7 +101,7 @@ def _cmd_train(args) -> int:
     config = unfolding.UnfoldConfig(
         stages=_flag_or_file(args.stages, opts, "stages", 3),
         net=net,
-        share_weights=bool(opts.get("share_weights", 1)),
+        share_weights=opts.get("share_weights", 1),
     )
     op = _load_operator(args.mask, bands, args.d)
     for scene in scenes:
@@ -236,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=fileio.positive_int, required=True)
     p.add_argument("--width", type=fileio.positive_int, required=True)
     p.add_argument("--channels", type=fileio.positive_int, default=1)
-    p.add_argument("--patch", type=fileio.positive_int, default=4)
-    p.add_argument("--cube", type=fileio.cube_dims, default=(2, 2, 4), help="cube dims HxWxC")
+    p.add_argument("--patch", type=fileio.positive_int, default=UNetConfig.patch)
+    p.add_argument("--cube", type=fileio.cube_dims, default=UNetConfig.cube, help="cube dims HxWxC")
     p.set_defaults(func=_cmd_dump_scan_order)
 
     return parser

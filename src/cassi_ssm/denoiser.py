@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .checks import integer
 from .scans import cross_cube_order, global_order, local_patch_order
 from .ssm import selective_scan
 
@@ -41,19 +42,18 @@ class UNetConfig:
     expansion: int = 2
 
     def __post_init__(self):
-        if not (isinstance(self.cube, (tuple, list)) and len(self.cube) == 3
-                and all(isinstance(side, (int, np.integer)) for side in self.cube)):
-            raise ValueError(f"cube must be three integers (height, width, depth), got {self.cube!r}")
+        for name in ("bands", "base_channels", "levels", "blocks_per_level", "patch",
+                     "state_size", "expansion"):
+            least = 0 if name == "levels" else 1
+            object.__setattr__(self, name, integer(getattr(self, name), name, least))
+        try:
+            if not (isinstance(self.cube, (tuple, list)) and len(self.cube) == 3):
+                raise ValueError(f"got {self.cube!r}")
+            cube = tuple(integer(side, "cube", 1) for side in self.cube)
+        except ValueError as exc:
+            raise ValueError(f"cube must be three integers (height, width, depth): {exc}") from None
         # a tuple of ints, so the scan-order cache can hash it
-        object.__setattr__(self, "cube", tuple(int(side) for side in self.cube))
-        if self.levels < 0 or self.blocks_per_level < 1:
-            raise ValueError("levels must be >= 0 and blocks_per_level >= 1")
-        sizes = {"bands": self.bands, "base_channels": self.base_channels, "patch": self.patch,
-                 "cube": min(self.cube), "state_size": self.state_size,
-                 "expansion": self.expansion}
-        for name, value in sizes.items():
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        object.__setattr__(self, "cube", cube)
         if self.patch % self.cube[0] or self.patch % self.cube[1]:
             raise ValueError(f"cube footprint {self.cube[0]}x{self.cube[1]} must divide "
                              f"patch side {self.patch}")

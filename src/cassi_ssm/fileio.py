@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import integer
 from .denoiser import UNetConfig
 from .training import FeatureMask, feature_mask_seed, zero_ratio
 from .unfolding import UnfoldConfig
@@ -125,12 +126,13 @@ def _config_profile(config: UnfoldConfig) -> np.ndarray:
 
 
 def config_from_profile(profile: np.ndarray) -> UnfoldConfig:
-    p = [int(v) for v in np.asarray(profile).ravel()]
+    # integral entries become ints; any other is left for the configs to refuse
+    p = [int(v) if v.is_integer() else v for v in map(float, np.asarray(profile).ravel())]
     if len(p) != 12:
         raise FileFormatError(f"weights profile has {len(p)} fields, expected 12")
     net = UNetConfig(bands=p[2], base_channels=p[3], levels=p[4], blocks_per_level=p[5],
                      patch=p[6], cube=(p[7], p[8], p[9]), state_size=p[10], expansion=p[11])
-    return UnfoldConfig(stages=p[0], net=net, share_weights=bool(p[1]))
+    return UnfoldConfig(stages=p[0], net=net, share_weights=p[1])
 
 
 def config_digest(config: UnfoldConfig) -> bytes:
@@ -270,8 +272,8 @@ def export_band(cube: np.ndarray, band: int, path) -> None:
 
     A constant band has no range and maps to mid-gray (128) by contract.
     """
-    cube = np.asarray(cube, dtype=np.float64)
-    if not 0 <= band < cube.shape[0]:
+    cube, band = np.asarray(cube, dtype=np.float64), integer(band, "band")
+    if band >= cube.shape[0]:
         raise ValueError(f"band {band} out of range for {cube.shape[0]}-band cube")
     plane = cube[band]
     lo, hi = float(plane.min()), float(plane.max())
@@ -290,8 +292,7 @@ def ingest_dataset(directory, crop: int, bands: int, seed: int = 0) -> list[np.n
     The crop corner of each scene is drawn from `seed`, reproducible across
     runs.
     """
-    if crop < 1 or bands < 1:
-        raise ValueError(f"crop and bands must be >= 1, got crop={crop}, bands={bands}")
+    crop, bands = integer(crop, "crop and bands", 1), integer(bands, "crop and bands", 1)
     paths = sorted(Path(directory).glob("*.hsic"))
     if not paths:
         raise FileNotFoundError(f"no .hsic scenes found in {directory}")
@@ -319,26 +320,17 @@ def ingest_dataset(directory, crop: int, bands: int, seed: int = 0) -> list[np.n
 
 def positive_int(text: str) -> int:
     """Parse a size of at least 1, e.g. a patch side."""
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"size must be >= 1, got {text!r}")
-    return value
+    return integer(text, "size", 1)
 
 
 def non_negative_int(text: str) -> int:
     """Parse a count that may be 0, e.g. the number of U-Net levels."""
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"count must be >= 0, got {text!r}")
-    return value
+    return integer(text, "count")
 
 
 def zero_or_one(text: str) -> int:
     """Parse a 0/1 switch, e.g. share_weights."""
-    value = int(text)
-    if value not in (0, 1):
-        raise ValueError(f"expected 0 or 1, got {text!r}")
-    return value
+    return integer(text, "switch", 0, 1)
 
 
 def cube_dims(text: str) -> tuple:

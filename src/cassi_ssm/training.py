@@ -9,13 +9,13 @@ gradient descent with a cosine-decayed learning rate.
 from __future__ import annotations
 
 import hashlib
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from . import cassi
+from .checks import integer, switch
 from .denoiser import ModelWeights
 from .unfolding import UnfoldConfig, reconstruct_node
 
@@ -35,6 +35,7 @@ class FeatureMask:
 
     def __post_init__(self):
         ratio = zero_ratio(self.zero_ratio)
+        object.__setattr__(self, "zero_ratio", ratio)
         object.__setattr__(self, "seed", feature_mask_seed(self.seed))
         v = np.ascontiguousarray(self.values, dtype=np.float64)
         if v.ndim != 2:
@@ -91,18 +92,8 @@ def learning_rate(value) -> float:
 
 
 def feature_mask_seed(value) -> int:
-    """A feature-mask seed as an int; CSMW files store seeds in [0, 2**64).
-
-    Python and numpy integers and decimal strings are taken; any other
-    number, 2.0 included, is refused rather than truncated.
-    """
-    try:
-        seed = int(value) if isinstance(value, str) else operator.index(value)
-    except TypeError:
-        raise ValueError(f"feature-mask seed must be an integer, got {value!r}") from None
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"feature-mask seed must lie in [0, 2**64), got {value}")
-    return seed
+    """A feature-mask seed as an int; CSMW files store seeds in [0, 2**64)."""
+    return integer(value, "feature-mask seed", 0, 2 ** 64 - 1)
 
 
 @dataclass(frozen=True)
@@ -118,12 +109,13 @@ class TrainConfig:
     noise_seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        learning_rate(self.learning_rate)
-        zero_ratio(self.zero_ratio)
-        feature_mask_seed(self.mask_seed)
-        cassi.noise_bits(self.noise_bits)
+        object.__setattr__(self, "learning_rate", learning_rate(self.learning_rate))
+        object.__setattr__(self, "steps", integer(self.steps, "steps", 1))
+        object.__setattr__(self, "zero_ratio", zero_ratio(self.zero_ratio))
+        object.__setattr__(self, "mask_seed", feature_mask_seed(self.mask_seed))
+        object.__setattr__(self, "masked", switch(self.masked, "masked"))
+        object.__setattr__(self, "noise_bits", cassi.noise_bits(self.noise_bits))
+        object.__setattr__(self, "noise_seed", integer(self.noise_seed, "noise seed"))
 
     def lr_at(self, step: int) -> float:
         """Cosine decay from the base rate to zero over the configured steps."""

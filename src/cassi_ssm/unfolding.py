@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import cassi
+from .checks import integer, switch
 from .denoiser import ModelWeights, UNetConfig, denoise, init_denoiser_weights
 
 # raw scalars that give mu = 1.0 and sigma = 0.1 through the softplus
@@ -46,8 +47,8 @@ class UnfoldConfig:
     share_weights: bool = True
 
     def __post_init__(self):
-        if self.stages < 1:
-            raise ValueError(f"stage count must be >= 1, got {self.stages}")
+        object.__setattr__(self, "stages", integer(self.stages, "stage count", 1))
+        object.__setattr__(self, "share_weights", switch(self.share_weights, "share_weights"))
 
     def stage_prefix(self, k: int) -> str:
         return "shared" if self.share_weights else f"stage{k}"

@@ -194,7 +194,10 @@ class TestWeightsFiles:
         fileio.save_weights(p, weights, cfg, feature_mask=mask)
         assert fileio.load_weights(p).feature_mask.seed == 2**31 - 7
 
-    @pytest.mark.parametrize("ratio,seed", [(0.3, 2**33 + 7), (0.1, 2**64 - 1)])
+    # a numpy or integer ratio is stored as the float the file gives back,
+    # so the mask digest survives the round trip
+    @pytest.mark.parametrize("ratio,seed", [(0.3, 2**33 + 7), (0.1, 2**64 - 1),
+                                            (np.float64(0.5), 3), (0, 5)])
     def test_mask_metadata_lossless(self, tmp_path, ratio, seed):
         cfg, weights, _ = self.make_model()
         mask = training.generate_mask(8, 8, ratio, seed=seed)
@@ -414,6 +417,30 @@ class TestWeightsFiles:
         cfg, _, _ = self.make_model()
         profile = fileio._config_profile(cfg)
         assert fileio.config_from_profile(profile) == cfg
+
+    def test_fractional_profile_entry_refused(self, tmp_path, monkeypatch):
+        # the header digest is that of patch 4; the profile's patch slot holds 4.75
+        cfg = unfolding.UnfoldConfig(stages=2, net=dataclasses.replace(TINY, patch=4))
+        profile = fileio._config_profile(cfg)
+        profile[6] = 4.75
+        monkeypatch.setattr(fileio, "_config_profile", lambda config: profile)
+        p = tmp_path / "frac.csmw"
+        fileio.save_weights(p, unfolding.init_weights(cfg, seed=3), cfg)
+        with pytest.raises(fileio.FileFormatError,
+                           match="bad config profile: patch must be an integer, got 4.75"):
+            fileio.load_weights(p)
+
+    # the digest is part of every CSMW file, so these bytes must never move
+    @pytest.mark.parametrize("config,digest", [
+        (unfolding.UnfoldConfig(stages=3, share_weights=True, net=UNetConfig(
+            bands=4, base_channels=8, levels=1, blocks_per_level=1, patch=4, cube=(2, 2, 2),
+            state_size=4, expansion=2)),
+         "f40d0c7a8e0d37d5f71cd59ed12460e905cc341e00d57e34b530fbfd1cae752c"),
+        (unfolding.UnfoldConfig(stages=3, net=UNetConfig(bands=28)),
+         "1704e77918b944e1455bb0a815b399e65a340359c374ce45092b2c7aa2b9f542"),
+    ], ids=["toy", "default"])
+    def test_config_digest_pinned(self, config, digest):
+        assert fileio.config_digest(config).hex() == digest
 
 
 class TestExportBand:
