@@ -124,7 +124,7 @@ def add_shot_noise(meas: np.ndarray, bits: int, seed: int) -> np.ndarray:
     per pixel, and rescaled.  Deterministic under the seed.  Bit depth 0 is
     noiseless: the measurement comes back unchanged.
     """
-    bits = noise_bits(bits)
+    bits, seed = noise_bits(bits), integer(seed, "noise seed")
     meas = np.asarray(meas, dtype=np.float64)
     if bits == 0:
         return meas

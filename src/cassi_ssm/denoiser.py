@@ -52,7 +52,7 @@ class UNetConfig:
             cube = tuple(integer(side, "cube", 1) for side in self.cube)
         except ValueError as exc:
             raise ValueError(f"cube must be three integers (height, width, depth): {exc}") from None
-        # a tuple of ints, so the scan-order cache can hash it
+        # a tuple of ints, so configs compare and hash by value
         object.__setattr__(self, "cube", cube)
         if self.patch % self.cube[0] or self.patch % self.cube[1]:
             raise ValueError(f"cube footprint {self.cube[0]}x{self.cube[1]} must divide "

@@ -210,41 +210,35 @@ def save_weights(path, weights, config: UnfoldConfig, feature_mask: FeatureMask 
 def load_weights(path) -> LoadedModel:
     """Read a CSMW file back; verifies the stored config digest."""
     raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != WEIGHTS_MAGIC:
+    if raw[:4] != WEIGHTS_MAGIC:
         raise FileFormatError(f"{path}: not a CSMW file")
     pos = 4
-    if len(raw) < pos + 1 + 32 + 4:
-        raise FileFormatError(f"{path}: truncated weights header")
-    version = raw[pos]
-    pos += 1
+
+    def take(n: int, what: str) -> bytes:
+        """The next n bytes; a read past the end is a truncated `what`."""
+        nonlocal pos
+        if len(raw) - pos < n:
+            raise FileFormatError(f"{path}: truncated weights {what}")
+        pos += n
+        return raw[pos - n:pos]
+
+    version, digest, count = struct.unpack("<B32sI", take(37, "header"))
     if version not in (1, WEIGHTS_VERSION):
         raise FileFormatError(f"{path}: unsupported CSMW version {version}")
-    digest = raw[pos:pos + 32]
-    pos += 32
-    (count,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
+        (name_len,) = struct.unpack("<H", take(2, "file"))
+        encoded = take(name_len, "file")
         try:
-            (name_len,) = struct.unpack_from("<H", raw, pos)
-            pos += 2
-            name = raw[pos:pos + name_len].decode("utf-8")
-            pos += name_len
-            rank = raw[pos]
-            pos += 1
-            if rank > MAX_RANK:
-                raise FileFormatError(
-                    f"{path}: tensor {name!r} has rank {rank}, more than the {MAX_RANK} "
-                    f"dimensions an array may hold")
-            dims = struct.unpack_from(f"<{rank}I", raw, pos)
-            pos += 4 * rank
-            n = math.prod(dims)
-            payload = raw[pos:pos + 4 * n]
-            if len(payload) < 4 * n:
-                raise FileFormatError(f"{path}: truncated weights payload")
-            pos += 4 * n
-        except (struct.error, IndexError, UnicodeDecodeError) as exc:
-            raise FileFormatError(f"{path}: truncated weights file") from exc
+            name = encoded.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FileFormatError(f"{path}: tensor name {encoded!r} is not UTF-8") from None
+        (rank,) = take(1, "file")
+        if rank > MAX_RANK:
+            raise FileFormatError(f"{path}: tensor {name!r} has rank {rank}, more than the "
+                                  f"{MAX_RANK} dimensions an array may hold")
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, "file"))
+        payload = take(4 * math.prod(dims), "payload")
         if name in arrays:
             raise FileFormatError(f"{path}: duplicate tensor name {name!r}")
         arrays[name] = _f32_values(payload).reshape(dims)

@@ -27,14 +27,20 @@ class MetricReport:
     data_range: float
 
 
-def psnr(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
-    """10*log10(range^2 / MSE) in dB, capped at 100."""
+def _images(a, b, data_range: float):
+    """Both images as float64; refuses unequal shapes and a data_range not finite and > 0."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if data_range <= 0:
-        raise ValueError(f"data_range must be positive, got {data_range}")
+    if not (np.isfinite(data_range) and data_range > 0):
+        raise ValueError(f"data_range must be finite and > 0, got {data_range}")
+    return a, b
+
+
+def psnr(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
+    """10*log10(range^2 / MSE) in dB, capped at 100."""
+    a, b = _images(a, b, data_range)
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return PSNR_CAP_DB
@@ -43,12 +49,7 @@ def psnr(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
 
 def ssim(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
     """Mean structural similarity of two single-band images."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if data_range <= 0:
-        raise ValueError(f"data_range must be positive, got {data_range}")
+    a, b = _images(a, b, data_range)
     h, w = a.shape
     k = SSIM_WINDOW
     if h < k or w < k:
@@ -77,12 +78,9 @@ def evaluate(cube_a: np.ndarray, cube_b: np.ndarray) -> MetricReport:
     cube_a is the reference; the data range is its maximum (1.0 if the
     reference is empty of signal).
     """
-    cube_a = np.asarray(cube_a, dtype=np.float64)
-    cube_b = np.asarray(cube_b, dtype=np.float64)
-    if cube_a.shape != cube_b.shape:
-        raise ValueError(f"shape mismatch: {cube_a.shape} vs {cube_b.shape}")
-    peak = float(cube_a.max())
+    peak = float(np.max(cube_a))
     data_range = peak if peak > 0 else 1.0
+    cube_a, cube_b = _images(cube_a, cube_b, data_range)
     band_psnr = tuple(psnr(cube_a[i], cube_b[i], data_range) for i in range(cube_a.shape[0]))
     band_ssim = tuple(ssim(cube_a[i], cube_b[i], data_range) for i in range(cube_a.shape[0]))
     return MetricReport(

@@ -4,8 +4,8 @@ Index convention: a position (band b, row r, col x) of a C x H x W tensor
 flattens to b*H*W + r*W + x.  Purely spatial orders are defined on the
 H*W indices of one plane and are applied identically to every channel.
 
-Generated orders are immutable and cached by their arguments, since the
-same permutations are reused on every forward pass.
+Generated orders are immutable and cached by their sizes, checked under the
+integer rule first, since the same permutations are reused on every forward pass.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .checks import integer
 
 
 @dataclass(frozen=True)
@@ -44,26 +46,28 @@ def _finish(descriptor: str, forward: np.ndarray) -> ScanOrder:
     return ScanOrder(forward, inverse, descriptor)
 
 
-@functools.cache
 def global_order(height: int, width: int, reverse: bool = False) -> ScanOrder:
     """Row-major traversal of an H x W plane; reverse flips the whole sequence."""
-    if height < 1 or width < 1:
-        raise ValueError(f"dims must be positive, got {height}x{width}")
-    desc = f"global:{height}x{width}:rev={int(reverse)}"
-    fwd = np.arange(height * width, dtype=np.intp)
-    if reverse:
-        fwd = fwd[::-1]
-    return _finish(desc, fwd)
+    return _global_order(integer(height, "height", 1), integer(width, "width", 1), reverse)
 
 
 @functools.cache
+def _global_order(height: int, width: int, reverse: bool) -> ScanOrder:
+    fwd = np.arange(height * width, dtype=np.intp)
+    return _finish(f"global:{height}x{width}:rev={int(reverse)}", fwd[::-1] if reverse else fwd)
+
+
 def local_patch_order(height: int, width: int, patch: int, reverse: bool = False) -> ScanOrder:
     """Row-major over the patch grid, row-major inside each patch.
 
     reverse flips the complete sequence, not the per-patch runs.
     """
-    if min(height, width, patch) < 1:
-        raise ValueError(f"dims and patch must be positive, got {height}x{width}, patch {patch}")
+    return _local_patch_order(integer(height, "height", 1), integer(width, "width", 1),
+                              integer(patch, "patch", 1), reverse)
+
+
+@functools.cache
+def _local_patch_order(height: int, width: int, patch: int, reverse: bool) -> ScanOrder:
     if height % patch or width % patch:
         raise ValueError(f"patch side {patch} must divide spatial dims {height}x{width}")
     desc = f"local:{height}x{width}:p={patch}:rev={int(reverse)}"
@@ -71,12 +75,9 @@ def local_patch_order(height: int, width: int, patch: int, reverse: bool = False
     idx = np.arange(height * width, dtype=np.intp).reshape(
         height // patch, patch, width // patch, patch)
     fwd = idx.transpose(0, 2, 1, 3).reshape(-1)
-    if reverse:
-        fwd = fwd[::-1]
-    return _finish(desc, fwd)
+    return _finish(desc, fwd[::-1] if reverse else fwd)
 
 
-@functools.cache
 def cross_cube_order(height: int, width: int, channels: int, patch: int,
                      cube: tuple) -> ScanOrder:
     """Scan ordered by small spatial-spectral cubes inside each spatial patch.
@@ -87,9 +88,15 @@ def cross_cube_order(height: int, width: int, channels: int, patch: int,
     spectral index varies fastest so adjacent bands at a pixel sit next to
     each other, then adjacent pixels.
     """
+    return _cross_cube_order(integer(height, "height", 1), integer(width, "width", 1),
+                             integer(channels, "channels", 1), integer(patch, "patch", 1),
+                             tuple(integer(side, "cube side", 1) for side in cube))
+
+
+@functools.cache
+def _cross_cube_order(height: int, width: int, channels: int, patch: int,
+                      cube: tuple) -> ScanOrder:
     ch, cw, cc = cube
-    if min(height, width, channels) < 1:
-        raise ValueError(f"dims must be positive, got {height}x{width}x{channels}")
     if height % patch or width % patch:
         raise ValueError(f"patch side {patch} must divide spatial dims {height}x{width}")
     if patch % ch or patch % cw:

@@ -67,10 +67,11 @@ class FeatureMask:
 
 def generate_mask(height: int, width: int, ratio: float, seed: int) -> FeatureMask:
     """Place exactly round(ratio * H * W) zeros by a seeded shuffle."""
+    height, width = integer(height, "mask height", 1), integer(width, "mask width", 1)
     n = height * width
     n_zero = int(round(zero_ratio(ratio) * n))
     flat = np.ones(n)
-    idx = np.random.default_rng(seed).permutation(n)
+    idx = np.random.default_rng(feature_mask_seed(seed)).permutation(n)
     flat[idx[:n_zero]] = 0.0
     return FeatureMask(flat.reshape(height, width), ratio, seed)
 

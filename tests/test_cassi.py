@@ -214,6 +214,12 @@ class TestShotNoise:
         meas = np.random.default_rng(11).random((3, 5))
         assert np.array_equal(cassi.add_shot_noise(meas, 0, seed=0), meas)
 
+    @pytest.mark.parametrize("seed", [True, 1.5, 2.0, -1],
+                             ids=["bool", "float", "integral-float", "negative"])
+    def test_seed_follows_integer_rule(self, seed):
+        with pytest.raises(ValueError, match="noise seed must be"):
+            cassi.add_shot_noise(np.ones((2, 2)), 8, seed)
+
 
 class TestDifferentiableWrappers:
     def test_forward_backward_is_adjoint(self):

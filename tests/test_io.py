@@ -358,6 +358,17 @@ class TestWeightsFiles:
             assert str(p) in str(err.value) and "shared/out/b" in str(err.value)
             assert not p.exists()
 
+    def test_name_not_utf8_rejected(self, tmp_path):
+        cfg, weights, _ = self.make_model()
+        p = tmp_path / "name.csmw"
+        fileio.save_weights(p, weights, cfg)
+        raw = bytearray(p.read_bytes())
+        raw[raw.index(b"shared/out/b")] = 0xFF  # never a UTF-8 byte
+        p.write_bytes(bytes(raw))
+        with pytest.raises(fileio.FileFormatError, match="is not UTF-8") as err:
+            fileio.load_weights(p)
+        assert str(p) in str(err.value) and "hared/out/b" in str(err.value)
+
     def test_truncation_rejected(self, tmp_path):
         cfg, weights, _ = self.make_model()
         p = tmp_path / "t.csmw"

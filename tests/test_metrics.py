@@ -40,9 +40,14 @@ class TestPsnr:
         with pytest.raises(ValueError, match="shape mismatch"):
             metrics.psnr(np.zeros((2, 2)), np.zeros((3, 3)), 1.0)
 
-    def test_data_range_positive(self):
-        with pytest.raises(ValueError, match="data_range"):
-            metrics.psnr(np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
+
+# NaN fails `data_range <= 0`, so only a finite-and-positive test refuses it
+@pytest.mark.parametrize("data_range", [0.0, -1.0, np.nan, np.inf, -np.inf],
+                         ids=["zero", "negative", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("metric", [metrics.psnr, metrics.ssim], ids=["psnr", "ssim"])
+def test_data_range_positive(metric, data_range):
+    with pytest.raises(ValueError, match="data_range must be"):
+        metric(np.zeros((11, 11)), np.zeros((11, 11)), data_range)
 
 
 class TestSsim:
@@ -111,6 +116,13 @@ class TestEvaluate:
         report = metrics.evaluate(a, b)
         assert report.psnr_mean == pytest.approx(np.mean(report.band_psnr), abs=1e-12)
         assert report.ssim_mean == pytest.approx(np.mean(report.band_ssim), abs=1e-12)
+
+    def test_infinite_reference_refused(self):
+        # its peak is the data range, which psnr would read as a perfect 100 dB
+        ref = np.random.default_rng(10).random((2, 12, 12))
+        ref[0, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="data_range must be"):
+            metrics.evaluate(ref, np.zeros_like(ref))
 
     def test_matches_independent_fixture_computation(self):
         # fixture pair generated deterministically; metrics recomputed here

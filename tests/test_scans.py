@@ -74,7 +74,7 @@ class TestLocalPatchOrder:
 
     @pytest.mark.parametrize("h,w,p", [(-4, 4, 2), (0, 4, 2), (4, 0, 2), (4, 4, 0)])
     def test_dims_below_one_rejected(self, h, w, p):
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match="must be >= 1"):
             scans.local_patch_order(h, w, p)
 
     def test_divisibility_error_names_dims(self):
@@ -125,8 +125,36 @@ class TestCrossCubeOrder:
 
     @pytest.mark.parametrize("h,w,c", [(-4, 4, 2), (4, 0, 2), (4, 4, 0), (4, 4, -2)])
     def test_dims_below_one_rejected(self, h, w, c):
-        with pytest.raises(ValueError, match="dims must be positive"):
+        with pytest.raises(ValueError, match="must be >= 1"):
             scans.cross_cube_order(h, w, c, 2, (1, 1, 2))
+
+
+# every size slot, the cube's sides included, takes a numpy integer and
+# refuses a float, a bool or a word; 4.0 == 4, so a cache consulted before
+# the check would hand it the order just built for 4
+@pytest.mark.parametrize("value,accepted", [(2.5, False), (4.0, False), (True, False),
+                                            ("x", False), (np.int64(4), True)],
+                         ids=["float", "integral-float", "bool", "word", "np-int64"])
+@pytest.mark.parametrize("maker,args", [
+    (scans.global_order, (4, 4)),
+    (scans.local_patch_order, (4, 4, 4)),
+    (scans.cross_cube_order, (4, 4, 4, 4, (4, 4, 4))),
+], ids=["global", "local", "cross"])
+def test_sizes_follow_integer_rule(maker, args, value, accepted):
+    want = maker(*args)
+    variants = [args[:i] + (value,) + args[i + 1:]
+                for i, size in enumerate(args) if not isinstance(size, tuple)]
+    if maker is scans.cross_cube_order:
+        cube = args[4]
+        variants += [args[:4] + (cube[:i] + (value,) + cube[i + 1:],) for i in range(3)]
+    for variant in variants:
+        if accepted:
+            got = maker(*variant)
+            assert got.descriptor == want.descriptor
+            assert np.array_equal(got.forward, want.forward)
+        else:
+            with pytest.raises(ValueError, match="must be an integer"):
+                maker(*variant)
 
 
 class TestValidateOrder:

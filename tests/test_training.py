@@ -53,6 +53,19 @@ class TestGenerateMask:
         with pytest.raises(ValueError, match="zero ratio"):
             training.generate_mask(4, 4, 1.0, seed=0)
 
+    @pytest.mark.parametrize("size,message", [(0, "must be >= 1"), (4.0, "must be an integer"),
+                                              (True, "must be an integer")],
+                             ids=["zero", "float", "bool"])
+    def test_sizes_follow_integer_rule(self, size, message):
+        for height, width in ((size, 4), (4, size)):
+            with pytest.raises(ValueError, match=f"mask (height|width) {message}"):
+                training.generate_mask(height, width, 0.5, seed=0)
+
+    @pytest.mark.parametrize("seed", [1.5, -1], ids=["float", "negative"])
+    def test_seed_follows_integer_rule(self, seed):
+        with pytest.raises(ValueError, match="feature-mask seed must"):
+            training.generate_mask(4, 4, 0.5, seed)
+
     def test_values_must_be_zero_or_one(self):
         with pytest.raises(ValueError, match="0 or 1"):
             training.FeatureMask(np.full((4, 4), 0.5), 0.0, 0)
