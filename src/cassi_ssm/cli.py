@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from . import cassi, fileio, metrics, scans, training, unfolding
+from .checks import integer
 from .denoiser import UNetConfig
 
 
@@ -167,6 +168,17 @@ def _cmd_dump_scan_order(args) -> int:
     return 0
 
 
+def _flag(rule, *args):
+    """An argparse type that parses with `rule(text, *args)`; a refusal prints
+    the rule's own message rather than argparse's `invalid <name> value`."""
+    def parse(text: str):
+        try:
+            return rule(text, *args)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cassi-ssm",
                                      description="CASSI simulation and reconstruction toolkit")
@@ -175,11 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="project a cube into a coded measurement")
     p.add_argument("--cube", required=True)
     p.add_argument("--mask", required=True)
-    p.add_argument("--d", type=fileio.non_negative_int, default=2,
+    p.add_argument("--d", type=_flag(integer, "shift step"), default=2,
                    help="dispersion shift step per band")
-    p.add_argument("--noise-bits", type=cassi.noise_bits, default=0,
+    p.add_argument("--noise-bits", type=_flag(cassi.noise_bits), default=0,
                    help=f"shot-noise bit depth in [0, {cassi.MAX_NOISE_BITS}], 0 = noiseless")
-    p.add_argument("--seed", type=fileio.non_negative_int, default=0)
+    p.add_argument("--seed", type=_flag(integer, "noise seed"), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
@@ -187,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meas", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--weights", required=True)
-    p.add_argument("--stages", type=fileio.positive_int, default=None,
+    p.add_argument("--stages", type=_flag(integer, "stage count", 1), default=None,
                    help="override the stage count of a shared-weights model")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_reconstruct)
@@ -196,25 +208,25 @@ def build_parser() -> argparse.ArgumentParser:
     scenes = p.add_mutually_exclusive_group(required=True)
     scenes.add_argument("--cube", action="append", default=[], help="scene file (repeatable)")
     scenes.add_argument("--scenes", default=None, help="directory of .hsic scenes")
-    p.add_argument("--crop", type=fileio.positive_int, default=32,
+    p.add_argument("--crop", type=_flag(integer, "crop", 1), default=32,
                    help="side of the square crop taken from each --scenes scene")
-    p.add_argument("--bands", type=fileio.positive_int, default=4,
+    p.add_argument("--bands", type=_flag(integer, "bands", 1), default=4,
                    help="leading bands kept from each --scenes scene")
     p.add_argument("--mask", required=True)
     p.add_argument("--config", default=None, help="key=value network profile")
-    p.add_argument("--stages", type=fileio.positive_int, default=None,
+    p.add_argument("--stages", type=_flag(integer, "stage count", 1), default=None,
                    help="stage count; overrides the config file (default 3)")
-    p.add_argument("--d", type=fileio.non_negative_int, default=2)
-    p.add_argument("--steps", type=fileio.positive_int, default=200)
-    p.add_argument("--lr", type=training.learning_rate, default=1.0,
+    p.add_argument("--d", type=_flag(integer, "shift step"), default=2)
+    p.add_argument("--steps", type=_flag(integer, "steps", 1), default=200)
+    p.add_argument("--lr", type=_flag(training.learning_rate), default=1.0,
                    help="base learning rate, finite and >= 0")
-    p.add_argument("--seed", type=fileio.non_negative_int, default=0)
+    p.add_argument("--seed", type=_flag(integer, "seed"), default=0)
     p.add_argument("--masked", action="store_true", help="enable masked training")
-    p.add_argument("--mask-ratio", type=training.zero_ratio, default=None,
+    p.add_argument("--mask-ratio", type=_flag(training.zero_ratio), default=None,
                    help="zeroed share of the feature mask; overrides the config file (default 0.5)")
-    p.add_argument("--mask-seed", type=training.feature_mask_seed, default=None,
+    p.add_argument("--mask-seed", type=_flag(training.feature_mask_seed), default=None,
                    help="feature-mask seed; overrides the config file (default 0)")
-    p.add_argument("--noise-bits", type=cassi.noise_bits, default=0,
+    p.add_argument("--noise-bits", type=_flag(cassi.noise_bits), default=0,
                    help=f"shot-noise bit depth in [0, {cassi.MAX_NOISE_BITS}], 0 = noiseless")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
@@ -226,18 +238,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-band", help="write one band as a PGM image")
     p.add_argument("--cube", required=True)
-    p.add_argument("--band", type=fileio.non_negative_int, required=True)
+    p.add_argument("--band", type=_flag(integer, "band"), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_export_band)
 
     p = sub.add_parser("dump-scan-order", help="print the forward indices of a scan order")
     p.add_argument("--kind", required=True,
                    choices=["global", "global-reverse", "local", "local-reverse", "cross"])
-    p.add_argument("--height", type=fileio.positive_int, required=True)
-    p.add_argument("--width", type=fileio.positive_int, required=True)
-    p.add_argument("--channels", type=fileio.positive_int, default=1)
-    p.add_argument("--patch", type=fileio.positive_int, default=UNetConfig.patch)
-    p.add_argument("--cube", type=fileio.cube_dims, default=UNetConfig.cube, help="cube dims HxWxC")
+    p.add_argument("--height", type=_flag(integer, "height", 1), required=True)
+    p.add_argument("--width", type=_flag(integer, "width", 1), required=True)
+    p.add_argument("--channels", type=_flag(integer, "channels", 1), default=1)
+    p.add_argument("--patch", type=_flag(integer, "patch", 1), default=UNetConfig.patch)
+    p.add_argument("--cube", type=_flag(fileio.cube_dims), default=UNetConfig.cube,
+                   help="cube dims HxWxC")
     p.set_defaults(func=_cmd_dump_scan_order)
 
     return parser

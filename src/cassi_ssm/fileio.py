@@ -11,11 +11,12 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .checks import integer
+from .checks import integer, switch
 from .denoiser import UNetConfig
 from .training import FeatureMask, feature_mask_seed, zero_ratio
 from .unfolding import UnfoldConfig
@@ -69,37 +70,46 @@ def _f32_payload(values: np.ndarray, where: str) -> bytes:
 # ---------------------------------------------------------------------------
 # HSIC cubes
 
+_CUBE_HEADER = struct.Struct("<4sBBIII")   # magic, version, kind, H, W, bands
+
+
+def _check_cube_header(path, kind: int, h: int, w: int, nb: int) -> None:
+    """The one HSIC header rule, on save and on load: a known kind, every
+    dimension in [1, MAX_DIM], and a single plane for a mask or measurement."""
+    if kind not in _KIND_NAMES:
+        raise FileFormatError(f"{path}: unknown HSIC kind byte {kind}")
+    if not (1 <= h <= MAX_DIM and 1 <= w <= MAX_DIM and 1 <= nb <= MAX_DIM):
+        raise FileFormatError(f"{path}: implausible dimensions {h}x{w}x{nb}")
+    if kind != KIND_CUBE and nb != 1:
+        raise FileFormatError(
+            f"{path}: {_KIND_NAMES[kind]} files must carry a single plane, not {nb}")
+
+
 def save_cube(path, values: np.ndarray, kind: int = KIND_CUBE) -> None:
     """Write a [bands, H, W] array (band-major) as a kind-tagged HSIC file."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 3:
         raise ValueError(f"expected a 3-D array, got shape {values.shape}")
-    if kind not in _KIND_NAMES:
-        raise ValueError(f"unknown kind {kind}")
-    if kind in (KIND_MASK, KIND_MEASUREMENT) and values.shape[0] != 1:
-        raise ValueError(f"{_KIND_NAMES[kind]} files must carry a single plane")
     nb, h, w = values.shape
+    _check_cube_header(path, kind, h, w, nb)
     payload = _f32_payload(values, f"{path}: payload")
-    header = CUBE_MAGIC + struct.pack("<BBIII", CUBE_VERSION, kind, h, w, nb)
+    header = _CUBE_HEADER.pack(CUBE_MAGIC, CUBE_VERSION, kind, h, w, nb)
     Path(path).write_bytes(header + payload)
 
 
 def load_cube(path, expect_kind: int | None = None):
     """Read an HSIC file; returns (values [bands, H, W] float64, kind)."""
     raw = Path(path).read_bytes()
-    if len(raw) < 18:
+    if len(raw) < _CUBE_HEADER.size:
         raise FileFormatError(f"{path}: truncated header")
-    if raw[:4] != CUBE_MAGIC:
+    magic, version, kind, h, w, nb = _CUBE_HEADER.unpack_from(raw)
+    if magic != CUBE_MAGIC:
         raise FileFormatError(f"{path}: not a HSIC file")
-    version, kind, h, w, nb = struct.unpack("<BBIII", raw[4:18])
     if version != CUBE_VERSION:
         raise FileFormatError(f"{path}: unsupported HSIC version {version}")
-    if kind not in _KIND_NAMES:
-        raise FileFormatError(f"{path}: unknown HSIC kind byte {kind}")
-    if not (1 <= h <= MAX_DIM and 1 <= w <= MAX_DIM and 1 <= nb <= MAX_DIM):
-        raise FileFormatError(f"{path}: implausible dimensions {h}x{w}x{nb}")
+    _check_cube_header(path, kind, h, w, nb)
     expected = 4 * h * w * nb
-    body = raw[18:]
+    body = raw[_CUBE_HEADER.size:]
     if len(body) < expected:
         raise FileFormatError(f"{path}: truncated payload ({len(body)} of {expected} bytes)")
     if len(body) > expected:
@@ -312,40 +322,22 @@ def ingest_dataset(directory, crop: int, bands: int, seed: int = 0) -> list[np.n
 # ---------------------------------------------------------------------------
 # plain key=value config files
 
-def positive_int(text: str) -> int:
-    """Parse a size of at least 1, e.g. a patch side."""
-    return integer(text, "size", 1)
-
-
-def non_negative_int(text: str) -> int:
-    """Parse a count that may be 0, e.g. the number of U-Net levels."""
-    return integer(text, "count")
-
-
-def zero_or_one(text: str) -> int:
-    """Parse a 0/1 switch, e.g. share_weights."""
-    return integer(text, "switch", 0, 1)
-
-
 def cube_dims(text: str) -> tuple:
     """Parse `HxWxC` cube dimensions, e.g. `2x2x4`, each at least 1."""
     parts = text.lower().split("x")
     if len(parts) != 3:
         raise ValueError(f"cube must be HxWxC, got {text!r}")
-    return tuple(positive_int(p) for p in parts)
+    return tuple(integer(p, "cube side", 1) for p in parts)
 
 
+# key -> the rule of its setting; an integer key is checked under its own name
 _CONFIG_KEYS = {
-    "stages": positive_int,
-    "base_channels": positive_int,
-    "levels": non_negative_int,
-    "blocks": positive_int,
-    "patch": positive_int,
-    "state_size": positive_int,
-    "expansion": positive_int,
+    **{key: partial(integer, what=key, least=1) for key in
+       ("stages", "base_channels", "blocks", "patch", "state_size", "expansion")},
+    "levels": partial(integer, what="levels"),
+    "share_weights": partial(switch, what="share_weights"),
     "mask_ratio": zero_ratio,
     "mask_seed": feature_mask_seed,
-    "share_weights": zero_or_one,
     "cube": cube_dims,
 }
 

@@ -39,12 +39,13 @@ def _images(a, b, data_range: float):
 
 
 def psnr(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
-    """10*log10(range^2 / MSE) in dB, capped at 100."""
+    """10*log10(range^2 / MSE) in dB, capped at 100; NaN when an image holds NaN."""
     a, b = _images(a, b, data_range)
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return PSNR_CAP_DB
-    return min(PSNR_CAP_DB, float(10.0 * np.log10(data_range * data_range / mse)))
+    # np.minimum, not min(): a NaN image scores NaN, not the cap
+    return float(np.minimum(PSNR_CAP_DB, 10.0 * np.log10(data_range * data_range / mse)))
 
 
 def ssim(a: np.ndarray, b: np.ndarray, data_range: float) -> float:

@@ -4,8 +4,9 @@ Index convention: a position (band b, row r, col x) of a C x H x W tensor
 flattens to b*H*W + r*W + x.  Purely spatial orders are defined on the
 H*W indices of one plane and are applied identically to every channel.
 
-Generated orders are immutable and cached by their sizes, checked under the
-integer rule first, since the same permutations are reused on every forward pass.
+Generated orders are immutable and cached by their sizes and direction, checked
+under the integer and switch rules first, since the same permutations are
+reused on every forward pass.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import integer
+from .checks import integer, switch
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,8 @@ def _finish(descriptor: str, forward: np.ndarray) -> ScanOrder:
 
 def global_order(height: int, width: int, reverse: bool = False) -> ScanOrder:
     """Row-major traversal of an H x W plane; reverse flips the whole sequence."""
-    return _global_order(integer(height, "height", 1), integer(width, "width", 1), reverse)
+    return _global_order(integer(height, "height", 1), integer(width, "width", 1),
+                         switch(reverse, "reverse"))
 
 
 @functools.cache
@@ -63,7 +65,7 @@ def local_patch_order(height: int, width: int, patch: int, reverse: bool = False
     reverse flips the complete sequence, not the per-patch runs.
     """
     return _local_patch_order(integer(height, "height", 1), integer(width, "width", 1),
-                              integer(patch, "patch", 1), reverse)
+                              integer(patch, "patch", 1), switch(reverse, "reverse"))
 
 
 @functools.cache

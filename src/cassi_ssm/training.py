@@ -76,9 +76,19 @@ def generate_mask(height: int, width: int, ratio: float, seed: int) -> FeatureMa
     return FeatureMask(flat.reshape(height, width), ratio, seed)
 
 
+def _number(value, what: str) -> float:
+    """`value` as a float; a bool, or text that is not a number, is refused."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+
+
 def zero_ratio(value) -> float:
     """A feature-mask zero ratio as a float in [0, 1)."""
-    ratio = float(value)
+    ratio = _number(value, "zero ratio")
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"zero ratio must lie in [0, 1), got {value}")
     return ratio
@@ -86,7 +96,7 @@ def zero_ratio(value) -> float:
 
 def learning_rate(value) -> float:
     """A base learning rate as a finite float >= 0; 0 leaves the weights untouched."""
-    rate = float(value)
+    rate = _number(value, "learning rate")
     if not (np.isfinite(rate) and rate >= 0.0):
         raise ValueError(f"learning rate must be finite and >= 0, got {value}")
     return rate

@@ -1,13 +1,15 @@
 """End-to-end command-line driver tests on the bundled toy scene."""
 
+import argparse
 import dataclasses
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cassi_ssm import cassi, fileio, metrics, training, unfolding
-from cassi_ssm.cli import parse_and_dispatch
+from cassi_ssm.cli import build_parser, parse_and_dispatch
 from cassi_ssm.demo import toy_mask, toy_scene
 from cassi_ssm.denoiser import ModelWeights, UNetConfig
 
@@ -403,3 +405,29 @@ class TestUsageErrors:
         bad.write_bytes(b"garbage garbage garbage")
         assert run(["eval", "--ref", bad, "--test", bad]) == 1
         assert "not a HSIC file" in capsys.readouterr().err
+
+
+def typed_flags():
+    """(command, flag) for every option of every subcommand that parses its value."""
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    return [(name, action.option_strings[0]) for name, sub in commands.choices.items()
+            for action in sub._actions if action.type is not None]
+
+
+TYPED_FLAGS = typed_flags()
+
+
+def test_flag_walk_finds_the_typed_flags():
+    assert ("train", "--steps") in TYPED_FLAGS and len(TYPED_FLAGS) >= 20
+
+
+# a refused flag prints the rule that refused it; a bare type such as `int`
+# would print argparse's "invalid int value: 'x'" instead
+@pytest.mark.parametrize("command,flag", TYPED_FLAGS,
+                         ids=[command + flag for command, flag in TYPED_FLAGS])
+def test_refused_flag_prints_its_rule(capsys, command, flag):
+    assert run([command, flag, "x"]) == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert re.fullmatch(rf"cassi-ssm {command}: error: argument {flag}: .+, got 'x'", last)
+    assert "invalid" not in last

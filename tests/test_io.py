@@ -149,6 +149,30 @@ class TestCubeFiles:
             fileio.save_cube(tmp_path / "x.hsic", np.ones((2, 3, 3)), kind=fileio.KIND_MASK)
 
 
+    @pytest.mark.parametrize("kind", [fileio.KIND_MASK, fileio.KIND_MEASUREMENT],
+                             ids=["mask", "measurement"])
+    def test_single_plane_kind_with_planes_not_loaded(self, tmp_path, kind):
+        # written by hand: save_cube refuses it, and load_cube holds the same rule
+        p = tmp_path / "planes.hsic"
+        p.write_bytes(fileio.CUBE_MAGIC + struct.pack("<BBIII", 1, kind, 2, 2, 3)
+                      + np.ones(12, dtype="<f4").tobytes())
+        with pytest.raises(fileio.FileFormatError, match="single plane"):
+            fileio.load_cube(p, expect_kind=kind)
+
+    # the dimensions load_cube refuses are never written
+    @pytest.mark.parametrize("shape", [(1, 0, 4), (0, 2, 2), (1, 1, fileio.MAX_DIM + 1)],
+                             ids=["zero-width", "zero-bands", "over-max"])
+    def test_implausible_dimensions_not_saved(self, tmp_path, shape):
+        p = tmp_path / "d.hsic"
+        with pytest.raises(ValueError, match="implausible dimensions"):
+            fileio.save_cube(p, np.ones(shape))
+        assert not p.exists()
+
+    def test_largest_dimension_round_trips(self, tmp_path):
+        p = tmp_path / "wide.hsic"
+        fileio.save_cube(p, np.ones((1, 1, fileio.MAX_DIM)), kind=fileio.KIND_MEASUREMENT)
+        assert fileio.load_cube(p)[0].shape == (1, 1, fileio.MAX_DIM)
+
 class TestWeightsFiles:
     def make_model(self, masked=False):
         cfg = unfolding.UnfoldConfig(stages=2, net=TINY, share_weights=True)
@@ -575,6 +599,18 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=f"bad value for {key}") as err:
             fileio.parse_config_file(p)
         assert str(err.value).startswith(f"{p}:2: ")
+
+    # an integer key is refused under its own name, not a generic noun
+    @pytest.mark.parametrize("line", ["stages=0", "base_channels=0", "levels=-1", "blocks=x",
+                                      "patch=1.5", "state_size=0", "expansion=-1",
+                                      "share_weights=2"])
+    def test_integer_key_named_in_rule_text(self, tmp_path, line):
+        p = tmp_path / "bad.cfg"
+        p.write_text(line + "\n")
+        key = line.split("=")[0]
+        with pytest.raises(ValueError) as err:
+            fileio.parse_config_file(p)
+        assert str(err.value).startswith(f"{p}:1: bad value for {key}: {key} must ")
 
     def test_cube_dims(self):
         assert fileio.cube_dims("2X3x4") == (2, 3, 4)

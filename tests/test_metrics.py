@@ -12,6 +12,13 @@ class TestPsnr:
         x = np.random.default_rng(0).random((8, 8))
         assert metrics.psnr(x, x, 1.0) == 100.0
 
+    def test_nan_image_scores_nan(self):
+        # the cap is the score of a perfect match, not of an image holding NaN
+        a = np.ones((8, 8))
+        b = a.copy()
+        b[3, 4] = np.nan
+        assert np.isnan(metrics.psnr(a, b, 1.0))
+
     def test_mse_001_is_20db(self):
         a = np.zeros((10, 10))
         b = np.full((10, 10), 0.1)  # MSE = 0.01
@@ -123,6 +130,11 @@ class TestEvaluate:
         ref[0, 0, 0] = np.inf
         with pytest.raises(ValueError, match="data_range must be"):
             metrics.evaluate(ref, np.zeros_like(ref))
+
+    def test_nan_test_cube_scores_nan(self):
+        ref = np.random.default_rng(11).random((2, 12, 12))
+        report = metrics.evaluate(ref, np.full_like(ref, np.nan))
+        assert np.isnan(report.psnr_mean) and np.isnan(report.ssim_mean)
 
     def test_matches_independent_fixture_computation(self):
         # fixture pair generated deterministically; metrics recomputed here

@@ -157,6 +157,24 @@ def test_sizes_follow_integer_rule(maker, args, value, accepted):
                 maker(*variant)
 
 
+
+# reverse follows the switch rule: 0 and 1 give the order and descriptor of
+# False and True, and anything else is refused rather than read by truthiness
+@pytest.mark.parametrize("value,want", [(0, False), (1, True), (False, False), (True, True),
+                                        (0.5, None), (2, None), ("yes", None)],
+                         ids=["0", "1", "False", "True", "half", "two", "word"])
+@pytest.mark.parametrize("maker,args", [(scans.global_order, (4, 4)),
+                                        (scans.local_patch_order, (4, 4, 2))],
+                         ids=["global", "local"])
+def test_reverse_follows_switch_rule(maker, args, value, want):
+    if want is None:
+        with pytest.raises(ValueError, match="reverse must"):
+            maker(*args, value)
+    else:
+        got, expected = maker(*args, value), maker(*args, want)
+        assert got.descriptor == expected.descriptor
+        assert np.array_equal(got.forward, expected.forward)
+
 class TestValidateOrder:
     def test_generated_orders_are_bijections(self):
         for order in (

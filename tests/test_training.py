@@ -1,6 +1,7 @@
 """Masked-training mechanics: exact mask counts, fixed-mask reuse, and the
 gradient-descent loop."""
 
+import re
 import warnings
 
 import numpy as np
@@ -300,6 +301,15 @@ class TestTrainConfig:
     def test_learning_rate_negative_or_non_finite_rejected(self, rate):
         with pytest.raises(ValueError, match="learning rate must be finite and >= 0"):
             training.TrainConfig(learning_rate=rate)
+
+    # a bool is not a rate or a ratio, and a word is refused under the setting's name
+    @pytest.mark.parametrize("value", [True, False, np.True_, "abc", None],
+                             ids=["True", "False", "np-True", "word", "None"])
+    @pytest.mark.parametrize("field,what", [("learning_rate", "learning rate"),
+                                            ("zero_ratio", "zero ratio")], ids=["lr", "ratio"])
+    def test_float_setting_refuses_bool_and_word(self, field, what, value):
+        with pytest.raises(ValueError, match=re.escape(f"{what} must be a number, got {value!r}")):
+            training.TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("seed", [2.7, 2.0])
     def test_non_integer_mask_seed_rejected(self, seed):
