@@ -2,8 +2,10 @@
 
 The engine is deliberately small: values are immutable numpy arrays, the
 tape is built by the ops below, and `backward` runs one reverse sweep in
-topological order.  Broadcasting is restricted to scalar-against-tensor;
-every other shape relation must be made explicit through `repeat_expand`,
+topological order.  Ops take `Node`s and coerce nothing: arrays and floats
+enter the graph through `constant`, `parameter`, or the `as_node` of an
+entry point.  Broadcasting is restricted to scalar-against-tensor; every
+other shape relation must be made explicit through `repeat_expand`,
 `reshape`, `concat` or `split`, which keeps shape bugs loud.
 
 Each op family has one skeleton, so an op states only its value and its
@@ -75,9 +77,8 @@ def parameter(value) -> Node:
 
 
 def as_node(x) -> Node:
-    if isinstance(x, Node):
-        return x
-    return constant(x)
+    """`x` if it is a Node, else `x` as a constant; only entry points call it."""
+    return x if isinstance(x, Node) else constant(x)
 
 
 def _make(value, parents, backward) -> Node:
@@ -104,7 +105,6 @@ def _binary(kind, a, b, op, grad_a, grad_b) -> Node:
     `grad_a` and `grad_b` map (g, a_value, b_value, out_value) to the
     gradient of each input before the scalar broadcast is summed back.
     """
-    a, b = as_node(a), as_node(b)
     if a.shape != b.shape and a.shape != () and b.shape != ():
         raise ValueError(f"shape mismatch for {kind}: {a.shape} vs {b.shape}")
     x, y = a.value, b.value
@@ -145,20 +145,17 @@ def div(a, b) -> Node:
 
 def scale(a, s: float) -> Node:
     """Multiply by a plain python float (not a tape value)."""
-    a = as_node(a)
     s = float(s)
     return unary(a, a.value * s, lambda g: g * s)
 
 
 def softplus(a) -> Node:
-    a = as_node(a)
     out_value = np.logaddexp(0.0, a.value)
     # the derivative 1 / (1 + exp(-x)) is 1 - exp(-softplus(x))
     return unary(a, out_value, lambda g: g * -np.expm1(-out_value))
 
 
 def exp(a) -> Node:
-    a = as_node(a)
     out_value = np.exp(a.value)
     return unary(a, out_value, lambda g: g * out_value)
 
@@ -248,14 +245,12 @@ def _erf(x: Array) -> Array:
 
 def gelu(a) -> Node:
     """Exact GELU: x * Phi(x) with the Gaussian CDF."""
-    a = as_node(a)
     x = a.value
     cdf = 0.5 * (1.0 + _erf(x / _SQRT2))
     return unary(a, x * cdf, lambda g: g * (cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))))
 
 
 def relu(a) -> Node:
-    a = as_node(a)
     return unary(a, np.maximum(a.value, 0.0), lambda g: g * (a.value > 0.0))
 
 
@@ -265,7 +260,6 @@ def phi1(a) -> Node:
     This is the factor that turns a continuous input gain into its
     zero-order-hold discrete counterpart.
     """
-    a = as_node(a)
     z = a.value
     small = np.abs(z) < 1e-8
     safe = np.where(small, 1.0, z)
@@ -283,20 +277,16 @@ def phi1(a) -> Node:
 # reductions and shape ops
 
 def mean_all(a) -> Node:
-    a = as_node(a)
     n = a.value.size
     return unary(a, np.asarray(a.value.mean()), lambda g: np.full_like(a.value, float(g) / n))
 
 
 def reshape(a, shape) -> Node:
-    a = as_node(a)
-    shape = tuple(int(s) for s in shape)
     return unary(a, a.value.reshape(shape), lambda g: g.reshape(a.shape))
 
 
 def concat(nodes) -> Node:
     """Join along the leading axis."""
-    nodes = [as_node(n) for n in nodes]
     out_value = np.concatenate([n.value for n in nodes])
     offsets = np.cumsum([0] + [n.shape[0] for n in nodes])
 
@@ -310,7 +300,6 @@ def concat(nodes) -> Node:
 
 def split(a, sizes):
     """Split along the leading axis into chunks of the given sizes."""
-    a = as_node(a)
     if sum(sizes) != a.shape[0]:
         raise ValueError(f"split sizes {sizes} do not cover axis of length {a.shape[0]}")
     offsets = np.cumsum([0] + list(sizes))
@@ -333,7 +322,6 @@ def repeat_expand(a, axis: int, n: int) -> Node:
     The backward pass sums over the inserted axis, making the expansion an
     explicit (and checkable) stand-in for broadcasting.
     """
-    a = as_node(a)
     out_value = np.repeat(np.expand_dims(a.value, axis), n, axis=axis)
     return unary(a, out_value, lambda g: g.sum(axis=axis))
 
@@ -344,7 +332,6 @@ def gather_last(a, forward_idx, inverse_idx) -> Node:
     Because the permutation is a bijection the backward pass is simply a
     gather through the inverse permutation (no scatter collisions).
     """
-    a = as_node(a)
     L = a.shape[-1]
     if len(forward_idx) != L:
         raise ValueError(f"order length {len(forward_idx)} does not match axis length {L}")
@@ -405,7 +392,6 @@ def conv2d(x, w, bias, stride: int = 1) -> Node:
     k in {1, 3}, stride in {1, 2}, zero padding k // 2, so stride 1 keeps
     the spatial dims.
     """
-    x, w, bias = as_node(x), as_node(w), as_node(bias)
     c_out, c_in, k, k2 = w.shape
     if k != k2:
         raise ValueError(f"kernel must be square, got {k}x{k2}")
@@ -427,7 +413,6 @@ def depthwise_conv2d(x, w, bias) -> Node:
     x is [C,H,W], w is [C,k,k] and bias is [C]; channel c is filtered by
     kernel c only.
     """
-    x, w, bias = as_node(x), as_node(w), as_node(bias)
     c, k, k2 = w.shape
     if k != k2 or k % 2 == 0:
         raise ValueError(f"depthwise kernel must be odd square, got {k}x{k2}")
@@ -441,7 +426,6 @@ def depthwise_conv2d(x, w, bias) -> Node:
 
 def upsample_nearest2x(a) -> Node:
     """Nearest-neighbour 2x spatial upsampling of a [C,H,W] tensor."""
-    a = as_node(a)
     c, h, w = a.shape
     out_value = np.repeat(np.repeat(a.value, 2, axis=1), 2, axis=2)
     return unary(a, out_value, lambda g: g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))
@@ -449,7 +433,6 @@ def upsample_nearest2x(a) -> Node:
 
 def layer_norm(x, gamma, beta) -> Node:
     """Normalize across the channel axis of [C,H,W], per spatial position."""
-    x, gamma, beta = as_node(x), as_node(gamma), as_node(beta)
     c = x.shape[0]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ValueError(f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match {c} channels")
@@ -534,7 +517,6 @@ def linear_scan(abar, bx, cseq) -> Node:
     backwards in time on the state gradient, gh[t] = gc[t] + abar[t+1] *
     gh[t+1].  Results differ from a step-by-step loop only by rounding.
     """
-    abar, bx, cseq = as_node(abar), as_node(bx), as_node(cseq)
     if not (abar.shape == bx.shape == cseq.shape) or abar.value.ndim != 3:
         raise ValueError(
             f"linear_scan expects matching [B,L,N] inputs, got {abar.shape}, {bx.shape}, {cseq.shape}")

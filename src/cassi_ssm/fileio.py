@@ -51,11 +51,11 @@ def _all_finite(values: np.ndarray) -> bool:
     return bool(np.isfinite(values.sum(dtype=np.float64)))
 
 
-def _f32_values(payload: bytes) -> np.ndarray:
-    """Float32 bytes as float64; a signalling NaN is left to `_all_finite`
-    rather than raising the cast's invalid-value warning."""
+def _f32_values(payload: bytes, offset: int = 0) -> np.ndarray:
+    """Float32 bytes from `offset` on as float64; a signalling NaN is left to
+    `_all_finite` rather than raising the cast's invalid-value warning."""
     with np.errstate(invalid="ignore"):
-        return np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        return np.frombuffer(payload, dtype="<f4", offset=offset).astype(np.float64)
 
 
 def _f32_payload(values: np.ndarray, where: str) -> bytes:
@@ -94,7 +94,9 @@ def save_cube(path, values: np.ndarray, kind: int = KIND_CUBE) -> None:
     _check_cube_header(path, kind, h, w, nb)
     payload = _f32_payload(values, f"{path}: payload")
     header = _CUBE_HEADER.pack(CUBE_MAGIC, CUBE_VERSION, kind, h, w, nb)
-    Path(path).write_bytes(header + payload)
+    with Path(path).open("wb") as f:
+        f.write(header)
+        f.write(payload)
 
 
 def load_cube(path, expect_kind: int | None = None):
@@ -109,15 +111,15 @@ def load_cube(path, expect_kind: int | None = None):
         raise FileFormatError(f"{path}: unsupported HSIC version {version}")
     _check_cube_header(path, kind, h, w, nb)
     expected = 4 * h * w * nb
-    body = raw[_CUBE_HEADER.size:]
-    if len(body) < expected:
-        raise FileFormatError(f"{path}: truncated payload ({len(body)} of {expected} bytes)")
-    if len(body) > expected:
-        raise FileFormatError(f"{path}: oversized payload ({len(body) - expected} trailing bytes)")
+    size = len(raw) - _CUBE_HEADER.size
+    if size < expected:
+        raise FileFormatError(f"{path}: truncated payload ({size} of {expected} bytes)")
+    if size > expected:
+        raise FileFormatError(f"{path}: oversized payload ({size - expected} trailing bytes)")
     if expect_kind is not None and kind != expect_kind:
         raise FileFormatError(
             f"{path}: kind mismatch (expected {_KIND_NAMES[expect_kind]}, found {_KIND_NAMES[kind]})")
-    values = _f32_values(body).reshape(nb, h, w)
+    values = _f32_values(raw, _CUBE_HEADER.size).reshape(nb, h, w)
     if not _all_finite(values):
         raise FileFormatError(f"{path}: payload holds NaN or Inf")
     return values, kind
@@ -297,6 +299,7 @@ def ingest_dataset(directory, crop: int, bands: int, seed: int = 0) -> list[np.n
     runs.
     """
     crop, bands = integer(crop, "crop and bands", 1), integer(bands, "crop and bands", 1)
+    seed = integer(seed, "seed")
     paths = sorted(Path(directory).glob("*.hsic"))
     if not paths:
         raise FileNotFoundError(f"no .hsic scenes found in {directory}")

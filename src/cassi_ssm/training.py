@@ -199,6 +199,8 @@ def train(batch, weights: ModelWeights, config: UnfoldConfig, cfg: TrainConfig) 
     reused at every step (and should be reused at evaluation); its digest
     is recorded per step so that reuse is checkable.
     """
+    if not batch:
+        raise ValueError("empty batch")
     state = TrainState()
     if cfg.masked:
         h, w = batch[0][1].mask.shape

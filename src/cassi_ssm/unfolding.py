@@ -56,7 +56,7 @@ class UnfoldConfig:
 
 def init_weights(config: UnfoldConfig, seed: int, zero_residual: bool = True) -> ModelWeights:
     """Deterministically initialize denoiser weights plus per-stage scalars."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed"))
     weights = ModelWeights()
     for prefix in dict.fromkeys(config.stage_prefix(k) for k in range(config.stages)):
         init_denoiser_weights(weights, rng, prefix, config.net, zero_residual=zero_residual)

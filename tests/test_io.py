@@ -546,6 +546,21 @@ class TestIngestDataset:
         with pytest.raises(FileNotFoundError):
             fileio.ingest_dataset(tmp_path, crop=4, bands=1)
 
+    @pytest.mark.parametrize("seed", [True, 2.5, 3.0, -1],
+                             ids=["bool", "float", "integral-float", "negative"])
+    def test_seed_follows_integer_rule(self, tmp_path, seed):
+        self.write_scene(tmp_path / "s0.hsic", 5)
+        with pytest.raises(ValueError, match="seed must be"):
+            fileio.ingest_dataset(tmp_path, crop=6, bands=3, seed=seed)
+
+    def test_integer_seed_spellings_agree(self, tmp_path):
+        for i in range(3):
+            self.write_scene(tmp_path / f"s{i}.hsic", 6 + i)
+        want = fileio.ingest_dataset(tmp_path, crop=6, bands=3, seed=3)
+        for seed in ("3", np.int64(3)):
+            got = fileio.ingest_dataset(tmp_path, crop=6, bands=3, seed=seed)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
 
 class TestConfigFile:
     def test_parse(self, tmp_path):

@@ -188,6 +188,13 @@ class TestTrainStep:
         with pytest.raises(ValueError, match="empty"):
             training.train_step([], weights, cfg, training.TrainConfig())
 
+    def test_train_refuses_empty_batch_in_both_modes(self):
+        # masked mode sizes its feature mask from batch[0]
+        cfg, weights, _, _ = tiny_setup()
+        for masked in (False, True):
+            with pytest.raises(ValueError, match="empty batch"):
+                training.train([], weights, cfg, training.TrainConfig(steps=1, masked=masked))
+
     def test_non_finite_weight_diagnostic_names_tensor(self):
         cfg, weights, cube, op = tiny_setup()
         weights["shared/out/b"].value = np.array([np.nan, 0.0])

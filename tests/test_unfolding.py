@@ -188,3 +188,18 @@ class TestWeightsInit:
         arrays = unfolding.init_weights(cfg, seed=12).arrays()
         for k in range(3):
             assert f"est/alpha_raw{k}" in arrays and f"est/beta_raw{k}" in arrays
+
+    @pytest.mark.parametrize("seed", [True, 2.5, 3.0, -1],
+                             ids=["bool", "float", "integral-float", "negative"])
+    def test_seed_follows_integer_rule(self, seed):
+        cfg = unfolding.UnfoldConfig(stages=1, net=TINY)
+        with pytest.raises(ValueError, match="seed must be"):
+            unfolding.init_weights(cfg, seed)
+
+    def test_integer_seed_spellings_agree(self):
+        cfg = unfolding.UnfoldConfig(stages=1, net=TINY)
+        want = unfolding.init_weights(cfg, 3).arrays()
+        for seed in ("3", np.int64(3)):
+            got = unfolding.init_weights(cfg, seed).arrays()
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[name], want[name]) for name in want)
