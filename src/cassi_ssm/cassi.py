@@ -131,6 +131,8 @@ def add_shot_noise(meas: np.ndarray, bits: int, seed: int) -> np.ndarray:
     if (meas < 0).any():
         raise ValueError("measurement must be nonnegative for shot noise")
     peak = meas.max()
+    if not np.isfinite(peak):
+        raise ValueError("measurement must be finite for shot noise")
     if peak == 0.0:
         return meas.copy()
     full_scale = float(2 ** bits - 1)
@@ -144,15 +146,8 @@ def add_shot_noise(meas: np.ndarray, bits: int, seed: int) -> np.ndarray:
 # differentiable wrappers: each map's backward applies its adjoint
 
 def forward_project_node(cube: "ad.Node", op: SensingOperator) -> "ad.Node":
-    cube = ad.as_node(cube)
     return ad.unary(cube, forward_project(cube.value, op), lambda g: adjoint_project(g, op))
 
 
 def adjoint_project_node(meas: "ad.Node", op: SensingOperator) -> "ad.Node":
-    meas = ad.as_node(meas)
     return ad.unary(meas, adjoint_project(meas.value, op), lambda g: forward_project(g, op))
-
-
-def shift_back_node(meas: "ad.Node", op: SensingOperator) -> "ad.Node":
-    meas = ad.as_node(meas)
-    return ad.unary(meas, shift_back(meas.value, op), lambda g: _detector_sum(lambda b: g[b], op))

@@ -1,4 +1,4 @@
-"""The one rule for integer settings, shared by constructors, flags and files."""
+"""The rules for integer settings and cube shapes, shared by constructors, flags and files."""
 
 from __future__ import annotations
 
@@ -31,3 +31,13 @@ def integer(value, what: str, least: int = 0, most: int | None = None) -> int:
 def switch(value, what: str) -> bool:
     """A bool, or 0 or 1 under the integer rule, as a bool."""
     return value if isinstance(value, bool) else bool(integer(value, what, 0, 1))
+
+
+def cube_shape(value) -> tuple:
+    """A (height, width, depth) cube: a tuple or list of three integers >= 1."""
+    try:
+        if not (isinstance(value, (tuple, list)) and len(value) == 3):
+            raise ValueError(f"got {value!r}")
+        return tuple(integer(side, "cube", 1) for side in value)
+    except ValueError as exc:
+        raise ValueError(f"cube must be three integers (height, width, depth): {exc}") from None

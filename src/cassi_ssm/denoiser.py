@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .checks import integer
+from .checks import cube_shape, integer
 from .scans import cross_cube_order, global_order, local_patch_order
 from .ssm import selective_scan
 
@@ -46,14 +46,8 @@ class UNetConfig:
                      "state_size", "expansion"):
             least = 0 if name == "levels" else 1
             object.__setattr__(self, name, integer(getattr(self, name), name, least))
-        try:
-            if not (isinstance(self.cube, (tuple, list)) and len(self.cube) == 3):
-                raise ValueError(f"got {self.cube!r}")
-            cube = tuple(integer(side, "cube", 1) for side in self.cube)
-        except ValueError as exc:
-            raise ValueError(f"cube must be three integers (height, width, depth): {exc}") from None
         # a tuple of ints, so configs compare and hash by value
-        object.__setattr__(self, "cube", cube)
+        object.__setattr__(self, "cube", cube_shape(self.cube))
         if self.patch % self.cube[0] or self.patch % self.cube[1]:
             raise ValueError(f"cube footprint {self.cube[0]}x{self.cube[1]} must divide "
                              f"patch side {self.patch}")
@@ -288,7 +282,6 @@ def embed_with_mask(x: "ad.Node", mask: np.ndarray, weights: ModelWeights, prefi
     cube and a constant sigma channel; a 1x1 convolution integrates them and
     a 3x3 convolution embeds to the working channel count.
     """
-    x = ad.as_node(x)
     nb, height, width = x.shape
     if mask.shape != (height, width):
         raise ValueError(f"mask shape {mask.shape} does not match cube plane {height}x{width}")

@@ -58,13 +58,13 @@ def _f32_values(payload: bytes, offset: int = 0) -> np.ndarray:
         return np.frombuffer(payload, dtype="<f4", offset=offset).astype(np.float64)
 
 
-def _f32_payload(values: np.ndarray, where: str) -> bytes:
-    """Little-endian float32 bytes; refuses what `load_cube`/`load_weights` would."""
+def _f32_payload(values: np.ndarray, where: str) -> np.ndarray:
+    """A C-ordered little-endian float32 copy; refuses what `load_cube`/`load_weights` would."""
     with np.errstate(over="ignore"):
-        payload = values.astype("<f4")
+        payload = values.astype("<f4", order="C")
     if not _all_finite(payload):
         raise ValueError(f"{where} holds NaN, Inf or a value beyond float32 range")
-    return payload.tobytes()
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +215,7 @@ def save_weights(path, weights, config: UnfoldConfig, feature_mask: FeatureMask 
         blob += encoded
         blob += struct.pack("<B", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        blob += _f32_payload(arr, f"{path}: tensor {name!r}")
+        blob += _f32_payload(arr, f"{path}: tensor {name!r}").tobytes()
     Path(path).write_bytes(bytes(blob))
 
 
@@ -283,6 +283,8 @@ def export_band(cube: np.ndarray, band: int, path) -> None:
         raise ValueError(f"band {band} out of range for {cube.shape[0]}-band cube")
     plane = cube[band]
     lo, hi = float(plane.min()), float(plane.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"band {band} holds NaN or Inf")
     if hi > lo:
         pixels = np.round((plane - lo) / (hi - lo) * 255.0).astype(np.uint8)
     else:

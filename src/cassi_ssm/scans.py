@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import integer, switch
+from .checks import cube_shape, integer, switch
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def cross_cube_order(height: int, width: int, channels: int, patch: int,
     """
     return _cross_cube_order(integer(height, "height", 1), integer(width, "width", 1),
                              integer(channels, "channels", 1), integer(patch, "patch", 1),
-                             tuple(integer(side, "cube side", 1) for side in cube))
+                             cube_shape(cube))
 
 
 @functools.cache

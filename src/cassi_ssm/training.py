@@ -52,7 +52,6 @@ class FeatureMask:
 
     def apply(self, feature: "ad.Node") -> "ad.Node":
         """Multiply every channel of a [C, H, W] feature by the mask."""
-        feature = ad.as_node(feature)
         if feature.shape[1:] != self.values.shape:
             raise ValueError(
                 f"mask shape {self.values.shape} does not match feature {feature.shape}")

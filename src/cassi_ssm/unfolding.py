@@ -88,8 +88,7 @@ def data_step(z: np.ndarray, y: np.ndarray, op: cassi.SensingOperator, mu: float
 def reconstruct_node(y: np.ndarray, op: cassi.SensingOperator, weights: ModelWeights,
                      config: UnfoldConfig, feature_mask=None) -> "ad.Node":
     """Build the full unfolding graph; returns the clamped stage-K estimate."""
-    op.check_measurement(np.asarray(y))
-    z = cassi.shift_back_node(ad.constant(np.asarray(y, dtype=np.float64)), op)
+    z = ad.constant(cassi.shift_back(y, op))
     for k in range(config.stages):
         mu = ad.softplus(weights[f"est/alpha_raw{k}"])
         if not mu.value > 0:

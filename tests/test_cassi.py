@@ -6,7 +6,7 @@ import pytest
 
 from cassi_ssm import autodiff as ad
 from cassi_ssm import cassi
-from oracles import build_dense_phi, finite_diff_check, total
+from oracles import build_dense_phi, total
 
 
 def random_operator(rng, h_max=8, w_max=8, b_max=4, d_choices=(0, 1, 2)):
@@ -208,6 +208,13 @@ class TestShotNoise:
         with pytest.raises(ValueError, match="nonnegative"):
             cassi.add_shot_noise(np.array([[-0.1]]), 11, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_values_rejected(self, bad):
+        meas = np.ones((3, 3))
+        meas[1, 2] = bad
+        with pytest.raises(ValueError, match="measurement must be finite for shot noise"):
+            cassi.add_shot_noise(meas, 11, seed=0)
+
     def test_bits_range(self):
         with pytest.raises(ValueError, match=r"bit depth must lie in \[0, 16\]"):
             cassi.add_shot_noise(np.ones((2, 2)), 17, seed=0)
@@ -239,14 +246,3 @@ class TestDifferentiableWrappers:
         loss = total(ad.mul(cassi.adjoint_project_node(y, op), ad.constant(proj)))
         ad.backward(loss)
         assert np.allclose(y.grad, cassi.forward_project(proj, op))
-
-    def test_shift_back_gradcheck(self):
-        rng = np.random.default_rng(13)
-        op = cassi.SensingOperator(rng.random((2, 3)), 1, 2)
-        proj = rng.normal(size=(2, 2, 3))
-
-        def f(t):
-            return total(ad.mul(cassi.shift_back_node(t, op), ad.constant(proj)))
-
-        err = finite_diff_check(f, rng.normal(size=(2, 4)))
-        assert err <= 1e-8

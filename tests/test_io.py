@@ -2,6 +2,7 @@
 
 import dataclasses
 import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -172,6 +173,21 @@ class TestCubeFiles:
         p = tmp_path / "wide.hsic"
         fileio.save_cube(p, np.ones((1, 1, fileio.MAX_DIM)), kind=fileio.KIND_MEASUREMENT)
         assert fileio.load_cube(p)[0].shape == (1, 1, fileio.MAX_DIM)
+
+    # the float32 payload is made once, in band order, and written as it is;
+    # a transposed view checks that the file still holds [bands, H, W]
+    def test_save_holds_one_float32_payload(self, tmp_path):
+        cube = np.random.default_rng(5).random((128, 128, 16)).transpose(2, 0, 1)
+        tracemalloc.start()
+        try:
+            fileio.save_cube(tmp_path / "big.hsic", cube)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 4 * cube.size
+        assert np.array_equal(fileio.load_cube(tmp_path / "big.hsic")[0],
+                              cube.astype(np.float32))
+
 
 class TestWeightsFiles:
     def make_model(self, masked=False):
@@ -505,6 +521,16 @@ class TestExportBand:
     def test_band_out_of_range(self, tmp_path):
         with pytest.raises(ValueError, match="out of range"):
             fileio.export_band(np.zeros((2, 3, 3)), 5, tmp_path / "x.pgm")
+
+    # NaN makes `hi > lo` false, which would write the band as a constant band's gray
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_band_refused(self, tmp_path, bad):
+        cube = np.zeros((2, 3, 3))
+        cube[1, 1, 2] = bad
+        fileio.export_band(cube, 0, tmp_path / "fine.pgm")
+        with pytest.raises(ValueError, match="band 1 holds NaN or Inf"):
+            fileio.export_band(cube, 1, tmp_path / "x.pgm")
+        assert not (tmp_path / "x.pgm").exists()
 
 
 class TestIngestDataset:

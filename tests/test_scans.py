@@ -128,6 +128,13 @@ class TestCrossCubeOrder:
         with pytest.raises(ValueError, match="must be >= 1"):
             scans.cross_cube_order(h, w, c, 2, (1, 1, 2))
 
+    # the cube follows UNetConfig's rule: "222" is not read as (2, 2, 2)
+    @pytest.mark.parametrize("cube", ["222", (2, 2), 2, (2, 2, 2, 2)],
+                             ids=["word", "two", "int", "four"])
+    def test_cube_must_be_three_integers(self, cube):
+        with pytest.raises(ValueError, match="cube must be three integers"):
+            scans.cross_cube_order(4, 4, 2, 4, cube)
+
 
 # every size slot, the cube's sides included, takes a numpy integer and
 # refuses a float, a bool or a word; 4.0 == 4, so a cache consulted before
