@@ -174,14 +174,8 @@ _ERFC_MID = ((2.15311535474403846e-8, 5.64188496988670089e-1, 8.8831497943883759
              (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
               1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
               3.43936767414372164e03, 1.23033935480374942e03))
-_ERFC_FAR = ((1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
-              1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
-             (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
-              6.05183413124413191e-2, 2.33520497626869185e-3))
-_ERF_NEAR_MAX = 0.46875      # |x| up to here: erf = x * R(x^2)
-_ERFC_MID_MAX = 4.0          # up to here: erfc = exp(-x^2) * R(x)
-_ERFC_ZERO = 26.543          # from here on erfc underflows to 0
-_INV_SQRT_PI = 5.6418958354775628695e-1
+_ERF_NEAR_MAX = 0.46875      # |x| up to here: erf = x * R(x^2); beyond, erfc = exp(-x^2) * R(x)
+_ERF_ONE = 6.0               # from here on erfc < 2e-17, under half an ulp of 1: erf rounds to 1
 
 
 def _rational(t: Array, coeffs) -> Array:
@@ -210,18 +204,9 @@ def _erfc_mid(y: Array) -> Array:
     return _rational(y, _ERFC_MID) * _exp_neg_square(y)
 
 
-def _erfc_far(y: Array) -> Array:
-    """erfc for y > _ERFC_MID_MAX, with NaN passed through."""
-    erfc = np.where(np.isnan(y), y, 0.0)
-    idx = np.flatnonzero(y < _ERFC_ZERO)
-    t = y[idx]
-    s = 1.0 / (t * t)
-    erfc[idx] = (_INV_SQRT_PI - s * _rational(s, _ERFC_FAR)) / t * _exp_neg_square(t)
-    return erfc
-
-
 def _erf(x: Array) -> Array:
-    """The error function, within a few ulp, in Cody's three ranges of |x|.
+    """The error function, within a few ulp, as x * R(x^2) near 0 and as
+    1 - erfc past that, with |x| clamped at _ERF_ONE.
 
     Each range is gathered by index, not by boolean mask: a mask whose
     entries alternate at random makes numpy's masked copies several times
@@ -234,12 +219,10 @@ def _erf(x: Array) -> Array:
     idx = np.flatnonzero(near)
     t = flat[idx]
     out[idx] = t * _rational(t * t, _ERF_NEAR)
-    inside = y <= _ERFC_MID_MAX
-    for idx, erfc in ((np.flatnonzero(~near & inside), _erfc_mid),
-                      (np.flatnonzero(~inside), _erfc_far)):    # NaN goes far
-        if idx.size:
-            r = np.subtract(1.0, erfc(y[idx]))
-            out[idx] = np.copysign(r, flat[idx], out=r)
+    idx = np.flatnonzero(~near)      # NaN included
+    if idx.size:
+        r = np.subtract(1.0, _erfc_mid(np.minimum(y[idx], _ERF_ONE)))
+        out[idx] = np.copysign(r, flat[idx], out=r)
     return out.reshape(x.shape)
 
 

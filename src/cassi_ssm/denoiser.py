@@ -66,7 +66,12 @@ class UNetConfig:
 
 
 class ModelWeights:
-    """Named store of trainable tensors (float64 leaves on the tape)."""
+    """Named store of trainable tensors (float64 leaves on the tape).
+
+    Graphs built on the store record a tape through every weight.  Its
+    `frozen` view holds the same arrays as constants, so a forward pass on
+    the view builds no tape and keeps no intermediate alive.
+    """
 
     def __init__(self):
         self._store: dict[str, ad.Node] = {}
@@ -90,6 +95,16 @@ class ModelWeights:
 
     def arrays(self) -> dict:
         return {k: v.value for k, v in self._store.items()}
+
+    def frozen(self) -> "ModelWeights":
+        """A store over the same arrays, without copies, as constant leaves.
+
+        Tensors that `load_arrays` or a training step replace later are not
+        seen by a view taken before.
+        """
+        view = ModelWeights()
+        view._store = {k: ad.constant(v.value) for k, v in self._store.items()}
+        return view
 
     def zero_grad(self) -> None:
         for node in self._store.values():

@@ -9,6 +9,11 @@ penalty mu_k and noise level sigma_k come from learned scalars through a
 softplus, so they stay strictly positive.  The loop is initialized by
 shifting the measurement back and ends with a clamp to nonnegative
 radiance.
+
+`reconstruct_node` builds that loop on the tape, through every weight, and
+is the path training differentiates.  `reconstruct` runs the same graph on
+the weights' `frozen` view, so inference builds no tape: each intermediate
+is freed once the next op has read it.
 """
 
 from __future__ import annotations
@@ -102,5 +107,9 @@ def reconstruct_node(y: np.ndarray, op: cassi.SensingOperator, weights: ModelWei
 
 def reconstruct(y: np.ndarray, op: cassi.SensingOperator, weights: ModelWeights,
                 config: UnfoldConfig, feature_mask=None) -> np.ndarray:
-    """Reconstruct a cube from one measurement (pure function of its inputs)."""
-    return reconstruct_node(y, op, weights, config, feature_mask=feature_mask).value
+    """Reconstruct a cube from one measurement (pure function of its inputs).
+
+    The result equals `reconstruct_node(...).value` bit for bit; no gradient
+    reaches `weights`.
+    """
+    return reconstruct_node(y, op, weights.frozen(), config, feature_mask=feature_mask).value

@@ -1,0 +1,81 @@
+"""A CLI `reconstruct` keeps no tape, with or without glibc's heap pad.
+
+Each run is a fresh interpreter, which reports the peak RSS of its own
+address space (`VmHWM`).  Its `ru_maxrss` would not do: Linux folds the
+peak of the process that spawned it, here the test runner, into a child's
+`ru_maxrss` at exec.  With the tape kept, one 64x64x8 item of this toy
+peaks at about 1 GB; tape-free it stays near 60 MB.  The second run
+makes `ctypes.CDLL` refuse, as on a C library without `mallopt`: the pad
+is then skipped, and the output must not change.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from cassi_ssm import cassi, fileio, training, unfolding
+from cassi_ssm.demo import toy_mask, toy_scene
+from cassi_ssm.denoiser import UNetConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+PEAK_LIMIT_MB = 200
+
+TOY8 = UNetConfig(bands=8, base_channels=8, levels=1, blocks_per_level=1, patch=4,
+                  cube=(2, 2, 2), state_size=4, expansion=2)
+
+RECONSTRUCT = """
+import ctypes, json, sys
+from cassi_ssm.cli import parse_and_dispatch
+if sys.argv[1] == "refuse":
+    def refuse(*args, **kwargs):
+        raise OSError("no C library")
+    ctypes.CDLL = refuse
+code = parse_and_dispatch(sys.argv[2:])
+with open("/proc/self/status") as status:
+    kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps({"code": code, "peak_mb": kib / 1024}))
+"""
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """Exit code, peak MB and output bytes of one reconstruct per `mallopt` mode."""
+    work = tmp_path_factory.mktemp("recon64")
+    config = unfolding.UnfoldConfig(stages=3, net=TOY8, share_weights=True)
+    weights = unfolding.init_weights(config, seed=23, zero_residual=False)
+    fileio.save_weights(work / "model.csmw", weights, config,
+                        feature_mask=training.generate_mask(64, 64, 0.5, 13))
+    op = cassi.SensingOperator(toy_mask(64, 64, seed=22), 2, 8)
+    fileio.save_cube(work / "mask.hsic", op.mask[None], kind=fileio.KIND_MASK)
+    meas = cassi.forward_project(toy_scene(64, 64, 8, seed=2000), op)
+    fileio.save_cube(work / "meas.hsic", meas[None], kind=fileio.KIND_MEASUREMENT)
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    results = {}
+    for mode in ("glibc", "refuse"):
+        out = work / f"rec-{mode}.hsic"
+        proc = subprocess.run(
+            [sys.executable, "-c", RECONSTRUCT, mode, "reconstruct",
+             "--meas", str(work / "meas.hsic"), "--mask", str(work / "mask.hsic"),
+             "--weights", str(work / "model.csmw"), "--out", str(out)],
+            env=env, cwd=ROOT, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        results[mode] = report["code"], report["peak_mb"], out.read_bytes()
+    return results
+
+
+@pytest.mark.parametrize("mode", ["glibc", "refuse"])
+def test_reconstruct_builds_no_tape(runs, mode):
+    code, peak_mb, _ = runs[mode]
+    assert code == 0
+    assert peak_mb < PEAK_LIMIT_MB
+
+
+def test_output_does_not_depend_on_the_heap_pad(runs):
+    assert runs["glibc"][2] == runs["refuse"][2]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cassi_ssm import autodiff as ad
-from cassi_ssm import cassi, unfolding
+from cassi_ssm import cassi, training, unfolding
 from cassi_ssm.denoiser import UNetConfig
 from oracles import dense_oracle_data_step, finite_diff_check, total
 
@@ -173,6 +173,32 @@ class TestReconstruct:
     def test_zero_stages_rejected(self):
         with pytest.raises(ValueError, match="stage count must be >= 1"):
             unfolding.UnfoldConfig(stages=0, net=TINY)
+
+
+class TestFrozenView:
+    """`reconstruct` runs on the constants view and matches the kept tape."""
+
+    @pytest.mark.parametrize("share, masked", [(True, False), (False, False), (True, True)],
+                             ids=["shared", "per-stage", "feature-mask"])
+    def test_view_matches_the_kept_tape(self, share, masked):
+        cfg = unfolding.UnfoldConfig(stages=2, net=TINY, share_weights=share)
+        weights = unfolding.init_weights(cfg, seed=5, zero_residual=False)
+        rng = np.random.default_rng(11)
+        op = cassi.SensingOperator(rng.random((8, 8)), 2, 2)
+        y = rng.random((8, op.detector_width))
+        mask = training.generate_mask(8, 8, 0.5, 3) if masked else None
+
+        view = weights.frozen()
+        for name, node in weights.items():
+            assert np.shares_memory(view[name].value, node.value), name
+        taped = unfolding.reconstruct_node(y, op, weights, cfg, feature_mask=mask)
+        free = unfolding.reconstruct_node(y, op, view, cfg, feature_mask=mask)
+        assert taped.requires_grad and not free.requires_grad
+        assert np.array_equal(free.value, taped.value)
+        assert np.array_equal(unfolding.reconstruct(y, op, weights, cfg, feature_mask=mask),
+                              taped.value)
+        ad.backward(total(free))
+        assert all(node.grad is None for _, node in weights.items())
 
 
 class TestWeightsInit:
