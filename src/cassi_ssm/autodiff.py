@@ -12,7 +12,8 @@ Each op family has one skeleton, so an op states only its value and its
 gradient map: `_binary` (add, sub, mul, div) holds the shape check, the
 `requires_grad` guards and the scalar reduction; `unary` serves every
 single-input op and runs its gradient map only in the backward pass; and
-`_window_conv` holds the windows, bias and backward of both convolutions.
+`_window_conv` holds the windows, bias and backward of both convolutions,
+which state only the einsum of one kernel tap.
 
 All compute is 64-bit.  A tape belongs to one logical thread; node values
 may be shared freely across threads for reading.
@@ -327,13 +328,16 @@ def gather_last(a, forward_idx, inverse_idx) -> Node:
 # ---------------------------------------------------------------------------
 # convolution and friends
 
-def _window_conv(x: Node, w: Node, bias: Node, stride, tap, tap_grad_w, tap_grad_x) -> Node:
+def _window_conv(x: Node, w: Node, bias: Node, stride, tap: str) -> Node:
     """Sum over the k x k kernel taps of x [C,H,W], zero padded by k // 2, plus bias [C_out].
 
     Tap (di, dj) is `w[..., di, dj]` and meets the strided window of the padded
-    input that starts at (di, dj).  `tap(w_tap, window)` is its share of the
-    output; `tap_grad_w(g, window)` and `tap_grad_x(w_tap, g)` are its gradients.
+    input that starts at (di, dj).  `tap` is the einsum "A,B->C" of its share of
+    the output, kernel tap A and window B; the gradients swap operand roles:
+    "C,B->A" for the kernel tap and "A,C->B" for the window.
     """
+    kernel, window, out = tap.replace("->", ",").split(",")
+    grad_w, grad_x = f"{out},{window}->{kernel}", f"{kernel},{out}->{window}"
     c_out, k = w.shape[0], w.shape[-1]
     if bias.shape != (c_out,):
         raise ValueError(f"bias shape {bias.shape} does not match {c_out} output channels")
@@ -349,7 +353,7 @@ def _window_conv(x: Node, w: Node, bias: Node, stride, tap, tap_grad_w, tap_grad
                for di in range(k) for dj in range(k)]
     out_value = np.zeros((c_out, h_out, w_out))
     for (di, dj), win in windows:
-        out_value += tap(w.value[..., di, dj], xp[win])
+        out_value += np.einsum(tap, w.value[..., di, dj], xp[win])
     out_value += bias.value[:, None, None]
 
     def backward(g):
@@ -358,12 +362,12 @@ def _window_conv(x: Node, w: Node, bias: Node, stride, tap, tap_grad_w, tap_grad
         if w.requires_grad:
             gw = np.zeros_like(w.value)
             for (di, dj), win in windows:
-                gw[..., di, dj] = tap_grad_w(g, xp[win])
+                gw[..., di, dj] = np.einsum(grad_w, g, xp[win])
             w.accumulate(gw)
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for (di, dj), win in windows:
-                gxp[win] += tap_grad_x(w.value[..., di, dj], g)
+                gxp[win] += np.einsum(grad_x, w.value[..., di, dj], g)
             x.accumulate(gxp[:, pad:pad + h, pad:pad + wd] if pad else gxp)
 
     return _make(out_value, (x, w, bias), backward)
@@ -384,10 +388,7 @@ def conv2d(x, w, bias, stride: int = 1) -> Node:
         raise ValueError(f"stride {stride} not supported (expected 1 or 2)")
     if x.value.ndim != 3 or x.shape[0] != c_in:
         raise ValueError(f"channel mismatch: input {x.shape} vs kernel {w.shape}")
-    return _window_conv(x, w, bias, stride,
-                        lambda wt, win: np.einsum("oc,chw->ohw", wt, win),
-                        lambda g, win: np.einsum("ohw,chw->oc", g, win),
-                        lambda wt, g: np.einsum("oc,ohw->chw", wt, g))
+    return _window_conv(x, w, bias, stride, "oc,chw->ohw")
 
 
 def depthwise_conv2d(x, w, bias) -> Node:
@@ -401,10 +402,7 @@ def depthwise_conv2d(x, w, bias) -> Node:
         raise ValueError(f"depthwise kernel must be odd square, got {k}x{k2}")
     if x.value.ndim != 3 or x.shape[0] != c:
         raise ValueError(f"channel mismatch: input {x.shape} vs depthwise kernel {w.shape}")
-    return _window_conv(x, w, bias, 1,
-                        lambda wt, win: wt[:, None, None] * win,
-                        lambda g, win: (g * win).sum(axis=(1, 2)),
-                        lambda wt, g: wt[:, None, None] * g)
+    return _window_conv(x, w, bias, 1, "c,chw->chw")
 
 
 def upsample_nearest2x(a) -> Node:

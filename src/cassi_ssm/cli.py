@@ -242,8 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages", type=_flag(integer, "stage count", 1), default=None,
                    help="stage count; overrides the config file (default 3)")
     p.add_argument("--d", type=_flag(integer, "shift step"), default=2)
-    p.add_argument("--steps", type=_flag(integer, "steps", 1), default=200)
-    p.add_argument("--lr", type=_flag(training.learning_rate), default=1.0,
+    p.add_argument("--steps", type=_flag(integer, "steps", 1),
+                   default=training.TrainConfig.steps)
+    p.add_argument("--lr", type=_flag(training.learning_rate),
+                   default=training.TrainConfig.learning_rate,
                    help="base learning rate, finite and >= 0")
     p.add_argument("--seed", type=_flag(integer, "seed"), default=0)
     p.add_argument("--masked", action="store_true", help="enable masked training")
@@ -251,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="zeroed share of the feature mask; overrides the config file (default 0.5)")
     p.add_argument("--mask-seed", type=_flag(training.feature_mask_seed), default=None,
                    help="feature-mask seed; overrides the config file (default 0)")
-    p.add_argument("--noise-bits", type=_flag(cassi.noise_bits), default=0,
+    p.add_argument("--noise-bits", type=_flag(cassi.noise_bits),
+                   default=training.TrainConfig.noise_bits,
                    help=f"shot-noise bit depth in [0, {cassi.MAX_NOISE_BITS}], 0 = noiseless")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)

@@ -205,12 +205,15 @@ def init_denoiser_weights(weights: ModelWeights, rng, prefix: str, config: UNetC
 # ---------------------------------------------------------------------------
 # forward pieces
 
-def _ssm_branch(seq: "ad.Node", weights: ModelWeights, prefix: str) -> "ad.Node":
-    """Per-channel selective scan over a [C, L] token sequence.
+def _ssm_branch(flat: "ad.Node", order, weights: ModelWeights, prefix: str) -> "ad.Node":
+    """Per-channel selective scan of a [C, L] tensor read in a scan order.
 
-    Each channel carries its own selection: per-token B and C come from an
-    affine map of the scalar token, the timescale from a softplus-affine map.
+    The tokens are gathered into `order`, scanned, and restored to their
+    places.  Each channel carries its own selection: per-token B and C come
+    from an affine map of the scalar token, the timescale from a
+    softplus-affine map.
     """
+    seq = ad.gather_last(flat, order.forward, order.inverse)
     nch, length = seq.shape
     a = ad.scale(ad.exp(weights[f"{prefix}/a_log"]), -1.0)
     nstate = a.shape[-1]
@@ -221,15 +224,15 @@ def _ssm_branch(seq: "ad.Node", weights: ModelWeights, prefix: str) -> "ad.Node"
                    ad.repeat_expand(weights[f"{prefix}/b_c"], 1, length))
     delta = ad.softplus(ad.add(ad.mul(seq, ad.repeat_expand(weights[f"{prefix}/w_dt"], 1, length)),
                                ad.repeat_expand(weights[f"{prefix}/b_dt"], 1, length)))
-    return selective_scan(seq, a, b_tok, c_tok, delta, weights[f"{prefix}/d"])
+    y = selective_scan(seq, a, b_tok, c_tok, delta, weights[f"{prefix}/d"])
+    return ad.gather_last(y, order.inverse, order.forward)
 
 
 def spatial_ssm(f: "ad.Node", weights: ModelWeights, prefix: str, patch: int) -> "ad.Node":
     """Four-direction spatial scan branch: global fwd/rev plus patch-local fwd/rev.
 
-    Each direction permutes the flattened plane, scans per channel, and
-    restores the original order; the four results are summed and mixed by a
-    1x1 projection.
+    Each direction scans the flattened plane per channel in its own order;
+    the four results are summed and mixed by a 1x1 projection.
     """
     nch, height, width = f.shape
     orders = (
@@ -238,12 +241,10 @@ def spatial_ssm(f: "ad.Node", weights: ModelWeights, prefix: str, patch: int) ->
         local_patch_order(height, width, patch, False),
         local_patch_order(height, width, patch, True),
     )
-    seq0 = ad.reshape(f, (nch, height * width))
+    flat = ad.reshape(f, (nch, height * width))
     acc = None
     for name, order in zip(SPATIAL_DIRECTIONS, orders):
-        s = ad.gather_last(seq0, order.forward, order.inverse)
-        y = _ssm_branch(s, weights, f"{prefix}/{name}")
-        r = ad.gather_last(y, order.inverse, order.forward)
+        r = _ssm_branch(flat, order, weights, f"{prefix}/{name}")
         acc = r if acc is None else ad.add(acc, r)
     merged = ad.reshape(acc, (nch, height, width))
     return ad.conv2d(merged, weights[f"{prefix}/proj_w"], weights[f"{prefix}/proj_b"])
@@ -258,11 +259,8 @@ def spectral_cube_ssm(f: "ad.Node", weights: ModelWeights, prefix: str, patch: i
     the input.  `patch` and `cube` fix the order as in `cross_cube_order`.
     """
     nch, height, width = f.shape
-    order = cross_cube_order(height, width, nch, patch, cube)
     flat = ad.reshape(f, (1, nch * height * width))
-    s = ad.gather_last(flat, order.forward, order.inverse)
-    y = _ssm_branch(s, weights, prefix)
-    r = ad.gather_last(y, order.inverse, order.forward)
+    r = _ssm_branch(flat, cross_cube_order(height, width, nch, patch, cube), weights, prefix)
     return ad.add(f, ad.reshape(r, (nch, height, width)))
 
 

@@ -300,7 +300,7 @@ def ingest_dataset(directory, crop: int, bands: int, seed: int = 0) -> list[np.n
     The crop corner of each scene is drawn from `seed`, reproducible across
     runs.
     """
-    crop, bands = integer(crop, "crop and bands", 1), integer(bands, "crop and bands", 1)
+    crop, bands = integer(crop, "crop", 1), integer(bands, "bands", 1)
     seed = integer(seed, "seed")
     paths = sorted(Path(directory).glob("*.hsic"))
     if not paths:

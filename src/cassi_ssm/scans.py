@@ -4,9 +4,12 @@ Index convention: a position (band b, row r, col x) of a C x H x W tensor
 flattens to b*H*W + r*W + x.  Purely spatial orders are defined on the
 H*W indices of one plane and are applied identically to every channel.
 
-Generated orders are immutable and cached by their sizes and direction, checked
-under the integer and switch rules first, since the same permutations are
-reused on every forward pass.
+All three orders are one nested permutation.  The global order is the
+patch-local order with 1 x 1 patches, and the patch-local order is the
+cross-cube order of one channel with 1 x 1 x 1 cubes, read forward or
+reversed.  Sizes and direction are checked under the integer and switch
+rules first; then `_nested_order` builds each order once and caches it,
+since the same permutations are reused on every forward pass.
 """
 
 from __future__ import annotations
@@ -48,36 +51,26 @@ def _finish(descriptor: str, forward: np.ndarray) -> ScanOrder:
 
 
 def global_order(height: int, width: int, reverse: bool = False) -> ScanOrder:
-    """Row-major traversal of an H x W plane; reverse flips the whole sequence."""
-    return _global_order(integer(height, "height", 1), integer(width, "width", 1),
-                         switch(reverse, "reverse"))
+    """Row-major traversal of an H x W plane; reverse flips the whole sequence.
 
-
-@functools.cache
-def _global_order(height: int, width: int, reverse: bool) -> ScanOrder:
-    fwd = np.arange(height * width, dtype=np.intp)
-    return _finish(f"global:{height}x{width}:rev={int(reverse)}", fwd[::-1] if reverse else fwd)
+    It is the patch-local order with 1 x 1 patches.
+    """
+    height, width = integer(height, "height", 1), integer(width, "width", 1)
+    reverse = switch(reverse, "reverse")
+    return _nested_order(f"global:{height}x{width}:rev={int(reverse)}",
+                         height, width, 1, 1, (1, 1, 1), reverse)
 
 
 def local_patch_order(height: int, width: int, patch: int, reverse: bool = False) -> ScanOrder:
     """Row-major over the patch grid, row-major inside each patch.
 
-    reverse flips the complete sequence, not the per-patch runs.
+    It is the cross-cube order of one channel with 1 x 1 x 1 cubes.  reverse
+    flips the complete sequence, not the per-patch runs.
     """
-    return _local_patch_order(integer(height, "height", 1), integer(width, "width", 1),
-                              integer(patch, "patch", 1), switch(reverse, "reverse"))
-
-
-@functools.cache
-def _local_patch_order(height: int, width: int, patch: int, reverse: bool) -> ScanOrder:
-    if height % patch or width % patch:
-        raise ValueError(f"patch side {patch} must divide spatial dims {height}x{width}")
-    desc = f"local:{height}x{width}:p={patch}:rev={int(reverse)}"
-    # axes (patch row, row in patch, patch col, col in patch) -> patch-major
-    idx = np.arange(height * width, dtype=np.intp).reshape(
-        height // patch, patch, width // patch, patch)
-    fwd = idx.transpose(0, 2, 1, 3).reshape(-1)
-    return _finish(desc, fwd[::-1] if reverse else fwd)
+    height, width = integer(height, "height", 1), integer(width, "width", 1)
+    patch, reverse = integer(patch, "patch", 1), switch(reverse, "reverse")
+    return _nested_order(f"local:{height}x{width}:p={patch}:rev={int(reverse)}",
+                         height, width, 1, patch, (1, 1, 1), reverse)
 
 
 def cross_cube_order(height: int, width: int, channels: int, patch: int,
@@ -90,14 +83,17 @@ def cross_cube_order(height: int, width: int, channels: int, patch: int,
     spectral index varies fastest so adjacent bands at a pixel sit next to
     each other, then adjacent pixels.
     """
-    return _cross_cube_order(integer(height, "height", 1), integer(width, "width", 1),
-                             integer(channels, "channels", 1), integer(patch, "patch", 1),
-                             cube_shape(cube))
+    height, width = integer(height, "height", 1), integer(width, "width", 1)
+    channels, patch = integer(channels, "channels", 1), integer(patch, "patch", 1)
+    cube = cube_shape(cube)
+    desc = f"cross:{height}x{width}x{channels}:p={patch}:cube={cube[0]}x{cube[1]}x{cube[2]}"
+    return _nested_order(desc, height, width, channels, patch, cube, False)
 
 
 @functools.cache
-def _cross_cube_order(height: int, width: int, channels: int, patch: int,
-                      cube: tuple) -> ScanOrder:
+def _nested_order(descriptor: str, height: int, width: int, channels: int, patch: int,
+                  cube: tuple, reverse: bool) -> ScanOrder:
+    """The cross-cube nesting of checked sizes, forward or reversed, built once."""
     ch, cw, cc = cube
     if height % patch or width % patch:
         raise ValueError(f"patch side {patch} must divide spatial dims {height}x{width}")
@@ -105,13 +101,13 @@ def _cross_cube_order(height: int, width: int, channels: int, patch: int,
         raise ValueError(f"cube footprint {ch}x{cw} must divide patch side {patch}")
     if channels % cc:
         raise ValueError(f"cube depth {cc} must divide {channels} channels")
-    desc = f"cross:{height}x{width}x{channels}:p={patch}:cube={ch}x{cw}x{cc}"
     # axes of the flat C x H x W index: (block, band in block, patch row,
     # cube row in patch, row in cube, patch col, cube col in patch, col in cube)
     idx = np.arange(channels * height * width, dtype=np.intp).reshape(
         channels // cc, cc, height // patch, patch // ch, ch,
         width // patch, patch // cw, cw)
-    return _finish(desc, idx.transpose(2, 5, 0, 3, 6, 4, 7, 1).reshape(-1))
+    fwd = idx.transpose(2, 5, 0, 3, 6, 4, 7, 1).reshape(-1)
+    return _finish(descriptor, fwd[::-1] if reverse else fwd)
 
 
 def validate_order(order: ScanOrder) -> OrderReport:

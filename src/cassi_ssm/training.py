@@ -110,7 +110,7 @@ def feature_mask_seed(value) -> int:
 class TrainConfig:
     """Hyperparameters of the desk-scale training loop."""
 
-    learning_rate: float = 1.0
+    learning_rate: float = 0.02
     steps: int = 200
     zero_ratio: float = 0.5
     mask_seed: int = 0
@@ -136,13 +136,9 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Loss trace plus the mask bookkeeping the invariants are checked on.
-
-    `mask` is the feature mask every step used (None when unmasked).
-    """
+    """Loss trace plus `mask`, the feature mask every step used (None when unmasked)."""
 
     losses: list = field(default_factory=list)
-    mask_digests: list = field(default_factory=list)
     mask: FeatureMask | None = None
 
 
@@ -195,8 +191,7 @@ def train(batch, weights: ModelWeights, config: UnfoldConfig, cfg: TrainConfig) 
     """Full training loop with the documented cosine schedule.
 
     When masked mode is on, the same seeded mask is generated once and
-    reused at every step (and should be reused at evaluation); its digest
-    is recorded per step so that reuse is checkable.
+    passed to every step (and should be reused at evaluation).
     """
     if not batch:
         raise ValueError("empty batch")
@@ -207,6 +202,4 @@ def train(batch, weights: ModelWeights, config: UnfoldConfig, cfg: TrainConfig) 
     for step in range(cfg.steps):
         loss = train_step(batch, weights, config, cfg, mask=state.mask, step=step)
         state.losses.append(loss)
-        if state.mask is not None:
-            state.mask_digests.append(state.mask.digest())
     return state

@@ -300,7 +300,7 @@ def test_criterion_08_toy_learning():
                                 zero_ratio=0.5, mask_seed=13)
     state_m = training.train([(cube, op)], weights_m, cfg, tc_m)
     assert np.isfinite(state_m.losses).all()
-    assert len(set(state_m.mask_digests)) == 1
+    assert state_m.mask.digest() == training.generate_mask(16, 16, 0.5, seed=13).digest()
 
     elapsed = time.time() - start
     assert elapsed < 600.0
@@ -322,7 +322,7 @@ def test_criterion_09_masked_strategy_mechanics():
                               zero_ratio=0.5, mask_seed=17)
     state = training.train([(cube, op)], weights, cfg, tc)
     eval_mask = training.generate_mask(8, 8, 0.5, seed=17)
-    assert set(state.mask_digests) == {eval_mask.digest()}
+    assert state.mask.digest() == eval_mask.digest()
 
     # masked-off path bit-identical to the unmasked model: training with
     # masked=False and training that never touches the mask machinery must

@@ -35,6 +35,38 @@ def conv2d_loop_oracle(x, w, bias=None, stride=1):
     return out
 
 
+def conv2d_loop_adjoint(x, w, g, stride=1):
+    """Nested-loop gradients of sum(g * conv2d_loop_oracle(x, w, bias, stride)) in x, w and bias:
+    each output position sends g back along every product that formed it."""
+    c_out, c_in, k, _ = w.shape
+    _, h, wd = x.shape
+    pad = k // 2
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    gxp, gw, gb = np.zeros_like(xp), np.zeros_like(w), np.zeros(c_out)
+    for o in range(c_out):
+        for i in range(g.shape[1]):
+            for j in range(g.shape[2]):
+                gb[o] += g[o, i, j]
+                for c in range(c_in):
+                    for di in range(k):
+                        for dj in range(k):
+                            r, q = i * stride + di, j * stride + dj
+                            gw[o, c, di, dj] += g[o, i, j] * xp[c, r, q]
+                            gxp[c, r, q] += g[o, i, j] * w[o, c, di, dj]
+    return gxp[:, pad:pad + h, pad:pad + wd], gw, gb
+
+
+def conv_grads(op, x, w, b, g, **kwargs):
+    """The tape's gradients of sum(g * op(x, w, b)) in x, w and bias."""
+    nodes = [ad.parameter(v) for v in (x, w, b)]
+    ad.backward(total(ad.mul(op(*nodes, **kwargs), ad.constant(g))))
+    return [n.grad for n in nodes]
+
+
+def assert_rel_close(got, want, rtol=1e-12):
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
 def input_grad_errors(op, inputs, proj, **kwargs):
     """finite_diff_check of sum(proj * op(**inputs)) in each input, the others held constant."""
     errors = {}
@@ -202,6 +234,16 @@ class TestConv2d:
         with pytest.raises(ValueError, match=r"bias shape \(1,\) does not match 4 output channels"):
             op(ad.constant(np.zeros((4, 5, 5))), ad.constant(np.zeros(w_shape)),
                ad.parameter(np.ones(1)))
+
+    @pytest.mark.parametrize("stride,k", [(1, 3), (2, 3), (1, 1), (2, 1)],
+                             ids=["1-same-3", "2-same-3", "1-same-1", "2-same-1"])
+    def test_grads_match_loop_adjoint(self, stride, k):
+        rng = np.random.default_rng(52 + stride + k)
+        x, w, b = rng.normal(size=(2, 6, 7)), rng.normal(size=(3, 2, k, k)), rng.normal(size=3)
+        g = rng.normal(size=conv2d_loop_oracle(x, w, b, stride=stride).shape)
+        got = conv_grads(ad.conv2d, x, w, b, g, stride=stride)
+        for got_grad, want_grad in zip(got, conv2d_loop_adjoint(x, w, g, stride=stride)):
+            assert_rel_close(got_grad, want_grad)
 
     def test_stride2_halves_even_dims(self):
         out = ad.conv2d(ad.constant(np.zeros((1, 8, 6))), ad.constant(np.zeros((2, 1, 3, 3))),
@@ -413,6 +455,17 @@ class TestStructuralOps:
                   "bias": rng.normal(size=2)}
         errors = input_grad_errors(ad.depthwise_conv2d, inputs, rng.normal(size=(2, 4, 4)))
         assert max(errors.values()) <= 1e-4, errors
+
+    def test_depthwise_grads_match_loop_adjoint(self):
+        rng = np.random.default_rng(16)
+        x, w, b = rng.normal(size=(3, 5, 6)), rng.normal(size=(3, 3, 3)), rng.normal(size=3)
+        g = rng.normal(size=x.shape)
+        gx, gw, gb = conv_grads(ad.depthwise_conv2d, x, w, b, g)
+        for c in range(3):
+            want = conv2d_loop_adjoint(x[c:c + 1], w[c].reshape(1, 1, 3, 3), g[c:c + 1])
+            assert_rel_close(gx[c], want[0][0])
+            assert_rel_close(gw[c], want[1][0, 0])
+            assert_rel_close(gb[c:c + 1], want[2])
 
     def test_upsample_values_and_grad(self):
         x = np.arange(4.0).reshape(1, 2, 2)

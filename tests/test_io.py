@@ -565,7 +565,8 @@ class TestIngestDataset:
     def test_crop_or_bands_below_one_rejected(self, tmp_path, crop, bands):
         # bands=-1 would otherwise slice away the last band of each scene
         self.write_scene(tmp_path / "s0.hsic", 4)
-        with pytest.raises(ValueError, match="crop and bands must be >= 1"):
+        refused = "crop" if crop < 1 else "bands"
+        with pytest.raises(ValueError, match=f"^{refused} must be >= 1, got {min(crop, bands)}$"):
             fileio.ingest_dataset(tmp_path, crop=crop, bands=bands)
 
     def test_empty_directory(self, tmp_path):

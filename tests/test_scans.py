@@ -72,6 +72,12 @@ class TestLocalPatchOrder:
         assert np.array_equal(scans.local_patch_order(3, 5, 1, reverse=True).forward,
                               scans.global_order(3, 5, reverse=True).forward)
 
+    @pytest.mark.parametrize("h,w,p", [(4, 8, 2), (6, 6, 3)])
+    def test_is_cross_order_of_one_channel_with_unit_cubes(self, h, w, p):
+        cross = scans.cross_cube_order(h, w, 1, p, (1, 1, 1)).forward
+        assert np.array_equal(scans.local_patch_order(h, w, p).forward, cross)
+        assert np.array_equal(scans.local_patch_order(h, w, p, reverse=True).forward, cross[::-1])
+
     @pytest.mark.parametrize("h,w,p", [(-4, 4, 2), (0, 4, 2), (4, 0, 2), (4, 4, 0)])
     def test_dims_below_one_rejected(self, h, w, p):
         with pytest.raises(ValueError, match="must be >= 1"):

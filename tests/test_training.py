@@ -242,14 +242,21 @@ class TestMaskedMode:
         assert runs[0][0] == runs[1][0]
         assert np.array_equal(runs[0][1], runs[1][1])
 
-    def test_same_mask_digest_at_every_step_and_eval(self):
+    def test_same_mask_digest_at_every_step_and_eval(self, monkeypatch):
         cfg, weights, cube, op = tiny_setup(seed=7)
         tc = training.TrainConfig(learning_rate=0.03, steps=4, masked=True,
                                   zero_ratio=0.5, mask_seed=9)
+        step_masks, train_step = [], training.train_step
+
+        def recording(*args, mask=None, **kwargs):
+            step_masks.append(mask)
+            return train_step(*args, mask=mask, **kwargs)
+
+        monkeypatch.setattr(training, "train_step", recording)
         state = training.train([(cube, op)], weights, cfg, tc)
-        assert len(set(state.mask_digests)) == 1
+        assert len(step_masks) == 4 and all(m is state.mask for m in step_masks)
         eval_mask = training.generate_mask(8, 8, 0.5, seed=9)
-        assert eval_mask.digest() == state.mask_digests[0]
+        assert eval_mask.digest() == state.mask.digest()
 
     def test_masked_training_stays_finite(self):
         cfg, weights, cube, op = tiny_setup(seed=8)
