@@ -283,7 +283,7 @@ def concat(nodes) -> Node:
 
 
 def split(a, sizes):
-    """Split along the leading axis into chunks of the given sizes."""
+    """Split along the leading axis into views of chunks of the given sizes."""
     if sum(sizes) != a.shape[0]:
         raise ValueError(f"split sizes {sizes} do not cover axis of length {a.shape[0]}")
     offsets = np.cumsum([0] + list(sizes))
@@ -296,7 +296,7 @@ def split(a, sizes):
             full[rows] = g
             return full
 
-        outs.append(unary(a, a.value[rows].copy(), vjp))
+        outs.append(unary(a, a.value[rows], vjp))
     return outs
 
 
@@ -444,18 +444,23 @@ _SCAN_CHUNK = 8
 
 
 def _chunk_major(x: Array, chunks: int, fill: float) -> Array:
-    """Copy time-major [L,...] into [_SCAN_CHUNK, chunks, ...], padding the tail with `fill`."""
-    out = np.full((_SCAN_CHUNK, chunks) + x.shape[1:], fill)
-    full = x.shape[0] // _SCAN_CHUNK
-    out[:, :full] = x[:full * _SCAN_CHUNK].reshape((full, _SCAN_CHUNK) + x.shape[1:]).swapaxes(0, 1)
-    rest = x[full * _SCAN_CHUNK:]
-    if len(rest):
-        out[:len(rest), full] = rest
+    """Copy [B,L,N] into [_SCAN_CHUNK, chunks, B, N], padding the tail of L with `fill`."""
+    batch, length, n = x.shape
+    out = np.full((_SCAN_CHUNK, chunks, batch, n), fill)
+    full = length // _SCAN_CHUNK
+    out[:, :full] = x[:, :full * _SCAN_CHUNK].reshape(batch, full, _SCAN_CHUNK, n).transpose(2, 1, 0, 3)
+    if full < chunks:
+        out[:length - full * _SCAN_CHUNK, full] = x[:, full * _SCAN_CHUNK:].swapaxes(0, 1)
     return out
 
 
+def _flip(x: Array) -> Array:
+    """[B,L,N] reversed along L and N: a view that reads each batch row back to front in one run."""
+    return x.reshape(len(x), x.shape[1] * x.shape[2])[:, ::-1].reshape(x.shape)
+
+
 def _scan(a: Array, b: Array) -> Array:
-    """All states h[t] = a[t] * h[t-1] + b[t] (h[-1] = 0) of time-major [L,B,N] arrays.
+    """All states h[:, t] = a[:, t] * h[:, t-1] + b[:, t] (h[:, -1] = 0) of [B,L,N] arrays.
 
     Three phases, none with a Python loop over L:
     1. Split L into chunks of _SCAN_CHUNK steps (the tail padded with a=1,
@@ -467,7 +472,7 @@ def _scan(a: Array, b: Array) -> Array:
     3. Carry each chunk's incoming state into its other rows with one
        broadcast, h[k] += P[k] * end[k-1].
     """
-    length = a.shape[0]
+    batch, length, n = a.shape
     chunks = -(-length // _SCAN_CHUNK)
     prod = _chunk_major(a, chunks, 1.0)
     h = _chunk_major(b, chunks, 0.0)
@@ -483,7 +488,7 @@ def _scan(a: Array, b: Array) -> Array:
     # the last row already holds the full states; carry into the rows before it
     prod[:-1, 1:] *= end[:-1]
     h[:-1, 1:] += prod[:-1, 1:]
-    return h.swapaxes(0, 1).reshape((chunks * _SCAN_CHUNK,) + a.shape[1:])[:length]
+    return h.transpose(2, 1, 0, 3).reshape(batch, chunks * _SCAN_CHUNK, n)[:, :length]
 
 
 def linear_scan(abar, bx, cseq) -> Node:
@@ -501,30 +506,23 @@ def linear_scan(abar, bx, cseq) -> Node:
     if not (abar.shape == bx.shape == cseq.shape) or abar.value.ndim != 3:
         raise ValueError(
             f"linear_scan expects matching [B,L,N] inputs, got {abar.shape}, {bx.shape}, {cseq.shape}")
-    # time-major [L,B,N] layout, the one `_scan` works on
-    av = np.ascontiguousarray(abar.value.transpose(1, 0, 2))
-    bv = bx.value.transpose(1, 0, 2)
-    cv = np.ascontiguousarray(cseq.value.transpose(1, 0, 2))
-    hs = _scan(av, bv)
-    out_value = np.einsum("lbn,lbn->bl", cv, hs)
+    hs = _scan(abar.value, bx.value)
+    out_value = np.einsum("bln,bln->bl", cseq.value, hs)
 
     def backward(g):
-        gt = np.ascontiguousarray(g.T)                     # [L,B]
-        gc_all = gt[:, :, None] * cv                       # d out / d h, per step
-        # reversed in time, step r multiplies by abar at t = L - r
-        a_next = np.empty_like(av)
-        a_next[0] = 0.0
-        a_next[1:] = av[:0:-1]
-        gh_steps = _scan(a_next, gc_all[::-1])[::-1]
+        gc_all = g[:, :, None] * cseq.value                # d out / d h, per step
+        # reversed in time and state (states never mix): step r multiplies by abar at t = L - r
+        a_next = np.concatenate([np.zeros_like(abar.value[:, :1]), _flip(abar.value)[:, :-1]], axis=1)
+        gh_steps = _flip(_scan(a_next, _flip(gc_all)))
         if bx.requires_grad:
-            bx.accumulate(gh_steps.transpose(1, 0, 2))
+            bx.accumulate(gh_steps)
         if abar.requires_grad:
             g_abar = np.empty_like(gh_steps)
-            g_abar[0] = 0.0
-            np.multiply(gh_steps[1:], hs[:-1], out=g_abar[1:])
-            abar.accumulate(g_abar.transpose(1, 0, 2))
+            g_abar[:, 0] = 0.0
+            np.multiply(gh_steps[:, 1:], hs[:, :-1], out=g_abar[:, 1:])
+            abar.accumulate(g_abar)
         if cseq.requires_grad:
-            cseq.accumulate((gt[:, :, None] * hs).transpose(1, 0, 2))
+            cseq.accumulate(g[:, :, None] * hs)
 
     return _make(out_value, (abar, bx, cseq), backward)
 

@@ -149,17 +149,19 @@ def train_step(batch, weights: ModelWeights, config: UnfoldConfig, cfg: TrainCon
 
     `batch` is a list of (cube, operator) pairs.  The loss is the mean
     squared error between the masked reconstruction and the ground-truth
-    cube, averaged over the batch.  A zero learning rate leaves weights
-    untouched.  A diverging step raises FloatingPointError naming the step:
-    an overflow, invalid value or division by zero anywhere in it, a stage
-    penalty mu that underflows to 0, or a non-finite loss or gradient.
+    cube, averaged over the batch.  `lr` follows the learning-rate rule (0
+    leaves weights untouched) and `step` lies in [0, cfg.steps - 1], both
+    checked first.  A diverging step raises FloatingPointError naming the
+    step: an overflow, invalid value or division by zero anywhere in it, a
+    stage penalty mu that underflows to 0, or a non-finite loss or gradient.
     """
     if not batch:
         raise ValueError("empty batch")
+    step = integer(step, "step", 0, cfg.steps - 1)
+    rate = cfg.lr_at(step) if lr is None else learning_rate(lr)
     for name, node in weights.items():
         if not np.isfinite(node.value).all():
             raise FloatingPointError(f"non-finite weight tensor {name} at step {step}")
-    rate = cfg.lr_at(step) if lr is None else lr
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             weights.zero_grad()

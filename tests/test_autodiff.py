@@ -3,6 +3,7 @@ against central finite differences."""
 
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,6 +389,11 @@ class TestStructuralOps:
         pa, pb = ad.split(joined, [2, 4])
         assert np.array_equal(pa.value, a) and np.array_equal(pb.value, b)
 
+    def test_split_returns_views_of_its_input(self):
+        x = ad.parameter(np.random.default_rng(10).normal(size=(6, 2, 3)))
+        top, bottom = ad.split(x, [2, 4])
+        assert np.shares_memory(top.value, x.value) and np.shares_memory(bottom.value, x.value)
+
     def test_split_grad(self):
         rng = np.random.default_rng(9)
         proj = rng.normal(size=(2, 2, 2))
@@ -537,6 +543,20 @@ class TestStructuralOps:
             assert finite_diff_check(wrap("abar"), abar) <= 1e-4
             assert finite_diff_check(wrap("bx"), bx) <= 1e-4
             assert finite_diff_check(wrap("cseq"), cseq) <= 1e-4
+
+    def test_linear_scan_keeps_no_second_layout(self):
+        # the tape keeps the states and the output, and no copy of abar or cseq
+        rng = np.random.default_rng(20)
+        shape = (8, 4096, 4)
+        leaves = [ad.parameter(v) for v in (rng.uniform(0.1, 0.9, shape), rng.normal(size=shape),
+                                            rng.normal(size=shape))]
+        tracemalloc.start()
+        try:
+            out = ad.linear_scan(*leaves)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (kept - out.value.nbytes) / leaves[0].value.nbytes < 2.0
 
     # lengths around the 8-step chunks of the parallel scan: inside one chunk,
     # on and just past chunk edges, and many chunks with a ragged tail

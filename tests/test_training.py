@@ -201,6 +201,29 @@ class TestTrainStep:
         with pytest.raises(FloatingPointError, match="shared/out/b"):
             training.train_step([(cube, op)], weights, cfg, training.TrainConfig())
 
+    # a refused call is refused under its own rule before any work: no weight moves
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"lr": -1.0}, "learning rate must be finite and >= 0, got -1.0"),
+        ({"lr": float("nan")}, "learning rate must be finite and >= 0, got nan"),
+        ({"lr": float("inf")}, "learning rate must be finite and >= 0, got inf"),
+        ({"lr": True}, "learning rate must be a number, got True"),
+        ({"lr": "abc"}, "learning rate must be a number, got 'abc'"),
+        ({"step": 2.5}, "step must be an integer, got 2.5"),
+        ({"step": True}, "step must be an integer, got True"),
+        ({"step": -3}, "step must lie in [0, 3], got -3"),
+        ({"step": 4}, "step must lie in [0, 3], got 4"),
+    ], ids=["lr-negative", "lr-nan", "lr-inf", "lr-bool", "lr-word",
+            "step-float", "step-bool", "step-negative", "step-past-schedule"])
+    def test_bad_lr_or_step_refused_before_any_work(self, kwargs, message):
+        cfg, weights, cube, op = tiny_setup(zero_residual=False)
+        before = {k: v.value.copy() for k, v in weights.items()}
+        tc = training.TrainConfig(steps=4)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            training.train_step([(cube, op)], weights, cfg, tc, **kwargs)
+        for k, v in weights.items():
+            assert np.array_equal(v.value, before[k]), k
+            assert v.grad is None, k
+
 
 class TestDivergence:
     """A run whose weights blow up is reported as divergence at its step, silently."""
