@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation on dense float64 arrays.
 
-The engine is deliberately small: values are immutable numpy arrays, the
-tape is built by the ops below, and `backward` runs one reverse sweep in
-topological order.  Ops take `Node`s and coerce nothing: arrays and floats
-enter the graph through `constant`, `parameter`, or the `as_node` of an
-entry point.  Broadcasting is restricted to scalar-against-tensor; every
+The engine is deliberately small: values are immutable numpy arrays, the tape
+is built by the ops below, and `backward` runs one reverse sweep in
+topological order, dropping each interior gradient once read (leaves keep
+theirs, so sweeps add).  Ops take `Node`s and coerce nothing: arrays and
+floats enter the graph through `constant`, `parameter`, or the `as_node` of
+an entry point.  Broadcasting is restricted to scalar-against-tensor; every
 other shape relation must be made explicit through `repeat_expand`,
 `reshape`, `concat` or `split`, which keeps shape bugs loud.
 
@@ -446,11 +447,12 @@ _SCAN_CHUNK = 8
 def _chunk_major(x: Array, chunks: int, fill: float) -> Array:
     """Copy [B,L,N] into [_SCAN_CHUNK, chunks, B, N], padding the tail of L with `fill`."""
     batch, length, n = x.shape
-    out = np.full((_SCAN_CHUNK, chunks, batch, n), fill)
+    out = np.empty((_SCAN_CHUNK, chunks, batch, n))
     full = length // _SCAN_CHUNK
     out[:, :full] = x[:, :full * _SCAN_CHUNK].reshape(batch, full, _SCAN_CHUNK, n).transpose(2, 1, 0, 3)
     if full < chunks:
         out[:length - full * _SCAN_CHUNK, full] = x[:, full * _SCAN_CHUNK:].swapaxes(0, 1)
+        out[length - full * _SCAN_CHUNK:, full] = fill
     return out
 
 
@@ -549,18 +551,17 @@ def _topological(root: Node):
 
 
 def backward(loss: Node) -> None:
-    """Populate gradients of every reachable leaf from a scalar loss."""
+    """Add a scalar loss's gradients into every reachable leaf, in one pass.
+
+    Each interior gradient is dropped once its own backward has read it: in
+    reversed topological order every consumer has run before it."""
     if loss.value.shape != ():
         raise ValueError(f"backward requires a scalar loss, got shape {loss.value.shape}")
     if not loss.requires_grad:
         return
-    order = _topological(loss)
     loss.grad = np.ones(())
-    for node in reversed(order):
+    for node in reversed(_topological(loss)):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
-    # free intermediate gradients; leaves keep theirs for the optimizer
-    for node in order:
-        if node._parents:
             node.grad = None
 

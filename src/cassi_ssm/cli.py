@@ -292,7 +292,7 @@ def parse_and_dispatch(argv) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, FloatingPointError) as exc:
+    except (OSError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -114,11 +114,11 @@ class ModelWeights:
         """Replace every tensor; the checkpoint must name exactly this set."""
         missing = sorted(set(self._store) - set(arrays))
         if missing:
-            raise KeyError(f"checkpoint lacks weight tensors: {', '.join(missing)}")
+            raise ValueError(f"checkpoint lacks weight tensors: {', '.join(missing)}")
         for name, value in arrays.items():
             node = self._store.get(name)
             if node is None:
-                raise KeyError(f"unknown weight name in checkpoint: {name}")
+                raise ValueError(f"unknown weight name in checkpoint: {name}")
             if node.value.shape != value.shape:
                 raise ValueError(
                     f"shape mismatch for {name}: have {node.value.shape}, file {value.shape}")

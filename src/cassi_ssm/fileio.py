@@ -216,7 +216,7 @@ def save_weights(path, weights, config: UnfoldConfig, feature_mask: FeatureMask 
         blob += struct.pack("<B", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
         blob += _f32_payload(arr, f"{path}: tensor {name!r}").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    Path(path).write_bytes(blob)
 
 
 def load_weights(path) -> LoadedModel:

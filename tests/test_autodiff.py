@@ -335,6 +335,30 @@ class TestBackward:
         ad.backward(loss)
         assert float(w.grad) == pytest.approx(7.0)
 
+    def test_one_pass_drops_each_interior_gradient_once_read(self):
+        # a chain of 32 scales: at most the gradient being read and the one
+        # being written are alive, not one per node
+        w = ad.parameter(np.ones(1 << 17))
+        chain = [w]
+        for _ in range(32):
+            chain.append(ad.scale(chain[-1], 1.0))
+        loss = total(chain[-1])
+        tracemalloc.start()
+        try:
+            ad.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / w.value.nbytes < 4.0
+        assert all(node.grad is None for node in chain[1:] + [loss])
+        assert np.array_equal(w.grad, np.ones(1 << 17))
+
+    def test_sweeps_add_into_leaf_gradients(self):
+        w = ad.parameter(np.array([1.0, -2.0]))
+        ad.backward(total(ad.scale(w, 3.0)))
+        ad.backward(total(ad.mul(w, w)))
+        assert np.array_equal(w.grad, 3.0 + 2.0 * w.value)
+
     def test_composed_graph_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         proj = rng.normal(size=(2, 4, 4))

@@ -262,7 +262,15 @@ class TestCheckpointTensors:
                 partial.add(name, value)
         fileio.save_weights(workspace / "partial.csmw", partial, config)
         assert self.reconstruct(workspace, workspace / "partial.csmw") == 1
-        assert "shared/out/w" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: checkpoint lacks weight tensors: shared/out/w\n"
+        assert not (workspace / "rec.hsic").exists()
+
+    def test_extra_tensor_exit_1(self, workspace, model, capsys):
+        config, weights, _, _ = model
+        weights.add("shared/extra", np.zeros(3))
+        fileio.save_weights(workspace / "extra.csmw", weights, config)
+        assert self.reconstruct(workspace, workspace / "extra.csmw") == 1
+        assert capsys.readouterr().err == "error: unknown weight name in checkpoint: shared/extra\n"
         assert not (workspace / "rec.hsic").exists()
 
     def test_zero_patch_profile_exit_1(self, workspace, model, capsys):

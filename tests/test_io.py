@@ -368,7 +368,7 @@ class TestWeightsFiles:
         p = tmp_path / "partial.csmw"
         fileio.save_weights(p, partial, cfg)
         restored = unfolding.init_weights(cfg, seed=0)
-        with pytest.raises(KeyError, match="shared/out/w"):
+        with pytest.raises(ValueError, match="checkpoint lacks weight tensors: shared/out/w"):
             restored.load_arrays(fileio.load_weights(p).arrays)
 
     def test_non_finite_tensor_rejected(self, tmp_path):

@@ -2,6 +2,7 @@
 gradient-descent loop."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -223,6 +224,25 @@ class TestTrainStep:
         for k, v in weights.items():
             assert np.array_equal(v.value, before[k]), k
             assert v.grad is None, k
+
+    def test_batch_peaks_like_one_scene(self):
+        # each scene's tape is swept and dropped before the next is built
+        net = TestDivergence.NET
+        cfg = unfolding.UnfoldConfig(stages=1, net=net, share_weights=True)
+        weights = unfolding.init_weights(cfg, seed=23, zero_residual=False)
+        op = cassi.SensingOperator(toy_mask(16, 16, seed=22), 2, net.bands)
+        batch = [(toy_scene(16, 16, net.bands, seed=s), op) for s in (1, 2, 3, 4)]
+        tc = training.TrainConfig(steps=1)
+        training.train_step(batch[:1], weights, cfg, tc, lr=0.0)  # warm the scan-order caches
+        peaks = []
+        for scenes in (batch[:1], batch):
+            tracemalloc.start()
+            try:
+                training.train_step(scenes, weights, cfg, tc, lr=0.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.2 * peaks[0]
 
 
 class TestDivergence:
