@@ -1,4 +1,5 @@
-"""The rules for integer settings and cube shapes, shared by constructors, flags and files."""
+"""The rules for integer settings, cube shapes and cube nesting, shared by constructors,
+flags and files."""
 
 from __future__ import annotations
 
@@ -41,3 +42,12 @@ def cube_shape(value) -> tuple:
         return tuple(integer(side, "cube", 1) for side in value)
     except ValueError as exc:
         raise ValueError(f"cube must be three integers (height, width, depth): {exc}") from None
+
+
+def cube_nests(cube: tuple, patch: int, channels: int) -> None:
+    """Refuse a cube whose footprint does not divide the patch side or whose
+    depth does not divide the channel count."""
+    if patch % cube[0] or patch % cube[1]:
+        raise ValueError(f"cube footprint {cube[0]}x{cube[1]} must divide patch side {patch}")
+    if channels % cube[2]:
+        raise ValueError(f"cube depth {cube[2]} must divide {channels} channels")

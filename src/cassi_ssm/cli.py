@@ -1,36 +1,22 @@
 """Command-line driver: simulate, reconstruct, train, eval, export-band,
 dump-scan-order.
 
-Exit codes: 0 success, 1 runtime error (bad files, dimension mismatches),
-2 usage error.  Every run is bit-reproducible given the same seeds.
+Exit codes: 0 success, 1 runtime error (bad files, dimension mismatches;
+`parse_and_dispatch` prints its one `error:` line), 2 usage error.  `train`
+lays its flags over the `--config` settings for `fileio.config_from_settings`.
+Every run is bit-reproducible given the same seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import sys
 
 from . import cassi, fileio, metrics, scans, training, unfolding
 from .checks import integer
 from .denoiser import UNetConfig
-
-
-# config-file key -> UNetConfig field; keys the file leaves out keep the
-# UNetConfig defaults
-_NET_FIELDS = {"base_channels": "base_channels", "levels": "levels",
-               "blocks": "blocks_per_level", "patch": "patch", "cube": "cube",
-               "state_size": "state_size", "expansion": "expansion"}
-
-
-def _build_net_config(opts: dict, bands: int) -> UNetConfig:
-    fields = {_NET_FIELDS[k]: v for k, v in opts.items() if k in _NET_FIELDS}
-    return UNetConfig(bands=bands, **fields)
-
-
-def _flag_or_file(flag, opts: dict, key: str, default):
-    """A command-line flag wins over the config file, which wins over the default."""
-    return flag if flag is not None else opts.get(key, default)
 
 
 def _load_operator(mask_path: str, bands: int, shift_step: int) -> cassi.SensingOperator:
@@ -92,8 +78,7 @@ def _cmd_reconstruct(args) -> int:
     arrays = dict(model.arrays)
     if args.stages is not None and args.stages != config.stages:
         if not config.share_weights:
-            print("error: --stages can only override shared-weights models", file=sys.stderr)
-            return 1
+            raise ValueError("--stages can only override shared-weights models")
         # stage scalars beyond the new count are dropped; added stages start
         # from the documented initialization
         for k in range(args.stages, config.stages):
@@ -101,8 +86,7 @@ def _cmd_reconstruct(args) -> int:
                 arrays.pop(name, None)
         for k in range(config.stages, args.stages):
             arrays.update(unfolding.stage_scalars(k))
-        config = unfolding.UnfoldConfig(stages=args.stages, net=config.net,
-                                        share_weights=True)
+        config = dataclasses.replace(config, stages=args.stages)
     mask, _ = fileio.load_cube(args.mask, expect_kind=fileio.KIND_MASK)
     d = _infer_shift_step(meas.shape[2], mask.shape[2], config.net.bands)
     op = cassi.SensingOperator(mask[0], d, config.net.bands)
@@ -121,29 +105,21 @@ def _cmd_train(args) -> int:
     else:
         scenes = fileio.ingest_dataset(args.scenes, crop=args.crop, bands=args.bands,
                                        seed=args.seed)
-    opts = fileio.parse_config_file(args.config) if args.config else {}
+    # a flag wins over the config file, which wins over the default
+    settings = fileio.parse_config_file(args.config) if args.config else {}
+    settings.update((key, getattr(args, key)) for key in ("stages", "mask_ratio", "mask_seed")
+                    if getattr(args, key) is not None)
+    train_cfg = training.TrainConfig(
+        learning_rate=args.lr, steps=args.steps, masked=args.masked,
+        zero_ratio=settings.pop("mask_ratio", training.TrainConfig.zero_ratio),
+        mask_seed=settings.pop("mask_seed", training.TrainConfig.mask_seed),
+        noise_bits=args.noise_bits, noise_seed=args.seed)
     bands = scenes[0].shape[0]
-    net = _build_net_config(opts, bands)
-    config = unfolding.UnfoldConfig(
-        stages=_flag_or_file(args.stages, opts, "stages", 3),
-        net=net,
-        share_weights=opts.get("share_weights", 1),
-    )
+    config = fileio.config_from_settings({**settings, "bands": bands})
     op = _load_operator(args.mask, bands, args.d)
     for scene in scenes:
         op.check_cube(scene)
     weights = unfolding.init_weights(config, seed=args.seed)
-    train_cfg = training.TrainConfig(
-        learning_rate=args.lr,
-        steps=args.steps,
-        zero_ratio=_flag_or_file(args.mask_ratio, opts, "mask_ratio",
-                                 training.TrainConfig.zero_ratio),
-        mask_seed=_flag_or_file(args.mask_seed, opts, "mask_seed",
-                                training.TrainConfig.mask_seed),
-        masked=args.masked,
-        noise_bits=args.noise_bits,
-        noise_seed=args.seed,
-    )
     batch = [(scene, op) for scene in scenes]
     state = training.train(batch, weights, config, train_cfg)
     fileio.save_weights(args.out, weights, config, feature_mask=state.mask)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .checks import cube_shape, integer
+from .checks import cube_nests, cube_shape, integer
 from .scans import cross_cube_order, global_order, local_patch_order
 from .ssm import selective_scan
 
@@ -48,12 +48,7 @@ class UNetConfig:
             object.__setattr__(self, name, integer(getattr(self, name), name, least))
         # a tuple of ints, so configs compare and hash by value
         object.__setattr__(self, "cube", cube_shape(self.cube))
-        if self.patch % self.cube[0] or self.patch % self.cube[1]:
-            raise ValueError(f"cube footprint {self.cube[0]}x{self.cube[1]} must divide "
-                             f"patch side {self.patch}")
-        if self.base_channels % self.cube[2]:
-            raise ValueError(
-                f"cube depth {self.cube[2]} must divide base channels {self.base_channels}")
+        cube_nests(self.cube, self.patch, self.base_channels)
 
     def channels_at(self, level: int) -> int:
         return self.base_channels * (2 ** level)

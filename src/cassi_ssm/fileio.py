@@ -2,7 +2,9 @@
 
 Payloads are 32-bit little-endian floats on disk (round-to-nearest-even
 from the 64-bit working precision); headers are fixed-layout and every
-malformed field has its own diagnostic.
+malformed field has its own diagnostic.  `_PROFILE_KEYS` lists the model
+settings once: `train`, the CSMW profile, its digest and the loader build or
+read a config through that one settings map (`config_from_settings`).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +94,7 @@ def save_cube(path, values: np.ndarray, kind: int = KIND_CUBE) -> None:
     if values.ndim != 3:
         raise ValueError(f"expected a 3-D array, got shape {values.shape}")
     nb, h, w = values.shape
+    kind = integer(kind, "HSIC kind")
     _check_cube_header(path, kind, h, w, nb)
     payload = _f32_payload(values, f"{path}: payload")
     header = _CUBE_HEADER.pack(CUBE_MAGIC, CUBE_VERSION, kind, h, w, nb)
@@ -101,6 +105,8 @@ def save_cube(path, values: np.ndarray, kind: int = KIND_CUBE) -> None:
 
 def load_cube(path, expect_kind: int | None = None):
     """Read an HSIC file; returns (values [bands, H, W] float64, kind)."""
+    if expect_kind is not None:
+        expect_kind = integer(expect_kind, "expected HSIC kind", 0, len(_KIND_NAMES) - 1)
     raw = Path(path).read_bytes()
     if len(raw) < _CUBE_HEADER.size:
         raise FileFormatError(f"{path}: truncated header")
@@ -128,13 +134,28 @@ def load_cube(path, expect_kind: int | None = None):
 # ---------------------------------------------------------------------------
 # CSMW weights
 
+# the model settings by config-file key, in CSMW profile order (the cube fills
+# three slots); the first two are UnfoldConfig fields, the rest UNetConfig fields
+_PROFILE_KEYS = ("stages", "share_weights", "bands", "base_channels", "levels", "blocks",
+                 "patch", "cube", "state_size", "expansion")
+_RENAMED = {"blocks": "blocks_per_level"}   # the one key that is not its field's name
+# the twelve profile slots as the digest hashes them; every CSMW file pins this text
+_DIGEST_TEXT = ("stages={};share={};bands={};base={};levels={};blocks={};patch={};"
+                "cube={}x{}x{};state={};expansion={}")
+
+
+def config_from_settings(settings: dict) -> UnfoldConfig:
+    """The config of a map of `_PROFILE_KEYS` settings; a key left out keeps its
+    default, 3 for the stage count.  The network is built, and checked, first."""
+    fields = {_RENAMED.get(key, key): value for key, value in settings.items()}
+    own = {key: fields.pop(key) for key in _PROFILE_KEYS[:2] if key in fields}
+    return UnfoldConfig(net=UNetConfig(**fields), **{"stages": 3, **own})
+
+
 def _config_profile(config: UnfoldConfig) -> np.ndarray:
-    net = config.net
-    return np.array([
-        config.stages, int(config.share_weights), net.bands, net.base_channels,
-        net.levels, net.blocks_per_level, net.patch,
-        net.cube[0], net.cube[1], net.cube[2], net.state_size, net.expansion,
-    ], dtype=np.float64)
+    """The twelve profile slots: each of `_PROFILE_KEYS` in turn, the cube as three."""
+    fields = {**vars(config), **vars(config.net)}
+    return np.hstack([fields[_RENAMED.get(key, key)] for key in _PROFILE_KEYS]).astype(np.float64)
 
 
 def config_from_profile(profile: np.ndarray) -> UnfoldConfig:
@@ -142,17 +163,13 @@ def config_from_profile(profile: np.ndarray) -> UnfoldConfig:
     p = [int(v) if v.is_integer() else v for v in map(float, np.asarray(profile).ravel())]
     if len(p) != 12:
         raise FileFormatError(f"weights profile has {len(p)} fields, expected 12")
-    net = UNetConfig(bands=p[2], base_channels=p[3], levels=p[4], blocks_per_level=p[5],
-                     patch=p[6], cube=(p[7], p[8], p[9]), state_size=p[10], expansion=p[11])
-    return UnfoldConfig(stages=p[0], net=net, share_weights=p[1])
+    slots = iter(p)
+    return config_from_settings({key: tuple(islice(slots, 3)) if key == "cube" else next(slots)
+                                 for key in _PROFILE_KEYS})
 
 
 def config_digest(config: UnfoldConfig) -> bytes:
-    net = config.net
-    text = (f"stages={config.stages};share={int(config.share_weights)};bands={net.bands};"
-            f"base={net.base_channels};levels={net.levels};blocks={net.blocks_per_level};"
-            f"patch={net.patch};cube={net.cube[0]}x{net.cube[1]}x{net.cube[2]};"
-            f"state={net.state_size};expansion={net.expansion}")
+    text = _DIGEST_TEXT.format(*map(int, _config_profile(config)))
     return hashlib.sha256(text.encode()).digest()
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import cube_shape, integer, switch
+from .checks import cube_nests, cube_shape, integer, switch
 
 
 @dataclass(frozen=True)
@@ -94,13 +94,10 @@ def cross_cube_order(height: int, width: int, channels: int, patch: int,
 def _nested_order(descriptor: str, height: int, width: int, channels: int, patch: int,
                   cube: tuple, reverse: bool) -> ScanOrder:
     """The cross-cube nesting of checked sizes, forward or reversed, built once."""
-    ch, cw, cc = cube
     if height % patch or width % patch:
         raise ValueError(f"patch side {patch} must divide spatial dims {height}x{width}")
-    if patch % ch or patch % cw:
-        raise ValueError(f"cube footprint {ch}x{cw} must divide patch side {patch}")
-    if channels % cc:
-        raise ValueError(f"cube depth {cc} must divide {channels} channels")
+    cube_nests(cube, patch, channels)
+    ch, cw, cc = cube
     # axes of the flat C x H x W index: (block, band in block, patch row,
     # cube row in patch, row in cube, patch col, cube col in patch, col in cube)
     idx = np.arange(channels * height * width, dtype=np.intp).reshape(

@@ -284,6 +284,13 @@ class TestCheckpointTensors:
         assert "patch must be >= 1" in capsys.readouterr().err
         assert not (workspace / "rec.hsic").exists()
 
+    def test_stage_override_of_per_stage_model_exit_1(self, workspace, model, capsys):
+        config = unfolding.UnfoldConfig(stages=2, net=TOY_NET, share_weights=False)
+        fileio.save_weights(workspace / "own.csmw", unfolding.init_weights(config, seed=4), config)
+        assert self.reconstruct(workspace, workspace / "own.csmw", "--stages", "3") == 1
+        assert capsys.readouterr().err == "error: --stages can only override shared-weights models\n"
+        assert not (workspace / "rec.hsic").exists()
+
     @pytest.mark.parametrize("stages", [1, 3])
     def test_stage_override_above_and_below(self, workspace, model, stages):
         config, weights, op, meas = model

@@ -45,6 +45,43 @@ class TestCubeFiles:
         with pytest.raises(fileio.FileFormatError, match="kind mismatch"):
             fileio.load_cube(p, expect_kind=fileio.KIND_CUBE)
 
+    # the kind follows the integer rule: True and 1.0 are not read as the mask kind 1
+    @pytest.mark.parametrize("kind,message", [
+        (True, "HSIC kind must be an integer, got True"),
+        (1.0, "HSIC kind must be an integer, got 1.0"),
+        (-1, "HSIC kind must be >= 0, got -1"),
+    ], ids=["bool", "float", "negative"])
+    def test_kind_outside_integer_rule_not_saved(self, tmp_path, kind, message):
+        p = tmp_path / "k.hsic"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fileio.save_cube(p, np.ones((1, 4, 4)), kind=kind)
+        assert not p.exists()
+
+    def test_unknown_kind_not_saved(self, tmp_path):
+        p = tmp_path / "k.hsic"
+        with pytest.raises(fileio.FileFormatError, match="unknown HSIC kind byte 7$"):
+            fileio.save_cube(p, np.ones((1, 4, 4)), kind=7)
+        assert not p.exists()
+
+    def test_decimal_string_kind_saved_as_its_integer(self, tmp_path):
+        word, number = tmp_path / "word.hsic", tmp_path / "number.hsic"
+        fileio.save_cube(word, np.ones((1, 4, 4)), kind="1")
+        fileio.save_cube(number, np.ones((1, 4, 4)), kind=fileio.KIND_MASK)
+        assert word.read_bytes() == number.read_bytes()
+
+    @pytest.mark.parametrize("expect,message", [
+        (7, r"expected HSIC kind must lie in \[0, 2\], got 7"),
+        (-1, r"expected HSIC kind must lie in \[0, 2\], got -1"),
+        (True, "expected HSIC kind must be an integer, got True"),
+        (1.0, "expected HSIC kind must be an integer, got 1.0"),
+    ], ids=["unknown", "negative", "bool", "float"])
+    def test_expected_kind_outside_integer_rule_refused(self, tmp_path, expect, message):
+        # a cube file, so every expected kind above differs from the one found
+        p = tmp_path / "c.hsic"
+        fileio.save_cube(p, np.ones((1, 4, 4)))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fileio.load_cube(p, expect_kind=expect)
+
     def test_wrong_magic(self, tmp_path):
         p = tmp_path / "bad.hsic"
         p.write_bytes(b"NOPE" + bytes(20))
@@ -653,6 +690,24 @@ class TestConfigFile:
         with pytest.raises(ValueError) as err:
             fileio.parse_config_file(p)
         assert str(err.value).startswith(f"{p}:1: bad value for {key}: {key} must ")
+
+    def test_every_key_is_a_model_or_mask_setting(self):
+        # a key the file parses but no consumer reads would pass silently
+        network = set(fileio._PROFILE_KEYS) - {"bands"}
+        assert set(fileio._CONFIG_KEYS) == network | {"mask_ratio", "mask_seed"}
+
+    def test_every_network_key_reaches_the_profile(self, tmp_path):
+        p = tmp_path / "all.cfg"
+        p.write_text("stages=2\nshare_weights=0\nbase_channels=6\nlevels=1\nblocks=2\n"
+                     "patch=6\ncube=3x1x2\nstate_size=5\nexpansion=3\n")
+        settings = fileio.parse_config_file(p)
+        assert set(settings) == set(fileio._PROFILE_KEYS) - {"bands"}
+        profile = fileio._config_profile(fileio.config_from_settings({**settings, "bands": 3}))
+        assert profile.tolist() == [2, 0, 3, 6, 1, 2, 6, 3, 1, 2, 5, 3]
+        # each value differs from its default, so none can be a default left in place
+        default = fileio._config_profile(fileio.config_from_settings({"bands": 3}))
+        assert default.tolist() == [3, 1, 3, 28, 2, 1, 4, 2, 2, 4, 16, 2]
+        assert all(np.delete(profile != default, 2))
 
     def test_cube_dims(self):
         assert fileio.cube_dims("2X3x4") == (2, 3, 4)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cassi_ssm import scans
+from cassi_ssm.denoiser import UNetConfig
 from oracles import spectral_scan_order
 
 
@@ -140,6 +141,20 @@ class TestCrossCubeOrder:
     def test_cube_must_be_three_integers(self, cube):
         with pytest.raises(ValueError, match="cube must be three integers"):
             scans.cross_cube_order(4, 4, 2, 4, cube)
+
+
+# the scan order and the config refuse a cube that does not nest in the same words
+@pytest.mark.parametrize("cube,message", [
+    ((2, 2, 4), "cube depth 4 must divide 6 channels"),
+    ((3, 3, 2), "cube footprint 3x3 must divide patch side 4"),
+], ids=["depth", "footprint"])
+@pytest.mark.parametrize("build", [
+    lambda cube: UNetConfig(bands=2, base_channels=6, cube=cube),
+    lambda cube: scans.cross_cube_order(4, 4, 6, 4, cube),
+], ids=["config", "order"])
+def test_one_nesting_rule(build, cube, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(cube)
 
 
 # every size slot, the cube's sides included, takes a numpy integer and
