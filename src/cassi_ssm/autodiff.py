@@ -152,7 +152,13 @@ def scale(a, s: float) -> Node:
 
 
 def softplus(a) -> Node:
-    out_value = np.logaddexp(0.0, a.value)
+    """log(1 + e^x) as max(x, 0) + log1p(e^-|x|): SIMD ufuncs only, where
+    `np.logaddexp` runs a scalar loop, and no exponential can overflow."""
+    x = a.value
+    out_value = np.negative(np.abs(x), out=np.empty_like(x))    # an array, 0-d included
+    np.exp(out_value, out=out_value)
+    np.log1p(out_value, out=out_value)
+    out_value += np.maximum(x, 0.0)
     # the derivative 1 / (1 + exp(-x)) is 1 - exp(-softplus(x))
     return unary(a, out_value, lambda g: g * -np.expm1(-out_value))
 
@@ -239,23 +245,41 @@ def relu(a) -> Node:
     return unary(a, np.maximum(a.value, 0.0), lambda g: g * (a.value > 0.0))
 
 
+def _ones_at(x: Array, idx: Array) -> Array:
+    """Flat `x` with 1 at the indices `idx`; `x` itself when there are none."""
+    if not idx.size:
+        return x
+    x = x.copy()
+    x[idx] = 1.0
+    return x
+
+
 def phi1(a) -> Node:
     """(exp(z) - 1) / z per element, with value 1 taken for |z| < 1e-8.
 
     This is the factor that turns a continuous input gain into its
-    zero-order-hold discrete counterpart.
+    zero-order-hold discrete counterpart.  As in `_erf`, the entries near 0
+    are patched by index, not by mask; they divide by 1, so z = 0 raises no
+    floating-point flag.
     """
     z = a.value
-    small = np.abs(z) < 1e-8
-    safe = np.where(small, 1.0, z)
+    flat = z.ravel()
+    small = np.flatnonzero(np.abs(flat) < 1e-8)
+    out = np.expm1(flat) / _ones_at(flat, small)
+    out[small] = 1.0
 
     def vjp(g):
-        # d/dz [(e^z - 1)/z] = ((z - 1) e^z + 1) / z^2; series near 0: 1/2 + z/3
-        tiny = np.abs(z) < 1e-5
-        zz = np.where(tiny, 1.0, z)
-        return g * np.where(tiny, 0.5 + z / 3.0, ((z - 1.0) * np.exp(z) + 1.0) / (zz * zz))
+        # d/dz [(e^z - 1)/z] = (e^z - phi1(z)) / z; series near 0: 1/2 + z/3
+        tiny = np.flatnonzero(np.abs(flat) < 1e-5)
+        d = np.exp(flat)
+        d -= out
+        d /= _ones_at(flat, tiny)
+        d[tiny] = 0.5 + flat[tiny] / 3.0
+        d = d.reshape(z.shape)
+        d *= g
+        return d
 
-    return unary(a, np.where(small, 1.0, np.expm1(z) / safe), vjp)
+    return unary(a, out.reshape(z.shape), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +332,14 @@ def repeat_expand(a, axis: int, n: int) -> Node:
     explicit (and checkable) stand-in for broadcasting.
     """
     out_value = np.repeat(np.expand_dims(a.value, axis), n, axis=axis)
-    return unary(a, out_value, lambda g: g.sum(axis=axis))
+
+    def vjp(g):
+        # one einsum reduction: `g.sum(axis)` is several times slower over a short or strided axis
+        dims = "abcdefghijklmnopqrstuvwxyz"[:g.ndim]
+        kept = axis % g.ndim
+        return np.einsum(f"{dims}->{dims[:kept]}{dims[kept + 1:]}", g)
+
+    return unary(a, out_value, vjp)
 
 
 def gather_last(a, forward_idx, inverse_idx) -> Node:

@@ -156,8 +156,8 @@ def _cmd_dump_scan_order(args) -> int:
         order = scans.local_patch_order(args.height, args.width, args.patch,
                                         kind.endswith("reverse"))
     elif kind == "cross":
-        order = scans.cross_cube_order(args.height, args.width, args.channels, args.patch,
-                                       args.cube)
+        channels = args.cube[2] if args.channels is None else args.channels
+        order = scans.cross_cube_order(args.height, args.width, channels, args.patch, args.cube)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(kind)
     report = scans.validate_order(order)
@@ -251,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["global", "global-reverse", "local", "local-reverse", "cross"])
     p.add_argument("--height", type=_flag(integer, "height", 1), required=True)
     p.add_argument("--width", type=_flag(integer, "width", 1), required=True)
-    p.add_argument("--channels", type=_flag(integer, "channels", 1), default=1)
+    p.add_argument("--channels", type=_flag(integer, "channels", 1),
+                   help="channel count of a cross order (default: the cube depth)")
     p.add_argument("--patch", type=_flag(integer, "patch", 1), default=UNetConfig.patch)
     p.add_argument("--cube", type=_flag(fileio.cube_dims), default=UNetConfig.cube,
                    help="cube dims HxWxC")

@@ -2,6 +2,7 @@
 against central finite differences."""
 
 import decimal
+import fractions
 import math
 import tracemalloc
 
@@ -175,6 +176,74 @@ class TestErf:
         p = ad.parameter(x)
         ad.backward(total(ad.softplus(p)))
         assert ulp_error(p.grad, 1.0 / (1.0 + np.exp(-x))).max() <= 4
+
+
+def value_and_grad(op, x):
+    """`op`'s value and gradient at the points `x`, under the floating-point
+    flags `train_step` raises on."""
+    p = ad.parameter(np.asarray(x, dtype=np.float64))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        out = op(p)
+        ad.backward(total(out))
+    return out.value, p.grad
+
+
+class TestScanKernels:
+    """softplus, phi1 and repeat_expand, the pointwise scaffolding of the selective scan."""
+
+    @pytest.mark.parametrize("x", [0.0, 1e-300, -1e-300, 800.0, -800.0, np.inf, -np.inf, np.nan],
+                             ids=["0", "tiny", "-tiny", "800", "-800", "inf", "-inf", "nan"])
+    def test_softplus_edges_flag_free(self, x):
+        value, grad = value_and_grad(ad.softplus, [x])
+        with np.errstate(invalid="ignore"):      # logaddexp flags NaN as invalid
+            want = np.logaddexp(0.0, x)
+        if x == 0.0 or np.isinf(x):
+            assert value[0] == want
+        elif np.isnan(x):
+            assert np.isnan(value[0])
+        else:
+            assert ulp_error(value, [want]).max() <= 2
+        # the logistic as 0.5 * (1 + tanh(x / 2)), which no point here overflows
+        np.testing.assert_allclose(grad, [0.5 * (1.0 + np.tanh(x / 2.0))], rtol=1e-15, atol=0)
+
+    # the scan takes phi1 of delta * a with delta > 0 and a < 0, so z <= 0
+    @pytest.mark.parametrize("z,want,want_grad", [
+        (0.0, 1.0, 0.5), (1e-300, 1.0, 0.5), (-1e-300, 1.0, 0.5),
+        (-800.0, 1.0 / 800.0, 1.0 / 800.0 ** 2), (-np.inf, 0.0, 0.0), (np.nan, np.nan, np.nan)],
+        ids=["0", "tiny", "-tiny", "-800", "-inf", "nan"])
+    def test_phi1_edges_flag_free(self, z, want, want_grad):
+        value, grad = value_and_grad(ad.phi1, [z])
+        np.testing.assert_allclose(value, [want], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(grad, [want_grad], rtol=1e-15, atol=0)
+
+    # past z = log(max float) ~ 709.8, e^z overflows and phi1 with it: the flag
+    # reports it, as `exp` does, and no finite value is returned in its place
+    @pytest.mark.parametrize("z", [800.0, np.inf], ids=["800", "inf"])
+    def test_phi1_overflow_is_flagged(self, z):
+        with pytest.raises(FloatingPointError):
+            value_and_grad(ad.phi1, [z])
+
+    def test_phi1_grad_matches_exact_series(self):
+        # phi1'(z) = sum_k z^k (k + 1) / (k + 2)!, summed exactly at the binary value of z
+        zs = [s * v for v in (1.0001e-5, 3e-5, 1e-4, 1e-3) for s in (1.0, -1.0)]
+        _, grad = value_and_grad(ad.phi1, zs)
+        for z, got in zip(zs, grad):
+            q = fractions.Fraction(z)
+            want = float(sum(q ** k * fractions.Fraction(k + 1, math.factorial(k + 2))
+                             for k in range(12)))
+            assert abs(got - want) <= 1e-10 * want, z
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, 3])
+    def test_repeat_expand_backward_sums_the_inserted_axis(self, axis):
+        rng = np.random.default_rng(31 + axis)
+        v = rng.normal(size=(2, 3, 5))
+        # positive gradients, so the sum has no cancellation and a relative bound holds
+        g = rng.uniform(0.5, 1.5, size=v.shape[:axis] + (4,) + v.shape[axis:])
+        p = ad.parameter(v)
+        out = ad.repeat_expand(p, axis, 4)
+        assert np.array_equal(out.value, np.repeat(np.expand_dims(v, axis), 4, axis=axis))
+        ad.backward(total(ad.mul(out, ad.constant(g))))
+        np.testing.assert_allclose(p.grad, g.sum(axis=axis), rtol=1e-15, atol=0)
 
 
 class TestConv2d:

@@ -345,6 +345,13 @@ class TestExportAndDump:
                 for v in line.split()]
         assert body == [0, 4, 1, 5, 2, 6, 3, 7]
 
+    # without --channels a cross order spans one default cube depth (2x2x4: 4 channels)
+    def test_dump_cross_order_channels_default_to_cube_depth(self, capsys):
+        assert run(["dump-scan-order", "--kind", "cross", "--height", "4", "--width", "4"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert "length=64 bijection=True" in header
+        assert sorted(int(v) for line in rows for v in line.split()) == list(range(64))
+
 
 class TestUsageErrors:
     def test_unknown_flag_exit_2(self, capsys):
