@@ -3,10 +3,10 @@
 The engine is deliberately small: values are immutable numpy arrays, the tape
 is built by the ops below, and `backward` runs one reverse sweep in
 topological order, dropping each interior gradient once read (leaves keep
-theirs, so sweeps add).  Ops take `Node`s and coerce nothing: arrays and
-floats enter the graph through `constant`, `parameter`, or the `as_node` of
-an entry point.  Broadcasting is restricted to scalar-against-tensor; every
-other shape relation must be made explicit through `repeat_expand`,
+theirs, so sweeps add).  Ops, and every function built on them, take
+`Node`s and coerce nothing: arrays and floats enter the graph only through
+`constant` and `parameter`.  Broadcasting is only scalar-against-tensor;
+every other shape relation must be made explicit through `repeat_expand`,
 `reshape`, `concat` or `split`, which keeps shape bugs loud.
 
 Each op family has one skeleton, so an op states only its value and its
@@ -76,11 +76,6 @@ def constant(value) -> Node:
 def parameter(value) -> Node:
     """Wrap an array as a trainable leaf that collects gradients."""
     return Node(value, requires_grad=True)
-
-
-def as_node(x) -> Node:
-    """`x` if it is a Node, else `x` as a constant; only entry points call it."""
-    return x if isinstance(x, Node) else constant(x)
 
 
 def _make(value, parents, backward) -> Node:

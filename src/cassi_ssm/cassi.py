@@ -30,8 +30,8 @@ class SensingOperator:
 
     def __post_init__(self):
         mask = np.ascontiguousarray(self.mask, dtype=np.float64)
-        if mask.ndim != 2:
-            raise ValueError(f"mask must be 2-D, got shape {mask.shape}")
+        if mask.ndim != 2 or not mask.size:
+            raise ValueError(f"mask must be 2-D with both sides >= 1, got shape {mask.shape}")
         if not np.isfinite(mask).all():
             raise ValueError("mask contains non-finite values")
         object.__setattr__(self, "shift_step", integer(self.shift_step, "shift step"))

@@ -4,19 +4,25 @@ flags and files."""
 from __future__ import annotations
 
 import operator
+import re
+
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 def integer(value, what: str, least: int = 0, most: int | None = None) -> int:
     """`value` as an int in [least, most] (no upper bound when most is None).
 
-    Python and numpy integers and decimal strings are taken; bools, floats
-    (2.0 included) and anything else are refused with ValueError rather
-    than truncated.
+    Python and numpy integers and decimal strings (ASCII digits with an
+    optional sign) are taken; bools, floats (2.0 included), other text
+    ("1_000", a non-ASCII digit, spaces) and anything else are refused with
+    ValueError rather than truncated.
     """
     try:
         if isinstance(value, bool):
             raise TypeError
-        number = int(value) if isinstance(value, str) else operator.index(value)
+        # text outside the decimal form falls through to operator.index, which refuses it
+        decimal = isinstance(value, str) and _DECIMAL.fullmatch(value)
+        number = int(value) if decimal else operator.index(value)
     except (TypeError, ValueError):
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
     if most is not None and not least <= number <= most:

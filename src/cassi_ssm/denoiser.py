@@ -283,7 +283,7 @@ def ssm_block(f: "ad.Node", weights: ModelWeights, prefix: str,
 
 
 def embed_with_mask(x: "ad.Node", mask: np.ndarray, weights: ModelWeights, prefix: str,
-                    sigma=0.0) -> "ad.Node":
+                    sigma: "ad.Node") -> "ad.Node":
     """Fuse the cube with the coded mask and the noise-level channel.
 
     The mask is replicated to one channel per band and concatenated with the
@@ -294,7 +294,6 @@ def embed_with_mask(x: "ad.Node", mask: np.ndarray, weights: ModelWeights, prefi
     if mask.shape != (height, width):
         raise ValueError(f"mask shape {mask.shape} does not match cube plane {height}x{width}")
     mask_stack = ad.constant(np.repeat(np.asarray(mask, dtype=np.float64)[None], nb, axis=0))
-    sigma = ad.as_node(sigma)
     if not np.isfinite(sigma.value).all():
         raise ValueError("noise level must be finite")
     sig_channel = ad.mul(ad.constant(np.ones((1, height, width))), sigma)
@@ -303,15 +302,14 @@ def embed_with_mask(x: "ad.Node", mask: np.ndarray, weights: ModelWeights, prefi
     return ad.conv2d(fused, weights[f"{prefix}/embed/proj_w"], weights[f"{prefix}/embed/proj_b"])
 
 
-def denoise(x, sigma, mask: np.ndarray, weights: ModelWeights, config: UNetConfig,
-            prefix: str, feature_mask=None) -> "ad.Node":
+def denoise(x: "ad.Node", sigma: "ad.Node", mask: np.ndarray, weights: ModelWeights,
+            config: UNetConfig, prefix: str, feature_mask=None) -> "ad.Node":
     """Run the U-shaped denoiser; returns input plus the predicted residual.
 
-    `sigma` may be a float or a scalar Node (so stage parameters receive
-    gradients).  When `feature_mask` is given, its 0/1 spatial pattern is
-    multiplied into the embedded feature, the same mask at every stage.
+    `sigma` is a scalar Node, so stage parameters receive gradients.  When
+    `feature_mask` is given, its 0/1 spatial pattern is multiplied into the
+    embedded feature, the same mask at every stage.
     """
-    x = ad.as_node(x)
     nb, height, width = x.shape
     if nb != config.bands:
         raise ValueError(f"cube has {nb} bands but config expects {config.bands}")

@@ -9,6 +9,7 @@ PSNR is capped at 100 dB, returned exactly at zero MSE.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,10 +77,12 @@ def ssim(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
 def evaluate(cube_a: np.ndarray, cube_b: np.ndarray) -> MetricReport:
     """Per-band PSNR/SSIM of two cubes, averaged over bands.
 
-    cube_a is the reference; the data range is its maximum (1.0 if the
-    reference is empty of signal).
+    cube_a is the reference and must be finite; the data range is its
+    maximum (1.0 if the reference is empty of signal).
     """
-    peak = float(np.max(cube_a))
+    lo, peak = float(np.min(cube_a)), float(np.max(cube_a))
+    if not (math.isfinite(lo) and math.isfinite(peak)):
+        raise ValueError("reference cube holds NaN or Inf")
     data_range = peak if peak > 0 else 1.0
     cube_a, cube_b = _images(cube_a, cube_b, data_range)
     band_psnr = tuple(psnr(cube_a[i], cube_b[i], data_range) for i in range(cube_a.shape[0]))

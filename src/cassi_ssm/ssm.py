@@ -16,13 +16,12 @@ from . import autodiff as ad
 def selective_scan(x, a, b, c, delta, d) -> "ad.Node":
     """Differentiable selective scan over batches of scalar token sequences.
 
-    Shapes (the batch axis holds independent channels): x [B,L]; a [B,N]
-    continuous negative diagonal; b, c [B,L,N] per-token gains; delta
-    [B,L] positive; d [B] skip gain.  Returns y [B,L] with
-    h_t = abar_t * h_{t-1} + bbar_t * x_t (h_0 = 0) and
+    All six inputs are Nodes.  Shapes (the batch axis holds independent
+    channels): x [B,L]; a [B,N] continuous negative diagonal; b, c [B,L,N]
+    per-token gains; delta [B,L] positive; d [B] skip gain.  Returns y
+    [B,L] with h_t = abar_t * h_{t-1} + bbar_t * x_t (h_0 = 0) and
     y_t = <c_t, h_t> + d * x_t.
     """
-    x, a, b, c, delta, d = (ad.as_node(v) for v in (x, a, b, c, delta, d))
     if x.value.ndim != 2:
         raise ValueError(f"x must be a [B,L] batch of sequences, got shape {x.shape}")
     nb, length = x.shape

@@ -24,9 +24,9 @@ from .unfolding import UnfoldConfig, reconstruct_node
 class FeatureMask:
     """Spatial 0-1 mask with an exact number of zeros.
 
-    values is [H, W] holding only 0.0 and 1.0, the zero count equals
-    round(zero_ratio * H * W), and seed lies in [0, 2**64); construction
-    refuses anything else.
+    values is [H, W] with both sides >= 1 and holds only 0.0 and 1.0, the
+    zero count equals round(zero_ratio * H * W), and seed lies in
+    [0, 2**64); construction refuses anything else.
     """
 
     values: np.ndarray
@@ -38,8 +38,8 @@ class FeatureMask:
         object.__setattr__(self, "zero_ratio", ratio)
         object.__setattr__(self, "seed", feature_mask_seed(self.seed))
         v = np.ascontiguousarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError(f"feature mask must be [H, W], got shape {v.shape}")
+        if v.ndim != 2 or not v.size:
+            raise ValueError(f"feature mask must be [H, W] with both sides >= 1, got shape {v.shape}")
         if not ((v == 0.0) | (v == 1.0)).all():
             raise ValueError("feature mask values must all be 0 or 1")
         zeros, want = int(np.count_nonzero(v == 0.0)), int(round(ratio * v.size))
@@ -76,10 +76,13 @@ def generate_mask(height: int, width: int, ratio: float, seed: int) -> FeatureMa
 
 
 def _number(value, what: str) -> float:
-    """`value` as a float; a bool, or text that is not a number, is refused."""
+    """`value` as a float; a bool, or text that is not a number in ASCII
+    without underscores, is refused."""
     try:
         if isinstance(value, (bool, np.bool_)):
             raise TypeError
+        if isinstance(value, str) and ("_" in value or not value.isascii()):
+            raise ValueError
         return float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{what} must be a number, got {value!r}") from None

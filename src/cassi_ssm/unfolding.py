@@ -71,9 +71,8 @@ def init_weights(config: UnfoldConfig, seed: int, zero_residual: bool = True) ->
     return weights
 
 
-def data_step_node(z: "ad.Node", y: np.ndarray, op: cassi.SensingOperator, mu) -> "ad.Node":
+def data_step_node(z: "ad.Node", y: np.ndarray, op: cassi.SensingOperator, mu: "ad.Node") -> "ad.Node":
     """Differentiable closed-form data step (gradients flow to z and mu)."""
-    mu = ad.as_node(mu)
     if mu.value.ndim != 0:
         raise ValueError(f"mu must be scalar, got shape {mu.value.shape}")
     if not (mu.value > 0):
@@ -87,7 +86,7 @@ def data_step_node(z: "ad.Node", y: np.ndarray, op: cassi.SensingOperator, mu) -
 
 def data_step(z: np.ndarray, y: np.ndarray, op: cassi.SensingOperator, mu: float) -> np.ndarray:
     """Closed-form data step on plain arrays."""
-    return data_step_node(ad.constant(z), y, op, float(mu)).value
+    return data_step_node(ad.constant(z), y, op, ad.constant(float(mu))).value
 
 
 def reconstruct_node(y: np.ndarray, op: cassi.SensingOperator, weights: ModelWeights,

@@ -21,7 +21,7 @@ import numpy as np
 
 from cassi_ssm import cassi
 from cassi_ssm.autodiff import (
-    Array, Node, as_node, backward, constant, mean_all, parameter, scale)
+    Array, Node, backward, constant, mean_all, parameter, scale)
 from cassi_ssm.cassi import SensingOperator
 from cassi_ssm.scans import ScanOrder, _finish
 
@@ -192,11 +192,10 @@ def ssim_loop_oracle(a, b, data_range):
     return float(np.mean(vals))
 
 
-def total(x) -> Node:
+def total(x: Node) -> Node:
     """Sum of every element as a tape scalar, with gradient exactly 1.0 per element.
 
     The scale's backward multiplies g by n, then the mean's divides it by n,
     and float(n) / n == 1 exactly.
     """
-    x = as_node(x)
     return scale(mean_all(x), x.value.size)

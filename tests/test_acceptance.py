@@ -137,8 +137,8 @@ def test_criterion_05_ssm_correctness():
         c = rng.normal(size=(length, nstate))
         delta = rng.uniform(0.01, 0.8, size=length)
         d = float(rng.normal())
-        got = ssm.selective_scan(x[None], a[None], b[None], c[None], delta[None],
-                                 np.array([d])).value[0]
+        got = ssm.selective_scan(*(ad.constant(v) for v in (
+            x[None], a[None], b[None], c[None], delta[None], np.array([d])))).value[0]
         abar, bbar = discretize_zoh(a[None, :], b, delta[:, None])
         want = naive_scan_oracle(x, abar, bbar, c, d)
         worst = max(worst, np.abs(got - want).max() / max(1.0, np.abs(want).max()))
@@ -191,7 +191,7 @@ def test_criterion_06_differentiability():
 
     def scan_input(t):
         y = ssm.selective_scan(t, ad.constant(sa), ad.constant(sb), ad.constant(sc),
-                               ad.constant(sdelta), np.array([0.4]))
+                               ad.constant(sdelta), ad.constant(np.array([0.4])))
         return total(ad.mul(y, ad.constant(sproj)))
 
     results["selective_scan"] = finite_diff_check(scan_input, sx)
@@ -224,18 +224,18 @@ def test_criterion_06_differentiability():
     dproj = rng.normal(size=(2, 8, 8))
 
     results["denoiser/input"] = finite_diff_check(
-        lambda t: total(ad.mul(denoise(t, 0.3, mask, dw, NET_8X8X2, "net"),
+        lambda t: total(ad.mul(denoise(t, ad.constant(0.3), mask, dw, NET_8X8X2, "net"),
                             ad.constant(dproj))),
         rng.random((2, 8, 8)))
 
-    x_fixed = rng.random((2, 8, 8))
+    x_fixed = ad.constant(rng.random((2, 8, 8)))
 
     def through_weight(t):
         # splice the probed tensor in as the embedding kernel leaf
         original = dw._store["net/embed/proj_w"]
         dw._store["net/embed/proj_w"] = t
         try:
-            return total(ad.mul(denoise(x_fixed, 0.3, mask, dw, NET_8X8X2, "net"),
+            return total(ad.mul(denoise(x_fixed, ad.constant(0.3), mask, dw, NET_8X8X2, "net"),
                                 ad.constant(dproj)))
         finally:
             dw._store["net/embed/proj_w"] = original
@@ -263,7 +263,8 @@ def test_criterion_07_residual_identity():
     # zeroed output conv: denoiser is the identity
     x_probe = rng.random((2, 8, 8))
     assert np.array_equal(
-        denoise(x_probe, 0.1, op.mask, weights, NET_8X8X2, "shared").value, x_probe)
+        denoise(ad.constant(x_probe), ad.constant(0.1), op.mask, weights, NET_8X8X2,
+                "shared").value, x_probe)
 
     # reconstruct equals the componentwise replay of pure data steps
     got = unfolding.reconstruct(y, op, weights, cfg)
@@ -277,6 +278,7 @@ def test_criterion_07_residual_identity():
     report(7, f"identity replay exact; residual norms non-increasing {norms[0]:.3f}->{norms[-1]:.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_08_toy_learning():
     start = time.time()
     cfg = unfolding.UnfoldConfig(stages=3, net=NET_TOY, share_weights=True)

@@ -1,6 +1,8 @@
 """Sensing model tests: every operator is cross-checked against the dense
 Phi matrix built by explicit enumeration."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,18 @@ def random_operator(rng, h_max=8, w_max=8, b_max=4, d_choices=(0, 1, 2)):
     d = int(rng.choice(d_choices))
     mask = rng.random((h, w))
     return cassi.SensingOperator(mask, d, nb)
+
+
+class TestOperatorShape:
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_zero_side_refused(self, shape):
+        message = f"mask must be 2-D with both sides >= 1, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cassi.SensingOperator(np.ones(shape), 1, 2)
+
+    def test_three_axes_refused(self):
+        with pytest.raises(ValueError, match="mask must be 2-D"):
+            cassi.SensingOperator(np.ones((2, 2, 2)), 1, 2)
 
 
 class TestForwardProject:

@@ -213,6 +213,17 @@ class TestConfigPrecedence:
         assert f"{cfg}:{lineno}: bad value for {key}" in capsys.readouterr().err
         assert not (workspace / "prec.csmw").exists()
 
+    # int() and float() would read each as 10, 0.25, 50 and 2
+    @pytest.mark.parametrize("line", ["stages=1_0", "mask_ratio=0.2_5", "mask_seed=5_0",
+                                      "cube=1x1x0_2"])
+    def test_underscore_in_config_value_exit_1(self, workspace, capsys, line):
+        code, cfg = self.train(workspace, line + "\n")
+        assert code == 1
+        lineno = len((workspace / "toy.cfg").read_text().splitlines()) + 1
+        key = line.split("=")[0]
+        assert f"{cfg}:{lineno}: bad value for {key}" in capsys.readouterr().err
+        assert not (workspace / "prec.csmw").exists()
+
     def test_zero_cube_depth_in_config_exit_1(self, workspace, capsys):
         code, cfg = self.train(workspace, "cube=2x2x0\n")
         assert code == 1
@@ -397,6 +408,22 @@ class TestUsageErrors:
                                   "lr-neg", "lr-nan", "lr-inf", "bands-neg", "bands0", "crop0",
                                   "d-neg", "seed-neg"])
     def test_train_flag_out_of_range_exit_2(self, workspace, capsys, flag):
+        code = run(["train", "--cube", workspace / "scene.hsic",
+                    "--mask", workspace / "mask.hsic", "--config", workspace / "toy.cfg",
+                    "--masked", *flag, "--out", workspace / "m.csmw"])
+        assert code == 2
+        assert f"error: argument {flag[0]}" in capsys.readouterr().err
+        assert not (workspace / "m.csmw").exists()
+
+    # only ASCII digits with an optional sign make an integer; a number takes no "_"
+    @pytest.mark.parametrize("flag", [["--steps", "1_0"], ["--seed", "\u0663"],
+                                      ["--bands", "\uff12"], ["--mask-seed", " 5"],
+                                      ["--lr", "0.0_2"], ["--mask-ratio", "0.2_5"],
+                                      ["--mask-ratio", "\u0660.5"]],
+                             ids=["steps-underscore", "seed-arabic-indic", "bands-fullwidth",
+                                  "mask-seed-space", "lr-underscore", "mask-ratio-underscore",
+                                  "mask-ratio-arabic-indic"])
+    def test_train_flag_not_ascii_decimal_exit_2(self, workspace, capsys, flag):
         code = run(["train", "--cube", workspace / "scene.hsic",
                     "--mask", workspace / "mask.hsic", "--config", workspace / "toy.cfg",
                     "--masked", *flag, "--out", workspace / "m.csmw"])

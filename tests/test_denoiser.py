@@ -60,14 +60,14 @@ class TestEmbed:
     def test_zero_input_zero_mask_zero_bias(self):
         w = tiny_weights()
         out = embed_with_mask(ad.constant(np.zeros((2, 8, 8))), np.zeros((8, 8)), w, "net",
-                              sigma=0.0)
+                              sigma=ad.constant(0.0))
         assert not out.value.any()
 
     def test_output_channels_follow_config(self):
         w = tiny_weights()
         rng = np.random.default_rng(2)
         out = embed_with_mask(ad.constant(rng.random((2, 8, 8))), rng.random((8, 8)), w, "net",
-                              sigma=0.3)
+                              sigma=ad.constant(0.3))
         assert out.shape == (TINY.base_channels, 8, 8)
 
     def test_sigma_channel_matters(self):
@@ -75,20 +75,21 @@ class TestEmbed:
         rng = np.random.default_rng(3)
         x = rng.random((2, 8, 8))
         mask = rng.random((8, 8))
-        a = embed_with_mask(ad.constant(x), mask, w, "net", sigma=0.0).value
-        b = embed_with_mask(ad.constant(x), mask, w, "net", sigma=1.0).value
+        a = embed_with_mask(ad.constant(x), mask, w, "net", sigma=ad.constant(0.0)).value
+        b = embed_with_mask(ad.constant(x), mask, w, "net", sigma=ad.constant(1.0)).value
         assert not np.allclose(a, b)
 
     def test_mask_shape_guard(self):
         w = tiny_weights()
         with pytest.raises(ValueError, match="mask shape"):
-            embed_with_mask(ad.constant(np.zeros((2, 8, 8))), np.zeros((4, 4)), w, "net")
+            embed_with_mask(ad.constant(np.zeros((2, 8, 8))), np.zeros((4, 4)), w, "net",
+                            ad.constant(0.0))
 
     def test_non_finite_sigma_rejected(self):
         w = tiny_weights()
         with pytest.raises(ValueError, match="finite"):
             embed_with_mask(ad.constant(np.zeros((2, 8, 8))), np.zeros((8, 8)), w, "net",
-                            sigma=float("nan"))
+                            sigma=ad.constant(float("nan")))
 
     def test_gradcheck(self):
         w = tiny_weights()
@@ -97,7 +98,7 @@ class TestEmbed:
         proj = rng.normal(size=(4, 4, 4))
 
         def f(t):
-            return total(ad.mul(embed_with_mask(t, mask, w, "net", sigma=0.2),
+            return total(ad.mul(embed_with_mask(t, mask, w, "net", sigma=ad.constant(0.2)),
                                 ad.constant(proj)))
 
         assert finite_diff_check(f, rng.random((2, 4, 4))) <= 1e-4
@@ -260,13 +261,14 @@ class TestDenoise:
         w = tiny_weights(zero_residual=True)
         rng = np.random.default_rng(18)
         x = rng.random((2, 8, 8))
-        out = denoise(x, 0.1, rng.random((8, 8)), w, TINY, "net")
+        out = denoise(ad.constant(x), ad.constant(0.1), rng.random((8, 8)), w, TINY, "net")
         assert np.array_equal(out.value, x)
 
     def test_output_dims_match_input(self):
         w = tiny_weights(zero_residual=False)
         rng = np.random.default_rng(19)
-        out = denoise(rng.random((2, 8, 8)), 0.2, rng.random((8, 8)), w, TINY, "net")
+        out = denoise(ad.constant(rng.random((2, 8, 8))), ad.constant(0.2), rng.random((8, 8)),
+                      w, TINY, "net")
         assert out.shape == (2, 8, 8)
 
     def test_two_level_config(self):
@@ -275,13 +277,15 @@ class TestDenoise:
         w = ModelWeights()
         init_denoiser_weights(w, np.random.default_rng(20), "net", cfg, zero_residual=False)
         rng = np.random.default_rng(21)
-        out = denoise(rng.random((2, 16, 16)), 0.2, rng.random((16, 16)), w, cfg, "net")
+        out = denoise(ad.constant(rng.random((2, 16, 16))), ad.constant(0.2),
+                      rng.random((16, 16)), w, cfg, "net")
         assert out.shape == (2, 16, 16)
 
     def test_dims_divisibility_guard(self):
         w = tiny_weights()
         with pytest.raises(ValueError, match="divisible"):
-            denoise(np.zeros((2, 6, 8)), 0.1, np.zeros((6, 8)), w, TINY, "net")
+            denoise(ad.constant(np.zeros((2, 6, 8))), ad.constant(0.1), np.zeros((6, 8)), w,
+                    TINY, "net")
 
     @pytest.mark.parametrize("field", ["bands", "base_channels", "patch", "cube",
                                        "state_size", "expansion"])
@@ -302,7 +306,8 @@ class TestDenoise:
         cfg = UNetConfig(bands=2, base_channels=4, levels=1, blocks_per_level=1,
                          patch=2, cube=[1, 1, 2], state_size=2, expansion=1)
         assert cfg.cube == (1, 1, 2) and type(cfg.cube) is tuple
-        out = denoise(np.zeros((2, 8, 8)), 0.1, np.ones((8, 8)), tiny_weights(), cfg, "net")
+        out = denoise(ad.constant(np.zeros((2, 8, 8))), ad.constant(0.1), np.ones((8, 8)),
+                      tiny_weights(), cfg, "net")
         assert out.shape == (2, 8, 8)
 
     @pytest.mark.parametrize("cube", [(2, 2), (2, 2, 2, 2), 2, (2.0, 2, 2)],
@@ -314,7 +319,8 @@ class TestDenoise:
     def test_band_count_guard(self):
         w = tiny_weights()
         with pytest.raises(ValueError, match="bands"):
-            denoise(np.zeros((3, 8, 8)), 0.1, np.zeros((8, 8)), w, TINY, "net")
+            denoise(ad.constant(np.zeros((3, 8, 8))), ad.constant(0.1), np.zeros((8, 8)), w,
+                    TINY, "net")
 
     def test_end_to_end_gradcheck_8x8x2(self):
         w = tiny_weights(zero_residual=False)
@@ -323,7 +329,7 @@ class TestDenoise:
         proj = rng.normal(size=(2, 8, 8))
 
         def f(t):
-            return total(ad.mul(denoise(t, 0.3, mask, w, TINY, "net"),
+            return total(ad.mul(denoise(t, ad.constant(0.3), mask, w, TINY, "net"),
                                 ad.constant(proj)))
 
         assert finite_diff_check(f, rng.random((2, 8, 8))) <= 1e-4
@@ -332,7 +338,7 @@ class TestDenoise:
         w = tiny_weights(seed=23, zero_residual=False)
         rng = np.random.default_rng(24)
         x = rng.random((2, 8, 8))
-        out = denoise(x, 0.4, rng.random((8, 8)), w, TINY, "net")
+        out = denoise(ad.constant(x), ad.constant(0.4), rng.random((8, 8)), w, TINY, "net")
         loss = total(ad.mul(out, ad.constant(rng.normal(size=out.shape))))
         ad.backward(loss)
         dead = [name for name, node in w.items()

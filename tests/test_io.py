@@ -329,6 +329,18 @@ class TestWeightsFiles:
         with pytest.raises(fileio.FileFormatError, match="feature-mask"):
             fileio.load_weights(p)
 
+    # a 0x4 mask has round(0.5 * 0) = 0 zeros, so only the zero side refuses it
+    def test_mask_with_zero_side_rejected(self, tmp_path):
+        cfg, weights, mask = self.make_model(masked=True)
+        weights.add(fileio.MASK_VALUES_KEY, np.zeros((0, 4)))
+        weights.add(fileio.MASK_META_KEY, fileio._mask_meta(mask))
+        p = tmp_path / "empty-mask.csmw"
+        fileio.save_weights(p, weights, cfg)
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.load_weights(p)
+        assert str(err.value) == (f"{p}: bad feature-mask data: feature mask must be [H, W] "
+                                  "with both sides >= 1, got shape (0, 4)")
+
     def save_version_1(self, path, meta):
         """A version-1 file of the masked model with the given mask meta.
 

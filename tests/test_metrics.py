@@ -128,7 +128,15 @@ class TestEvaluate:
         # its peak is the data range, which psnr would read as a perfect 100 dB
         ref = np.random.default_rng(10).random((2, 12, 12))
         ref[0, 0, 0] = np.inf
-        with pytest.raises(ValueError, match="data_range must be"):
+        with pytest.raises(ValueError, match="reference cube holds NaN or Inf"):
+            metrics.evaluate(ref, np.zeros_like(ref))
+
+    # a NaN would set the range silently to 1.0 and a -Inf score -inf dB
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf], ids=["nan", "-inf", "+inf"])
+    def test_non_finite_reference_refused(self, bad):
+        ref = np.random.default_rng(12).random((2, 12, 12))
+        ref[1, 3, 4] = bad
+        with pytest.raises(ValueError, match="reference cube holds NaN or Inf"):
             metrics.evaluate(ref, np.zeros_like(ref))
 
     def test_nan_test_cube_scores_nan(self):

@@ -12,13 +12,14 @@ those integer forms, comes back from a CSMW file equal, with the same digest.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cassi_ssm import cassi, fileio, training, unfolding
+from cassi_ssm import cassi, checks, fileio, training, unfolding
 from cassi_ssm.denoiser import UNetConfig
 
 TINY = UNetConfig(bands=2, base_channels=4, levels=1, blocks_per_level=1,
@@ -90,3 +91,30 @@ def test_any_config_round_trips(folder, config):
     assert loaded.config == config
     assert fileio.config_digest(loaded.config) == fileio.config_digest(config)
     unfolding.init_weights(loaded.config, seed=0).load_arrays(loaded.arrays)
+
+
+# int() reads each of these: "1_0" as 10, "\u0663" (Arabic-Indic three) as 3
+NOT_DECIMAL = {"underscore": "1_0", "arabic-indic": "\u0663", "fullwidth": "\uff11\uff10",
+               "space": " 3"}
+
+
+@pytest.mark.parametrize("text", NOT_DECIMAL.values(), ids=NOT_DECIMAL.keys())
+@pytest.mark.parametrize("setting", SETTINGS, ids=[f"{c.__name__}.{n}" for c, n, _ in SETTINGS])
+def test_integer_text_other_than_ascii_decimal_refused(setting, text):
+    cls, name, _ = setting
+    with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {text!r}")):
+        cls(**{**VALID[cls], name: text})
+
+
+@pytest.mark.parametrize("text,n", [("+3", 3), ("007", 7), ("-0", 0), ("-4", -4)])
+def test_signed_ascii_decimal_taken(text, n):
+    assert checks.integer(text, "n", least=-4) == n
+
+
+@pytest.mark.parametrize("text", ["0.2_5", "1_0", "\u0660.\u0665", "\uff10.5"],
+                         ids=["underscore", "underscore-int", "arabic-indic", "fullwidth"])
+@pytest.mark.parametrize("field,what", [("learning_rate", "learning rate"),
+                                        ("zero_ratio", "zero ratio")], ids=["lr", "ratio"])
+def test_number_text_with_underscore_or_non_ascii_refused(field, what, text):
+    with pytest.raises(ValueError, match=re.escape(f"{what} must be a number, got {text!r}")):
+        training.TrainConfig(**{field: text})

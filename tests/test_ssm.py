@@ -22,8 +22,8 @@ def make_random_case(rng, length, nstate):
 
 def scan_one(x, a, b, c, delta, d):
     """selective_scan of one sequence, run as a batch of one."""
-    return ssm.selective_scan(x[None], a[None], b[None], c[None], delta[None],
-                              np.array([d])).value[0]
+    return ssm.selective_scan(*(ad.constant(v) for v in (
+        x[None], a[None], b[None], c[None], delta[None], np.array([d])))).value[0]
 
 
 class TestDiscretizeZoh:
@@ -149,27 +149,28 @@ class TestSelectiveScan:
         c = r.normal(size=(nb, length, nstate))
         delta = r.uniform(0.05, 0.5, size=(nb, length))
         d = r.normal(size=nb)
-        batched = ssm.selective_scan(x, a, b, c, delta, d).value
+        batched = ssm.selective_scan(*map(ad.constant, (x, a, b, c, delta, d))).value
         for i in range(nb):
             one = slice(i, i + 1)
-            single = ssm.selective_scan(x[one], a[one], b[one], c[one], delta[one], d[one]).value
+            single = ssm.selective_scan(*(ad.constant(v[one])
+                                          for v in (x, a, b, c, delta, d))).value
             assert np.array_equal(batched[i], single[0])
 
     def test_shape_errors(self):
         r = np.random.default_rng(6)
         x, a, b, c, delta, d = (np.asarray(v)[None] for v in make_random_case(r, 8, 2))
         with pytest.raises(ValueError, match="do not match"):
-            ssm.selective_scan(x, a, b[:, :4], c, delta, d)
+            ssm.selective_scan(*map(ad.constant, (x, a, b[:, :4], c, delta, d)))
         with pytest.raises(ValueError, match="delta"):
-            ssm.selective_scan(x, a, b, c, delta[:, :4], d)
+            ssm.selective_scan(*map(ad.constant, (x, a, b, c, delta[:, :4], d)))
         with pytest.raises(ValueError, match="skip gain"):
-            ssm.selective_scan(x, a, b, c, delta, 0.5)
+            ssm.selective_scan(*map(ad.constant, (x, a, b, c, delta, 0.5)))
 
     def test_unbatched_input_rejected(self):
         r = np.random.default_rng(6)
         x, a, b, c, delta, d = make_random_case(r, 8, 2)
         with pytest.raises(ValueError, match=r"\[B,L\]"):
-            ssm.selective_scan(x, a, b, c, delta, d)
+            ssm.selective_scan(*map(ad.constant, (x, a, b, c, delta, d)))
 
     def test_gradcheck_all_inputs(self):
         r = np.random.default_rng(7)

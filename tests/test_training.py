@@ -89,6 +89,12 @@ class TestGenerateMask:
         seed = training.FeatureMask(values, 0.5, np.uint64(2**64 - 1)).seed
         assert seed == 2**64 - 1 and type(seed) is int
 
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
+    def test_zero_side_refused(self, shape):
+        message = f"feature mask must be [H, W] with both sides >= 1, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            training.FeatureMask(np.zeros(shape), 0.5, 0)
+
     def test_zero_count_must_match_ratio(self):
         values = training.generate_mask(16, 16, 0.5, seed=0).values
         with pytest.raises(ValueError, match="128 zeros"):

@@ -77,7 +77,7 @@ class TestDataStep:
         proj = rng.normal(size=z.shape)
 
         def f(t):
-            return total(ad.mul(unfolding.data_step_node(t, y, op, 0.8),
+            return total(ad.mul(unfolding.data_step_node(t, y, op, ad.constant(0.8)),
                                 ad.constant(proj)))
 
         assert finite_diff_check(f, z) <= 1e-4
