@@ -1,10 +1,12 @@
-"""The rules for integer settings, cube shapes and cube nesting, shared by constructors,
-flags and files."""
+"""The rules for integer and real-number settings, band-major arrays, cube shapes and
+cube nesting, shared by constructors, flags and files."""
 
 from __future__ import annotations
 
 import operator
 import re
+
+import numpy as np
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
@@ -33,6 +35,27 @@ def integer(value, what: str, least: int = 0, most: int | None = None) -> int:
     if number < least:
         raise ValueError(f"{what} must be >= {least}, got {value!r}")
     return number
+
+
+def number(value, what: str) -> float:
+    """`value` as a float; a bool, bytes, or text that `float` cannot read or that is not
+    ASCII with no underscore and no surrounding whitespace (as for `integer`), is refused."""
+    try:
+        if isinstance(value, (bool, np.bool_, bytes, bytearray)):
+            raise TypeError
+        if isinstance(value, str) and ("_" in value or value != value.strip() or not value.isascii()):
+            raise ValueError
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+
+
+def band_major(values) -> np.ndarray:
+    """`values` as a float64 [bands, H, W] array; an array of any other rank is refused."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 3:
+        raise ValueError(f"expected a 3-D array, got shape {values.shape}")
+    return values
 
 
 def switch(value, what: str) -> bool:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import integer, switch
+from .checks import band_major, cube_shape, integer, switch
 from .denoiser import UNetConfig
 from .training import FeatureMask, feature_mask_seed, zero_ratio
 from .unfolding import UnfoldConfig
@@ -45,18 +45,9 @@ class FileFormatError(ValueError):
     """Raised for any malformed container file."""
 
 
-def _all_finite(values: np.ndarray) -> bool:
-    """True when no value is NaN or Inf, without a full-size temporary.
-
-    Float32 values cannot overflow a float64 sum, so the sum is finite
-    exactly when every value is.
-    """
-    return bool(np.isfinite(values.sum(dtype=np.float64)))
-
-
 def _f32_values(payload: bytes, offset: int = 0) -> np.ndarray:
     """Float32 bytes from `offset` on as float64; a signalling NaN is left to
-    `_all_finite` rather than raising the cast's invalid-value warning."""
+    the finiteness test rather than raising the cast's invalid-value warning."""
     with np.errstate(invalid="ignore"):
         return np.frombuffer(payload, dtype="<f4", offset=offset).astype(np.float64)
 
@@ -65,7 +56,7 @@ def _f32_payload(values: np.ndarray, where: str) -> np.ndarray:
     """A C-ordered little-endian float32 copy; refuses what `load_cube`/`load_weights` would."""
     with np.errstate(over="ignore"):
         payload = values.astype("<f4", order="C")
-    if not _all_finite(payload):
+    if not np.isfinite(payload).all():
         raise ValueError(f"{where} holds NaN, Inf or a value beyond float32 range")
     return payload
 
@@ -90,9 +81,7 @@ def _check_cube_header(path, kind: int, h: int, w: int, nb: int) -> None:
 
 def save_cube(path, values: np.ndarray, kind: int = KIND_CUBE) -> None:
     """Write a [bands, H, W] array (band-major) as a kind-tagged HSIC file."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 3:
-        raise ValueError(f"expected a 3-D array, got shape {values.shape}")
+    values = band_major(values)
     nb, h, w = values.shape
     kind = integer(kind, "HSIC kind")
     _check_cube_header(path, kind, h, w, nb)
@@ -126,7 +115,7 @@ def load_cube(path, expect_kind: int | None = None):
         raise FileFormatError(
             f"{path}: kind mismatch (expected {_KIND_NAMES[expect_kind]}, found {_KIND_NAMES[kind]})")
     values = _f32_values(raw, _CUBE_HEADER.size).reshape(nb, h, w)
-    if not _all_finite(values):
+    if not np.isfinite(values).all():
         raise FileFormatError(f"{path}: payload holds NaN or Inf")
     return values, kind
 
@@ -271,7 +260,7 @@ def load_weights(path) -> LoadedModel:
         if name in arrays:
             raise FileFormatError(f"{path}: duplicate tensor name {name!r}")
         arrays[name] = _f32_values(payload).reshape(dims)
-        if not _all_finite(arrays[name]):
+        if not np.isfinite(arrays[name]).all():
             raise FileFormatError(f"{path}: tensor {name!r} holds NaN or Inf")
     if pos != len(raw):
         raise FileFormatError(f"{path}: oversized weights payload ({len(raw) - pos} trailing bytes)")
@@ -295,7 +284,7 @@ def export_band(cube: np.ndarray, band: int, path) -> None:
 
     A constant band has no range and maps to mid-gray (128) by contract.
     """
-    cube, band = np.asarray(cube, dtype=np.float64), integer(band, "band")
+    cube, band = band_major(cube), integer(band, "band")
     if band >= cube.shape[0]:
         raise ValueError(f"band {band} out of range for {cube.shape[0]}-band cube")
     plane = cube[band]
@@ -349,7 +338,7 @@ def cube_dims(text: str) -> tuple:
     parts = text.lower().split("x")
     if len(parts) != 3:
         raise ValueError(f"cube must be HxWxC, got {text!r}")
-    return tuple(integer(p, "cube side", 1) for p in parts)
+    return cube_shape(parts)
 
 
 # key -> the rule of its setting; an integer key is checked under its own name

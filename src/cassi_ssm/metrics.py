@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import band_major
+
 PSNR_CAP_DB = 100.0
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -39,23 +41,31 @@ def _images(a, b, data_range: float):
     return a, b
 
 
+def _scoreable(a: np.ndarray, b: np.ndarray) -> bool:
+    """False when either image holds NaN, +Inf or -Inf; such a pair scores NaN."""
+    return bool(np.isfinite(a).all() and np.isfinite(b).all())
+
+
 def psnr(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
-    """10*log10(range^2 / MSE) in dB, capped at 100; NaN when an image holds NaN."""
+    """10*log10(range^2 / MSE) in dB, capped at 100; NaN when an image holds NaN or Inf."""
     a, b = _images(a, b, data_range)
+    if not _scoreable(a, b):
+        return math.nan
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return PSNR_CAP_DB
-    # np.minimum, not min(): a NaN image scores NaN, not the cap
-    return float(np.minimum(PSNR_CAP_DB, 10.0 * np.log10(data_range * data_range / mse)))
+    return min(PSNR_CAP_DB, float(10.0 * np.log10(data_range * data_range / mse)))
 
 
 def ssim(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
-    """Mean structural similarity of two single-band images."""
+    """Mean structural similarity of two single-band images; NaN when one holds NaN or Inf."""
     a, b = _images(a, b, data_range)
     h, w = a.shape
     k = SSIM_WINDOW
     if h < k or w < k:
         raise ValueError(f"image {h}x{w} smaller than the {k}x{k} SSIM window")
+    if not _scoreable(a, b):
+        return math.nan
     g = np.exp(-0.5 * ((np.arange(k) - (k - 1) / 2.0) / SSIM_SIGMA) ** 2)
     g /= g.sum()
     # each 1-D pass keeps only the valid positions: [5, H, W] -> [5, H-k+1, W-k+1]
@@ -77,9 +87,11 @@ def ssim(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
 def evaluate(cube_a: np.ndarray, cube_b: np.ndarray) -> MetricReport:
     """Per-band PSNR/SSIM of two cubes, averaged over bands.
 
-    cube_a is the reference and must be finite; the data range is its
-    maximum (1.0 if the reference is empty of signal).
+    Both are [bands, H, W].  cube_a is the reference and must be finite;
+    the data range is its maximum (1.0 if the reference is empty of signal).
+    A band of cube_b holding NaN or Inf scores NaN, and so do the means.
     """
+    cube_a, cube_b = band_major(cube_a), band_major(cube_b)
     lo, peak = float(np.min(cube_a)), float(np.max(cube_a))
     if not (math.isfinite(lo) and math.isfinite(peak)):
         raise ValueError("reference cube holds NaN or Inf")

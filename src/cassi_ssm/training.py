@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import cassi
-from .checks import integer, switch
+from .checks import integer, number, switch
 from .denoiser import ModelWeights
 from .unfolding import UnfoldConfig, reconstruct_node
 
@@ -75,22 +75,9 @@ def generate_mask(height: int, width: int, ratio: float, seed: int) -> FeatureMa
     return FeatureMask(flat.reshape(height, width), ratio, seed)
 
 
-def _number(value, what: str) -> float:
-    """`value` as a float; a bool, or text that is not a number in ASCII
-    without underscores, is refused."""
-    try:
-        if isinstance(value, (bool, np.bool_)):
-            raise TypeError
-        if isinstance(value, str) and ("_" in value or not value.isascii()):
-            raise ValueError
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
-
-
 def zero_ratio(value) -> float:
     """A feature-mask zero ratio as a float in [0, 1)."""
-    ratio = _number(value, "zero ratio")
+    ratio = number(value, "zero ratio")
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"zero ratio must lie in [0, 1), got {value}")
     return ratio
@@ -98,7 +85,7 @@ def zero_ratio(value) -> float:
 
 def learning_rate(value) -> float:
     """A base learning rate as a finite float >= 0; 0 leaves the weights untouched."""
-    rate = _number(value, "learning rate")
+    rate = number(value, "learning rate")
     if not (np.isfinite(rate) and rate >= 0.0):
         raise ValueError(f"learning rate must be finite and >= 0, got {value}")
     return rate

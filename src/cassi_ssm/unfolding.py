@@ -94,10 +94,11 @@ def reconstruct_node(y: np.ndarray, op: cassi.SensingOperator, weights: ModelWei
     """Build the full unfolding graph; returns the clamped stage-K estimate."""
     z = ad.constant(cassi.shift_back(y, op))
     for k in range(config.stages):
-        mu = ad.softplus(weights[f"est/alpha_raw{k}"])
+        alpha, beta = stage_scalars(k)
+        mu = ad.softplus(weights[alpha])
         if not mu.value > 0:
             raise FloatingPointError(f"stage {k} penalty mu underflowed to 0")
-        sigma = ad.softplus(weights[f"est/beta_raw{k}"])
+        sigma = ad.softplus(weights[beta])
         x = data_step_node(z, y, op, mu)
         z = denoise(x, sigma, op.mask, weights, config.net, config.stage_prefix(k),
                     feature_mask=feature_mask)

@@ -415,20 +415,23 @@ class TestUsageErrors:
         assert f"error: argument {flag[0]}" in capsys.readouterr().err
         assert not (workspace / "m.csmw").exists()
 
-    # only ASCII digits with an optional sign make an integer; a number takes no "_"
+    # only ASCII digits with an optional sign make an integer; a number takes the same
+    # text form, so float() never gets to strip the spaces of " 0.02"
     @pytest.mark.parametrize("flag", [["--steps", "1_0"], ["--seed", "\u0663"],
                                       ["--bands", "\uff12"], ["--mask-seed", " 5"],
-                                      ["--lr", "0.0_2"], ["--mask-ratio", "0.2_5"],
-                                      ["--mask-ratio", "\u0660.5"]],
+                                      ["--lr", "0.0_2"], ["--lr", " 0.02"],
+                                      ["--mask-ratio", "0.2_5"], ["--mask-ratio", "\u0660.5"]],
                              ids=["steps-underscore", "seed-arabic-indic", "bands-fullwidth",
-                                  "mask-seed-space", "lr-underscore", "mask-ratio-underscore",
-                                  "mask-ratio-arabic-indic"])
+                                  "mask-seed-space", "lr-underscore", "lr-space",
+                                  "mask-ratio-underscore", "mask-ratio-arabic-indic"])
     def test_train_flag_not_ascii_decimal_exit_2(self, workspace, capsys, flag):
         code = run(["train", "--cube", workspace / "scene.hsic",
                     "--mask", workspace / "mask.hsic", "--config", workspace / "toy.cfg",
                     "--masked", *flag, "--out", workspace / "m.csmw"])
         assert code == 2
-        assert f"error: argument {flag[0]}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the rule's own message, not argparse's "invalid value"
+        assert f"error: argument {flag[0]}: " in err and f"got {flag[1]!r}" in err
         assert not (workspace / "m.csmw").exists()
 
     @pytest.mark.parametrize("bits", ["-3", "17"])

@@ -1,6 +1,7 @@
 """Container formats: exact round trips and distinct rejection diagnostics."""
 
 import dataclasses
+import re
 import struct
 import tracemalloc
 from types import SimpleNamespace
@@ -566,6 +567,11 @@ class TestExportBand:
         fileio.export_band(cube, 0, p)
         pixels = np.frombuffer(p.read_bytes().split(b"255\n", 1)[1], dtype=np.uint8)
         assert set(pixels.tolist()) == {0, 255}
+
+    def test_two_dimensional_cube_refused(self, tmp_path):
+        with pytest.raises(ValueError, match=re.escape("expected a 3-D array, got shape (11, 11)")):
+            fileio.export_band(np.zeros((11, 11)), 0, tmp_path / "x.pgm")
+        assert not (tmp_path / "x.pgm").exists()
 
     def test_band_out_of_range(self, tmp_path):
         with pytest.raises(ValueError, match="out of range"):

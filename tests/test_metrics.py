@@ -1,5 +1,7 @@
 """PSNR/SSIM against closed forms and a per-pixel definitional oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -166,3 +168,23 @@ class TestEvaluate:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             metrics.evaluate(np.zeros((1, 12, 12)), np.zeros((2, 12, 12)))
+
+    def test_two_dimensional_cube_refused(self):
+        image = np.ones((11, 11))
+        with pytest.raises(ValueError, match=re.escape("expected a 3-D array, got shape (11, 11)")):
+            metrics.evaluate(image, image)
+
+
+# the NaN rule covers both infinities; warnings are errors, so a warning fails here
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("score", [
+    lambda ref, test: metrics.psnr(ref[0], test[0], 1.0),
+    lambda ref, test: metrics.ssim(ref[0], test[0], 1.0),
+    lambda ref, test: metrics.evaluate(ref, test).psnr_mean,
+    lambda ref, test: metrics.evaluate(ref, test).ssim_mean,
+], ids=["psnr", "ssim", "evaluate-psnr", "evaluate-ssim"])
+def test_non_finite_test_image_scores_nan(score, bad):
+    ref = np.random.default_rng(13).random((1, 12, 12))
+    test = ref.copy()
+    test[0, 5, 6] = bad
+    assert np.isnan(score(ref, test))

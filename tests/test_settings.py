@@ -111,8 +111,10 @@ def test_signed_ascii_decimal_taken(text, n):
     assert checks.integer(text, "n", least=-4) == n
 
 
-@pytest.mark.parametrize("text", ["0.2_5", "1_0", "\u0660.\u0665", "\uff10.5"],
-                         ids=["underscore", "underscore-int", "arabic-indic", "fullwidth"])
+@pytest.mark.parametrize("text", ["0.2_5", "1_0", "\u0660.\u0665", "\uff10.5",
+                                  " 0.5", "0.5 ", "0.5\n", "\t0", b"0.5"],
+                         ids=["underscore", "underscore-int", "arabic-indic", "fullwidth",
+                              "leading-space", "trailing-space", "newline", "tab", "bytes"])
 @pytest.mark.parametrize("field,what", [("learning_rate", "learning rate"),
                                         ("zero_ratio", "zero ratio")], ids=["lr", "ratio"])
 def test_number_text_with_underscore_or_non_ascii_refused(field, what, text):
