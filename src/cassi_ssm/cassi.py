@@ -39,6 +39,16 @@ class SensingOperator:
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
 
+    @classmethod
+    def for_measurement(cls, mask, width: int, bands: int) -> "SensingOperator":
+        """The operator over `mask` whose detector is `width` columns wide for `bands` bands."""
+        op = cls(mask, 0, bands)
+        op = cls(op.mask, max(width - op.width, 0) // max(op.bands - 1, 1), op.bands)
+        if op.detector_width != width:
+            raise ValueError(f"measurement width {width} is not mask width {op.width} plus a "
+                             f"whole shift step per band ({op.bands} bands)")
+        return op
+
     @property
     def height(self) -> int:
         return self.mask.shape[0]

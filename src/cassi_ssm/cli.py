@@ -1,8 +1,9 @@
 """Command-line driver: simulate, reconstruct, train, eval, export-band,
 dump-scan-order.
 
-Exit codes: 0 success, 1 runtime error (bad files, dimension mismatches;
-`parse_and_dispatch` prints its one `error:` line), 2 usage error.  `train`
+Exit codes: 0 success, 1 runtime error (bad files, dimension mismatches,
+an allocation numpy cannot make; `parse_and_dispatch` prints its one
+`error:` line), 2 usage error.  `train`
 lays its flags over the `--config` settings for `fileio.config_from_settings`.
 Every run is bit-reproducible given the same seeds.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import dataclasses
 import sys
 
 from . import cassi, fileio, metrics, scans, training, unfolding
@@ -27,24 +27,13 @@ def _load_operator(mask_path: str, bands: int, shift_step: int) -> cassi.Sensing
 def _cmd_simulate(args) -> int:
     cube, _ = fileio.load_cube(args.cube, expect_kind=fileio.KIND_CUBE)
     op = _load_operator(args.mask, cube.shape[0], args.d)
+    if op.detector_width > fileio.MAX_DIM:
+        raise ValueError(f"measurement width {op.detector_width} exceeds the {fileio.MAX_DIM} "
+                         "columns an HSIC file can hold")
     meas = cassi.add_shot_noise(cassi.forward_project(cube, op), args.noise_bits, args.seed)
     fileio.save_cube(args.out, meas[None], kind=fileio.KIND_MEASUREMENT)
     print(f"wrote measurement {meas.shape[0]}x{meas.shape[1]} to {args.out}")
     return 0
-
-
-def _infer_shift_step(meas_width: int, mask_width: int, bands: int) -> int:
-    if bands == 1:
-        if meas_width != mask_width:
-            raise ValueError(
-                f"single-band measurement width {meas_width} does not match mask width {mask_width}")
-        return 0
-    span = meas_width - mask_width
-    if span < 0 or span % (bands - 1):
-        raise ValueError(
-            f"measurement width {meas_width} is not mask width {mask_width} "
-            f"plus a whole shift step per band ({bands} bands)")
-    return span // (bands - 1)
 
 
 # glibc's mallopt parameter: bytes kept mapped above the heap top
@@ -74,24 +63,9 @@ def _cmd_reconstruct(args) -> int:
     _keep_heap_mapped()
     meas, _ = fileio.load_cube(args.meas, expect_kind=fileio.KIND_MEASUREMENT)
     model = fileio.load_weights(args.weights)
-    config = model.config
-    arrays = dict(model.arrays)
-    if args.stages is not None and args.stages != config.stages:
-        if not config.share_weights:
-            raise ValueError("--stages can only override shared-weights models")
-        # stage scalars beyond the new count are dropped; added stages start
-        # from the documented initialization
-        for k in range(args.stages, config.stages):
-            for name in unfolding.stage_scalars(k):
-                arrays.pop(name, None)
-        for k in range(config.stages, args.stages):
-            arrays.update(unfolding.stage_scalars(k))
-        config = dataclasses.replace(config, stages=args.stages)
     mask, _ = fileio.load_cube(args.mask, expect_kind=fileio.KIND_MASK)
-    d = _infer_shift_step(meas.shape[2], mask.shape[2], config.net.bands)
-    op = cassi.SensingOperator(mask[0], d, config.net.bands)
-    weights = unfolding.init_weights(config, seed=0)
-    weights.load_arrays(arrays)
+    op = cassi.SensingOperator.for_measurement(mask[0], meas.shape[2], model.config.net.bands)
+    weights, config = unfolding.load_model(model.config, model.arrays, args.stages)
     cube = unfolding.reconstruct(meas[0], op, weights, config,
                                  feature_mask=model.feature_mask)
     fileio.save_cube(args.out, cube, kind=fileio.KIND_CUBE)
@@ -269,7 +243,7 @@ def parse_and_dispatch(argv) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (OSError, ValueError, FloatingPointError) as exc:
+    except (OSError, ValueError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

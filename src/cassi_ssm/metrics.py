@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import band_major
+from .checks import band_major, number
 
 PSNR_CAP_DB = 100.0
 SSIM_WINDOW = 11
@@ -31,14 +31,16 @@ class MetricReport:
 
 
 def _images(a, b, data_range: float):
-    """Both images as float64; refuses unequal shapes and a data_range not finite and > 0."""
+    """Both images as float64 and data_range as a float; refuses unequal shapes and a
+    data_range that is not a number (a bool included), not finite or not > 0."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    data_range = number(data_range, "data_range")
     if not (np.isfinite(data_range) and data_range > 0):
         raise ValueError(f"data_range must be finite and > 0, got {data_range}")
-    return a, b
+    return a, b, data_range
 
 
 def _scoreable(a: np.ndarray, b: np.ndarray) -> bool:
@@ -48,7 +50,7 @@ def _scoreable(a: np.ndarray, b: np.ndarray) -> bool:
 
 def psnr(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
     """10*log10(range^2 / MSE) in dB, capped at 100; NaN when an image holds NaN or Inf."""
-    a, b = _images(a, b, data_range)
+    a, b, data_range = _images(a, b, data_range)
     if not _scoreable(a, b):
         return math.nan
     mse = float(np.mean((a - b) ** 2))
@@ -59,7 +61,9 @@ def psnr(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
 
 def ssim(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
     """Mean structural similarity of two single-band images; NaN when one holds NaN or Inf."""
-    a, b = _images(a, b, data_range)
+    a, b, data_range = _images(a, b, data_range)
+    if a.ndim != 2:
+        raise ValueError(f"SSIM expects a 2-D image, got shape {a.shape}")
     h, w = a.shape
     k = SSIM_WINDOW
     if h < k or w < k:
@@ -96,7 +100,7 @@ def evaluate(cube_a: np.ndarray, cube_b: np.ndarray) -> MetricReport:
     if not (math.isfinite(lo) and math.isfinite(peak)):
         raise ValueError("reference cube holds NaN or Inf")
     data_range = peak if peak > 0 else 1.0
-    cube_a, cube_b = _images(cube_a, cube_b, data_range)
+    cube_a, cube_b, data_range = _images(cube_a, cube_b, data_range)
     band_psnr = tuple(psnr(cube_a[i], cube_b[i], data_range) for i in range(cube_a.shape[0]))
     band_ssim = tuple(ssim(cube_a[i], cube_b[i], data_range) for i in range(cube_a.shape[0]))
     return MetricReport(

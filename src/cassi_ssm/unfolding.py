@@ -18,7 +18,7 @@ is freed once the next op has read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,6 +69,22 @@ def init_weights(config: UnfoldConfig, seed: int, zero_residual: bool = True) ->
         for name, value in stage_scalars(k).items():
             weights.add(name, value)
     return weights
+
+
+def load_model(config: UnfoldConfig, arrays: dict, stages=None) -> tuple[ModelWeights, UnfoldConfig]:
+    """A checkpoint's model, whose tensors must be exactly `arrays`.  Given `stages`, a
+    shared-weights model is re-staged: the scalars of stages at or past the new count are
+    dropped, and an added stage starts from `stage_scalars`."""
+    if stages is not None and stages != config.stages:
+        if not config.share_weights:
+            raise ValueError("--stages can only override shared-weights models")
+        dropped = {n for k in range(stages, config.stages) for n in stage_scalars(k)}
+        added = {n: v for k in range(config.stages, stages) for n, v in stage_scalars(k).items()}
+        arrays = {n: v for n, v in arrays.items() if n not in dropped} | added
+        config = replace(config, stages=stages)
+    weights = init_weights(config, seed=0)
+    weights.load_arrays(arrays)
+    return weights, config
 
 
 def data_step_node(z: "ad.Node", y: np.ndarray, op: cassi.SensingOperator, mu: "ad.Node") -> "ad.Node":

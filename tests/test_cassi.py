@@ -32,6 +32,25 @@ class TestOperatorShape:
             cassi.SensingOperator(np.ones((2, 2, 2)), 1, 2)
 
 
+class TestForMeasurement:
+    @pytest.mark.parametrize("bands,step", [(1, 0), (2, 3), (2, 0), (4, 1), (4, 2)])
+    def test_shift_step_recovered(self, bands, step):
+        mask = np.random.default_rng(5).random((3, 5))
+        op = cassi.SensingOperator.for_measurement(mask, 5 + step * (bands - 1), bands)
+        assert (op.shift_step, op.bands, op.detector_width) == (step, bands, 5 + step * (bands - 1))
+        assert np.array_equal(op.mask, mask)
+
+    # a measurement narrower than the mask, one column past a whole step, and
+    # one band on a detector wider than the mask
+    @pytest.mark.parametrize("width,bands", [(4, 3), (10, 3), (6, 1)],
+                             ids=["narrower", "one-column-off", "one-band"])
+    def test_width_without_whole_step_refused(self, width, bands):
+        message = (f"measurement width {width} is not mask width 5 plus a whole shift step "
+                   f"per band ({bands} bands)")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cassi.SensingOperator.for_measurement(np.ones((3, 5)), width, bands)
+
+
 class TestForwardProject:
     def test_zero_cube(self):
         op = cassi.SensingOperator(np.ones((3, 4)), 2, 3)

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cassi_ssm import cassi, fileio, metrics, training, unfolding
+from cassi_ssm import cassi, fileio, metrics, scans, training, unfolding
 from cassi_ssm.cli import build_parser, parse_and_dispatch
 from cassi_ssm.demo import toy_mask, toy_scene
 from cassi_ssm.denoiser import ModelWeights, UNetConfig
@@ -56,6 +56,20 @@ class TestSimulate:
                     "--mask", workspace / "mask.hsic", "--out", workspace / "m.hsic"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    # a 16-column mask over 2 bands: --d 65520 fills an HSIC row, --d 65521 is one column
+    # past it and is refused before the projection is built
+    @pytest.mark.parametrize("d,fits", [(65520, True), (65521, False)])
+    def test_measurement_wider_than_hsic_refused(self, workspace, capsys, monkeypatch, d, fits):
+        calls = []
+        project = cassi.forward_project
+        monkeypatch.setattr(cassi, "forward_project", lambda *a: calls.append(a) or project(*a))
+        code = run(["simulate", "--cube", workspace / "scene.hsic",
+                    "--mask", workspace / "mask.hsic", "--d", d, "--out", workspace / "m.hsic"])
+        assert (code == 0, bool(calls), (workspace / "m.hsic").exists()) == (fits, fits, fits)
+        if not fits:
+            assert capsys.readouterr().err == ("error: measurement width 65537 exceeds the 65536 "
+                                               "columns an HSIC file can hold\n")
 
 
 class TestPipeline:
@@ -365,6 +379,21 @@ class TestExportAndDump:
 
 
 class TestUsageErrors:
+    # an allocation numpy cannot make ends in the one error line, as a bad file does
+    @pytest.mark.parametrize("module,name,argv", [
+        (scans, "global_order", ["dump-scan-order", "--kind", "global",
+                                 "--height", "4", "--width", "4"]),
+        (cassi, "forward_project", ["simulate", "--cube", "scene.hsic", "--mask", "mask.hsic",
+                                    "--out", "m.hsic"]),
+    ], ids=["dump-scan-order", "simulate"])
+    def test_memory_error_exit_1(self, workspace, capsys, monkeypatch, module, name, argv):
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+        monkeypatch.setattr(module, name, refuse)
+        monkeypatch.chdir(workspace)
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 298. GiB for an array\n"
+
     def test_unknown_flag_exit_2(self, capsys):
         assert run(["simulate", "--bogus", "x"]) == 2
 

@@ -249,8 +249,7 @@ class TestWeightsFiles:
         p1, p2 = tmp_path / "a.csmw", tmp_path / "b.csmw"
         fileio.save_weights(p1, weights, cfg)
         loaded = fileio.load_weights(p1)
-        restored = unfolding.init_weights(cfg, seed=0)
-        restored.load_arrays(loaded.arrays)
+        restored, _ = unfolding.load_model(loaded.config, loaded.arrays)
         fileio.save_weights(p2, restored, cfg)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -417,9 +416,9 @@ class TestWeightsFiles:
                 partial.add(name, value)
         p = tmp_path / "partial.csmw"
         fileio.save_weights(p, partial, cfg)
-        restored = unfolding.init_weights(cfg, seed=0)
+        loaded = fileio.load_weights(p)
         with pytest.raises(ValueError, match="checkpoint lacks weight tensors: shared/out/w"):
-            restored.load_arrays(fileio.load_weights(p).arrays)
+            unfolding.load_model(loaded.config, loaded.arrays)
 
     def test_non_finite_tensor_rejected(self, tmp_path):
         # save_weights refuses NaN, so the bytes are patched after saving:

@@ -50,9 +50,10 @@ class TestPsnr:
             metrics.psnr(np.zeros((2, 2)), np.zeros((3, 3)), 1.0)
 
 
-# NaN fails `data_range <= 0`, so only a finite-and-positive test refuses it
-@pytest.mark.parametrize("data_range", [0.0, -1.0, np.nan, np.inf, -np.inf],
-                         ids=["zero", "negative", "nan", "inf", "-inf"])
+# NaN fails `data_range <= 0`, so only a finite-and-positive test refuses it;
+# True is not read as 1.0
+@pytest.mark.parametrize("data_range", [0.0, -1.0, np.nan, np.inf, -np.inf, True],
+                         ids=["zero", "negative", "nan", "inf", "-inf", "bool"])
 @pytest.mark.parametrize("metric", [metrics.psnr, metrics.ssim], ids=["psnr", "ssim"])
 def test_data_range_positive(metric, data_range):
     with pytest.raises(ValueError, match="data_range must be"):
@@ -109,6 +110,12 @@ class TestSsim:
     def test_window_size_guard(self):
         with pytest.raises(ValueError, match="smaller than"):
             metrics.ssim(np.zeros((8, 8)), np.zeros((8, 8)), 1.0)
+
+    @pytest.mark.parametrize("shape", [(11, 11, 2), (121,)], ids=["3-D", "1-D"])
+    def test_image_not_2d_refused(self, shape):
+        message = f"SSIM expects a 2-D image, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            metrics.ssim(np.zeros(shape), np.zeros(shape), 1.0)
 
 
 class TestEvaluate:

@@ -90,7 +90,7 @@ def test_any_config_round_trips(folder, config):
     loaded = fileio.load_weights(path)
     assert loaded.config == config
     assert fileio.config_digest(loaded.config) == fileio.config_digest(config)
-    unfolding.init_weights(loaded.config, seed=0).load_arrays(loaded.arrays)
+    unfolding.load_model(loaded.config, loaded.arrays)
 
 
 # int() reads each of these: "1_0" as 10, "\u0663" (Arabic-Indic three) as 3

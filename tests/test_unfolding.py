@@ -229,3 +229,40 @@ class TestWeightsInit:
             got = unfolding.init_weights(cfg, seed).arrays()
             assert got.keys() == want.keys()
             assert all(np.array_equal(got[name], want[name]) for name in want)
+
+
+class TestLoadModel:
+    """A checkpoint's tensors become its model; re-staging touches only stage scalars."""
+
+    def stored(self, share=True):
+        # shifted off the initialization, so a kept scalar tells from an added one
+        cfg = unfolding.UnfoldConfig(stages=3, net=TINY, share_weights=share)
+        arrays = unfolding.init_weights(cfg, seed=6, zero_residual=False).arrays()
+        return cfg, {name: value + 0.25 for name, value in arrays.items()}
+
+    @pytest.mark.parametrize("stages", [None, 3])
+    def test_stored_count_loads_every_tensor(self, stages):
+        cfg, arrays = self.stored()
+        weights, config = unfolding.load_model(cfg, arrays, stages)
+        assert config == cfg
+        assert weights.arrays().keys() == arrays.keys()
+        assert all(np.array_equal(weights[name].value, arrays[name]) for name in arrays)
+
+    @pytest.mark.parametrize("stages", [2, 4])
+    def test_restaging_drops_or_adds_exactly_the_stage_scalars(self, stages):
+        cfg, arrays = self.stored()
+        weights, config = unfolding.load_model(cfg, arrays, stages)
+        assert config == unfolding.UnfoldConfig(stages=stages, net=TINY)
+        dropped = unfolding.stage_scalars(2) if stages == 2 else {}
+        added = unfolding.stage_scalars(3) if stages == 4 else {}
+        kept = {name: value for name, value in arrays.items() if name not in dropped}
+        assert weights.arrays().keys() == kept.keys() | added.keys()
+        for name, value in {**kept, **added}.items():
+            assert np.array_equal(weights[name].value, value)
+
+    def test_per_stage_model_not_restaged(self):
+        cfg, arrays = self.stored(share=False)
+        with pytest.raises(ValueError, match="^--stages can only override shared-weights models$"):
+            unfolding.load_model(cfg, arrays, 2)
+        weights, _ = unfolding.load_model(cfg, arrays, 3)
+        assert weights.arrays().keys() == arrays.keys()
