@@ -244,7 +244,8 @@ def parse_and_dispatch(argv) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError, FloatingPointError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # an exception may carry no text, as Python's bare MemoryError() does
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

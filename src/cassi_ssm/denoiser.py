@@ -15,6 +15,7 @@ identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -107,94 +108,143 @@ class ModelWeights:
 
     def load_arrays(self, arrays: dict) -> None:
         """Replace every tensor; the checkpoint must name exactly this set."""
-        missing = sorted(set(self._store) - set(arrays))
+        layout = ((name, node.value.shape, None) for name, node in self._store.items())
+        for name, node in ModelWeights.from_arrays(layout, arrays).items():
+            self._store[name].value = node.value
+
+    @classmethod
+    def draw(cls, layout, rng) -> "ModelWeights":
+        """A store of each `(name, shape, init)` of `layout`, made by `init(rng, shape)` in turn."""
+        weights = cls()
+        for name, shape, init in layout:
+            weights.add(name, init(rng, shape))
+        return weights
+
+    @classmethod
+    def from_arrays(cls, layout, arrays: dict) -> "ModelWeights":
+        """A store of `arrays`, in the order of `layout`, whose `(name, shape, init)`
+        walk must name exactly the tensors of `arrays` at their shapes.
+
+        Nothing is drawn, and the walk is read to at most 2n + 1 names for the n
+        of `arrays`: by then it has named over n tensors the file lacks.  A file
+        that lacks fewer is told every missing name; past that point the message
+        lists those of the part read and says that the walk goes on.
+        """
+        walk = iter(layout)
+        want = {name: shape for name, shape, _ in islice(walk, 2 * len(arrays) + 1)}
+        missing = sorted(want.keys() - arrays.keys())
         if missing:
-            raise ValueError(f"checkpoint lacks weight tensors: {', '.join(missing)}")
+            cut = next(walk, None) is not None
+            rest = (f", ... (the profile names over {len(want)} tensors; "
+                    f"the file holds {len(arrays)})" if cut else "")
+            raise ValueError(f"checkpoint lacks weight tensors: {', '.join(missing)}{rest}")
         for name, value in arrays.items():
-            node = self._store.get(name)
-            if node is None:
+            if name not in want:
                 raise ValueError(f"unknown weight name in checkpoint: {name}")
-            if node.value.shape != value.shape:
-                raise ValueError(
-                    f"shape mismatch for {name}: have {node.value.shape}, file {value.shape}")
-            node.value = np.asarray(value, dtype=np.float64).copy()
+            if want[name] != value.shape:
+                raise ValueError(f"shape mismatch for {name}: have {want[name]}, file {value.shape}")
+        weights = cls()
+        for name in want:
+            weights.add(name, arrays[name])
+        return weights
 
 
 # ---------------------------------------------------------------------------
-# weight initialization
+# tensor layout: each tensor as (name, shape, init rule), in draw order.  A
+# rule `init(rng, shape)` makes the tensor; the walk itself computes nothing,
+# so it can be read for a profile far too large to draw.
 
-def _conv_init(rng, c_out, c_in, k):
-    std = 1.0 / np.sqrt(c_in * k * k)
-    return rng.normal(0.0, std, size=(c_out, c_in, k, k))
+def fill(value):
+    """Init rule: every entry is `value`; draws nothing."""
+    return lambda rng, shape: np.full(shape, value)
 
 
-def _init_ssm_branch(weights: ModelWeights, rng, prefix: str, channels: int, state: int):
-    a_log = np.tile(np.log(np.arange(1, state + 1, dtype=np.float64)), (channels, 1))
-    weights.add(f"{prefix}/a_log", a_log)
-    std = 1.0 / np.sqrt(state)
+_ZEROS, _ONES = fill(0.0), fill(1.0)
+
+
+def _normal(std: float):
+    """Init rule: independent N(0, std^2) draws."""
+    return lambda rng, shape: rng.normal(0.0, std, size=shape)
+
+
+def _fan_in(n: int):
+    """Init rule: normal draws with standard deviation 1/sqrt(n), for a fan-in of n."""
+    return lambda rng, shape: rng.normal(0.0, 1.0 / np.sqrt(n), size=shape)
+
+
+def _a_log(rng, shape):
+    """Init rule: log(1), ..., log(N) along the state in every channel, so a = -1, ..., -N."""
+    channels, state = shape
+    return np.tile(np.log(np.arange(1, state + 1, dtype=np.float64)), (channels, 1))
+
+
+def _conv(name: str, c_out: int, c_in: int, k: int):
+    return name, (c_out, c_in, k, k), _fan_in(c_in * k * k)
+
+
+def _ssm_branch_layout(prefix: str, channels: int, state: int):
+    yield f"{prefix}/a_log", (channels, state), _a_log
     for field in ("w_b", "b_b", "w_c", "b_c"):
-        weights.add(f"{prefix}/{field}", rng.normal(0.0, std, size=(channels, state)))
-    weights.add(f"{prefix}/w_dt", rng.normal(0.0, 0.05, size=(channels,)))
-    weights.add(f"{prefix}/b_dt", np.full(channels, DELTA_BIAS_INIT))
-    weights.add(f"{prefix}/d", np.ones(channels))
+        yield f"{prefix}/{field}", (channels, state), _fan_in(state)
+    yield f"{prefix}/w_dt", (channels,), _normal(0.05)
+    yield f"{prefix}/b_dt", (channels,), fill(DELTA_BIAS_INIT)
+    yield f"{prefix}/d", (channels,), _ONES
 
 
-def _init_block(weights: ModelWeights, rng, prefix: str, config: UNetConfig, channels: int):
+def _block_layout(prefix: str, config: UNetConfig, channels: int):
     c, e = channels, config.expansion
-    weights.add(f"{prefix}/ln1/g", np.ones(c))
-    weights.add(f"{prefix}/ln1/b", np.zeros(c))
+    yield f"{prefix}/ln1/g", (c,), _ONES
+    yield f"{prefix}/ln1/b", (c,), _ZEROS
     for d in SPATIAL_DIRECTIONS:
-        _init_ssm_branch(weights, rng, f"{prefix}/sp/{d}", c, config.state_size)
-    weights.add(f"{prefix}/sp/proj_w", _conv_init(rng, c, c, 1))
-    weights.add(f"{prefix}/sp/proj_b", np.zeros(c))
-    weights.add(f"{prefix}/ln2/g", np.ones(c))
-    weights.add(f"{prefix}/ln2/b", np.zeros(c))
-    _init_ssm_branch(weights, rng, f"{prefix}/cx", 1, config.state_size)
-    weights.add(f"{prefix}/ffn/ln/g", np.ones(c))
-    weights.add(f"{prefix}/ffn/ln/b", np.zeros(c))
-    weights.add(f"{prefix}/ffn/in_w", _conv_init(rng, 2 * e * c, c, 1))
-    weights.add(f"{prefix}/ffn/in_b", np.zeros(2 * e * c))
-    weights.add(f"{prefix}/ffn/dw1_w", rng.normal(0.0, 1.0 / 3.0, size=(e * c, 3, 3)))
-    weights.add(f"{prefix}/ffn/dw1_b", np.zeros(e * c))
-    weights.add(f"{prefix}/ffn/dw2_w", rng.normal(0.0, 1.0 / 3.0, size=(e * c, 3, 3)))
-    weights.add(f"{prefix}/ffn/dw2_b", np.zeros(e * c))
-    weights.add(f"{prefix}/ffn/out_w", _conv_init(rng, c, e * c, 1))
-    weights.add(f"{prefix}/ffn/out_b", np.zeros(c))
+        yield from _ssm_branch_layout(f"{prefix}/sp/{d}", c, config.state_size)
+    yield _conv(f"{prefix}/sp/proj_w", c, c, 1)
+    yield f"{prefix}/sp/proj_b", (c,), _ZEROS
+    yield f"{prefix}/ln2/g", (c,), _ONES
+    yield f"{prefix}/ln2/b", (c,), _ZEROS
+    yield from _ssm_branch_layout(f"{prefix}/cx", 1, config.state_size)
+    yield f"{prefix}/ffn/ln/g", (c,), _ONES
+    yield f"{prefix}/ffn/ln/b", (c,), _ZEROS
+    yield _conv(f"{prefix}/ffn/in_w", 2 * e * c, c, 1)
+    yield f"{prefix}/ffn/in_b", (2 * e * c,), _ZEROS
+    yield f"{prefix}/ffn/dw1_w", (e * c, 3, 3), _normal(1.0 / 3.0)
+    yield f"{prefix}/ffn/dw1_b", (e * c,), _ZEROS
+    yield f"{prefix}/ffn/dw2_w", (e * c, 3, 3), _normal(1.0 / 3.0)
+    yield f"{prefix}/ffn/dw2_b", (e * c,), _ZEROS
+    yield _conv(f"{prefix}/ffn/out_w", c, e * c, 1)
+    yield f"{prefix}/ffn/out_b", (c,), _ZEROS
 
 
-def init_denoiser_weights(weights: ModelWeights, rng, prefix: str, config: UNetConfig,
-                          zero_residual: bool = True) -> None:
-    """Populate all tensors for one denoiser instance under the given prefix.
+def denoiser_layout(prefix: str, config: UNetConfig, zero_residual: bool = True):
+    """Every tensor of one denoiser instance under the given prefix.
 
     With zero_residual the final 3x3 convolution starts at zero, so the
     freshly initialized denoiser is the exact identity.
     """
-    nb = config.bands
-    weights.add(f"{prefix}/embed/fuse_w", _conv_init(rng, nb, 2 * nb + 1, 1))
-    weights.add(f"{prefix}/embed/fuse_b", np.zeros(nb))
-    weights.add(f"{prefix}/embed/proj_w", _conv_init(rng, config.base_channels, nb, 3))
-    weights.add(f"{prefix}/embed/proj_b", np.zeros(config.base_channels))
+    nb, base = config.bands, config.base_channels
+    yield _conv(f"{prefix}/embed/fuse_w", nb, 2 * nb + 1, 1)
+    yield f"{prefix}/embed/fuse_b", (nb,), _ZEROS
+    yield _conv(f"{prefix}/embed/proj_w", base, nb, 3)
+    yield f"{prefix}/embed/proj_b", (base,), _ZEROS
     for lvl in range(config.levels):
         c = config.channels_at(lvl)
         for i in range(config.blocks_per_level):
-            _init_block(weights, rng, f"{prefix}/enc{lvl}/blk{i}", config, c)
-        weights.add(f"{prefix}/down{lvl}/w", _conv_init(rng, config.channels_at(lvl + 1), c, 3))
-        weights.add(f"{prefix}/down{lvl}/b", np.zeros(config.channels_at(lvl + 1)))
+            yield from _block_layout(f"{prefix}/enc{lvl}/blk{i}", config, c)
+        yield _conv(f"{prefix}/down{lvl}/w", config.channels_at(lvl + 1), c, 3)
+        yield f"{prefix}/down{lvl}/b", (config.channels_at(lvl + 1),), _ZEROS
     mid = config.channels_at(config.levels)
     for i in range(config.blocks_per_level):
-        _init_block(weights, rng, f"{prefix}/mid/blk{i}", config, mid)
+        yield from _block_layout(f"{prefix}/mid/blk{i}", config, mid)
     for lvl in reversed(range(config.levels)):
         c = config.channels_at(lvl)
-        weights.add(f"{prefix}/up{lvl}/w", _conv_init(rng, c, config.channels_at(lvl + 1), 3))
-        weights.add(f"{prefix}/up{lvl}/b", np.zeros(c))
-        weights.add(f"{prefix}/dec{lvl}/fuse_w", _conv_init(rng, c, 2 * c, 1))
-        weights.add(f"{prefix}/dec{lvl}/fuse_b", np.zeros(c))
+        yield _conv(f"{prefix}/up{lvl}/w", c, config.channels_at(lvl + 1), 3)
+        yield f"{prefix}/up{lvl}/b", (c,), _ZEROS
+        yield _conv(f"{prefix}/dec{lvl}/fuse_w", c, 2 * c, 1)
+        yield f"{prefix}/dec{lvl}/fuse_b", (c,), _ZEROS
         for i in range(config.blocks_per_level):
-            _init_block(weights, rng, f"{prefix}/dec{lvl}/blk{i}", config, c)
-    out_w = np.zeros((nb, config.base_channels, 3, 3)) if zero_residual else \
-        _conv_init(rng, nb, config.base_channels, 3)
-    weights.add(f"{prefix}/out/w", out_w)
-    weights.add(f"{prefix}/out/b", np.zeros(nb))
+            yield from _block_layout(f"{prefix}/dec{lvl}/blk{i}", config, c)
+    out_w = f"{prefix}/out/w"
+    yield (out_w, (nb, base, 3, 3), _ZEROS) if zero_residual else _conv(out_w, nb, base, 3)
+    yield f"{prefix}/out/b", (nb,), _ZEROS
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from . import cassi
 from .checks import integer, switch
-from .denoiser import ModelWeights, UNetConfig, denoise, init_denoiser_weights
+from .denoiser import ModelWeights, UNetConfig, denoise, denoiser_layout, fill
 
 # raw scalars that give mu = 1.0 and sigma = 0.1 through the softplus
 ALPHA_RAW_INIT = float(np.log(np.expm1(1.0)))
@@ -59,32 +59,40 @@ class UnfoldConfig:
         return "shared" if self.share_weights else f"stage{k}"
 
 
+def tensor_layout(config: UnfoldConfig, zero_residual: bool = True):
+    """Every tensor of the model as (name, shape, init rule), in draw order: the
+    denoiser under each distinct stage prefix, then each stage's scalars.  The walk
+    is lazy and makes no array, whatever the profile."""
+    for k in range(1 if config.share_weights else config.stages):
+        yield from denoiser_layout(config.stage_prefix(k), config.net, zero_residual)
+    for k in range(config.stages):
+        for name, value in stage_scalars(k).items():
+            yield name, value.shape, fill(value)
+
+
 def init_weights(config: UnfoldConfig, seed: int, zero_residual: bool = True) -> ModelWeights:
     """Deterministically initialize denoiser weights plus per-stage scalars."""
     rng = np.random.default_rng(integer(seed, "seed"))
-    weights = ModelWeights()
-    for prefix in dict.fromkeys(config.stage_prefix(k) for k in range(config.stages)):
-        init_denoiser_weights(weights, rng, prefix, config.net, zero_residual=zero_residual)
-    for k in range(config.stages):
-        for name, value in stage_scalars(k).items():
-            weights.add(name, value)
-    return weights
+    return ModelWeights.draw(tensor_layout(config, zero_residual), rng)
 
 
 def load_model(config: UnfoldConfig, arrays: dict, stages=None) -> tuple[ModelWeights, UnfoldConfig]:
     """A checkpoint's model, whose tensors must be exactly `arrays`.  Given `stages`, a
     shared-weights model is re-staged: the scalars of stages at or past the new count are
-    dropped, and an added stage starts from `stage_scalars`."""
-    if stages is not None and stages != config.stages:
+    dropped, and an added stage starts from `stage_scalars`.
+
+    The file is checked against the profile's `tensor_layout` before anything is
+    built, and the model holds the file's arrays: nothing is drawn.
+    """
+    stages = config.stages if stages is None else integer(stages, "stage count", 1)
+    if stages != config.stages:
         if not config.share_weights:
             raise ValueError("--stages can only override shared-weights models")
         dropped = {n for k in range(stages, config.stages) for n in stage_scalars(k)}
         added = {n: v for k in range(config.stages, stages) for n, v in stage_scalars(k).items()}
         arrays = {n: v for n, v in arrays.items() if n not in dropped} | added
         config = replace(config, stages=stages)
-    weights = init_weights(config, seed=0)
-    weights.load_arrays(arrays)
-    return weights, config
+    return ModelWeights.from_arrays(tensor_layout(config), arrays), config
 
 
 def data_step_node(z: "ad.Node", y: np.ndarray, op: cassi.SensingOperator, mu: "ad.Node") -> "ad.Node":

@@ -17,8 +17,8 @@ from cassi_ssm.denoiser import (
     ModelWeights,
     UNetConfig,
     denoise,
+    denoiser_layout,
     gated_ffn,
-    init_denoiser_weights,
     spatial_ssm,
     spectral_cube_ssm,
 )
@@ -197,11 +197,10 @@ def test_criterion_06_differentiability():
     results["selective_scan"] = finite_diff_check(scan_input, sx)
 
     # block pieces on 4x4x4 features
-    from cassi_ssm.denoiser import _init_block
-    bw = ModelWeights()
+    from cassi_ssm.denoiser import _block_layout
     bcfg = UNetConfig(bands=1, base_channels=4, patch=2, cube=(1, 1, 2), state_size=2,
                       expansion=1)
-    _init_block(bw, np.random.default_rng(60), "blk", bcfg, 4)
+    bw = ModelWeights.draw(_block_layout("blk", bcfg, 4), np.random.default_rng(60))
     feat = rng.random((4, 4, 4))
     fproj = rng.normal(size=(4, 4, 4))
 
@@ -217,9 +216,8 @@ def test_criterion_06_differentiability():
         feat)
 
     # full 1-level denoiser on an 8x8x2 input: input side and a weight tensor
-    dw = ModelWeights()
-    init_denoiser_weights(dw, np.random.default_rng(61), "net", NET_8X8X2,
-                          zero_residual=False)
+    dw = ModelWeights.draw(denoiser_layout("net", NET_8X8X2, zero_residual=False),
+                           np.random.default_rng(61))
     mask = rng.random((8, 8))
     dproj = rng.normal(size=(2, 8, 8))
 

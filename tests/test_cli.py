@@ -309,6 +309,26 @@ class TestCheckpointTensors:
         assert "patch must be >= 1" in capsys.readouterr().err
         assert not (workspace / "rec.hsic").exists()
 
+    # each profile is stored over the model fixture's tensors; a load that built or
+    # drew it would ask numpy for GiBs, or never end
+    @pytest.mark.parametrize("stages,share,net", [
+        (2, True, {"levels": 40}),
+        (2, True, {"blocks_per_level": 10 ** 9}),
+        (10 ** 9, True, {}),
+        (10 ** 9, False, {}),
+    ], ids=["levels40", "blocks1e9", "stages1e9", "stages1e9-per-stage"])
+    def test_profile_far_larger_than_file_exit_1(self, workspace, model, capsys, stages, share,
+                                                 net):
+        config, weights, _, _ = model
+        stand_in = SimpleNamespace(stages=stages, share_weights=share, net=SimpleNamespace(
+            **{**dataclasses.asdict(TOY_NET), **net}))
+        fileio.save_weights(workspace / "vast.csmw", weights, stand_in)
+        assert self.reconstruct(workspace, workspace / "vast.csmw") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint lacks weight tensors: ")
+        assert err.count("\n") == 1
+        assert not (workspace / "rec.hsic").exists()
+
     def test_stage_override_of_per_stage_model_exit_1(self, workspace, model, capsys):
         config = unfolding.UnfoldConfig(stages=2, net=TOY_NET, share_weights=False)
         fileio.save_weights(workspace / "own.csmw", unfolding.init_weights(config, seed=4), config)
@@ -379,20 +399,29 @@ class TestExportAndDump:
 
 
 class TestUsageErrors:
-    # an allocation numpy cannot make ends in the one error line, as a bad file does
-    @pytest.mark.parametrize("module,name,argv", [
+    # an allocation numpy cannot make ends in the one error line, as a bad file does;
+    # Python's own MemoryError() has no text, so the line names its type
+    @pytest.mark.parametrize("module,name,argv,error,line", [
         (scans, "global_order", ["dump-scan-order", "--kind", "global",
-                                 "--height", "4", "--width", "4"]),
+                                 "--height", "4", "--width", "4"],
+         MemoryError("Unable to allocate 298. GiB for an array"),
+         "Unable to allocate 298. GiB for an array"),
         (cassi, "forward_project", ["simulate", "--cube", "scene.hsic", "--mask", "mask.hsic",
-                                    "--out", "m.hsic"]),
-    ], ids=["dump-scan-order", "simulate"])
-    def test_memory_error_exit_1(self, workspace, capsys, monkeypatch, module, name, argv):
+                                    "--out", "m.hsic"],
+         MemoryError("Unable to allocate 298. GiB for an array"),
+         "Unable to allocate 298. GiB for an array"),
+        (cassi, "forward_project", ["simulate", "--cube", "scene.hsic", "--mask", "mask.hsic",
+                                    "--out", "m.hsic"],
+         MemoryError(), "MemoryError"),
+    ], ids=["dump-scan-order", "simulate", "simulate-no-text"])
+    def test_memory_error_exit_1(self, workspace, capsys, monkeypatch, module, name, argv,
+                                 error, line):
         def refuse(*args):
-            raise MemoryError("Unable to allocate 298. GiB for an array")
+            raise error
         monkeypatch.setattr(module, name, refuse)
         monkeypatch.chdir(workspace)
         assert run(argv) == 1
-        assert capsys.readouterr().err == "error: Unable to allocate 298. GiB for an array\n"
+        assert capsys.readouterr().err == f"error: {line}\n"
 
     def test_unknown_flag_exit_2(self, capsys):
         assert run(["simulate", "--bogus", "x"]) == 2

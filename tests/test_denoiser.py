@@ -11,13 +11,13 @@ from cassi_ssm.denoiser import (
     ModelWeights,
     UNetConfig,
     denoise,
+    denoiser_layout,
     embed_with_mask,
     gated_ffn,
-    init_denoiser_weights,
     spatial_ssm,
     spectral_cube_ssm,
     ssm_block,
-    _init_block,
+    _block_layout,
 )
 from cassi_ssm.scans import ScanOrder, global_order, local_patch_order
 from oracles import finite_diff_check, total
@@ -27,10 +27,8 @@ TINY = UNetConfig(bands=2, base_channels=4, levels=1, blocks_per_level=1,
 
 
 def tiny_weights(seed=0, zero_residual=True):
-    w = ModelWeights()
-    init_denoiser_weights(w, np.random.default_rng(seed), "net", TINY,
-                          zero_residual=zero_residual)
-    return w
+    return ModelWeights.draw(denoiser_layout("net", TINY, zero_residual),
+                             np.random.default_rng(seed))
 
 
 BLOCK = UNetConfig(bands=1, base_channels=4, patch=2, cube=(1, 1, 2), state_size=2,
@@ -38,9 +36,8 @@ BLOCK = UNetConfig(bands=1, base_channels=4, patch=2, cube=(1, 1, 2), state_size
 
 
 def block_weights(seed=1):
-    w = ModelWeights()
-    _init_block(w, np.random.default_rng(seed), "blk", BLOCK, BLOCK.base_channels)
-    return w
+    return ModelWeights.draw(_block_layout("blk", BLOCK, BLOCK.base_channels),
+                             np.random.default_rng(seed))
 
 
 def set_value(weights, name, value):
@@ -274,8 +271,8 @@ class TestDenoise:
     def test_two_level_config(self):
         cfg = UNetConfig(bands=2, base_channels=4, levels=2, blocks_per_level=1,
                          patch=2, cube=(1, 1, 2), state_size=2, expansion=1)
-        w = ModelWeights()
-        init_denoiser_weights(w, np.random.default_rng(20), "net", cfg, zero_residual=False)
+        w = ModelWeights.draw(denoiser_layout("net", cfg, zero_residual=False),
+                              np.random.default_rng(20))
         rng = np.random.default_rng(21)
         out = denoise(ad.constant(rng.random((2, 16, 16))), ad.constant(0.2),
                       rng.random((16, 16)), w, cfg, "net")

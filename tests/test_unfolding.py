@@ -1,12 +1,17 @@
 """Unfolding loop: stage parameters, the closed-form data step against the
 dense linear solve, and reconstruction replay oracles."""
 
+import dataclasses
+import hashlib
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cassi_ssm import autodiff as ad
 from cassi_ssm import cassi, training, unfolding
-from cassi_ssm.denoiser import UNetConfig
+from cassi_ssm.denoiser import ModelWeights, UNetConfig
 from oracles import dense_oracle_data_step, finite_diff_check, total
 
 TINY = UNetConfig(bands=2, base_channels=4, levels=1, blocks_per_level=1,
@@ -231,6 +236,39 @@ class TestWeightsInit:
             assert all(np.array_equal(got[name], want[name]) for name in want)
 
 
+    # sha256 over the sorted (name, float64 bytes) of a K=3 model: a draw that
+    # `tensor_layout` reorders or rescales changes its pin
+    DRAW_PINS = {
+        ("tiny", True, True, 0): "b0d8a76d26c9b7c4ae18b3fdc7a5ea92e9aec36a8ce6266887cbe9dd8a876d3f",
+        ("tiny", True, True, 23): "af65fed1deaa35ebe912a3cc55f3fb6e8a946c3467cb05f1de778a73eb4066c1",
+        ("tiny", True, False, 0): "cbc02a25082329726d52193ae49bb3b4bff12cbf07bd0e7c29d400a45e1346b0",
+        ("tiny", True, False, 23): "28eb48a4c06dc491879c09a60e80f0d355e7432788279d0a2cc619180a32f18e",
+        ("tiny", False, True, 0): "390ea1a331f39ede208041e8175089adf58b9824b46d55e821f2593721c24ba1",
+        ("tiny", False, True, 23): "326dd45ef899cfce91c61c42fc91374dbd41d36cb8d7b0246e9dfa50f066dbcf",
+        ("tiny", False, False, 0): "bdb6a4cfcd7202506486d6a8cb70ed0a26240d916b3647eb0c1eefc3a46e6c56",
+        ("tiny", False, False, 23): "a31d3157522643fc87c24631623f4aa12440b290a0234504a7e88a1dc30de9db",
+        ("default", True, True, 0): "abcb050c978e5816e10256ec764f03f334d8bcd98b367da5514e1b8c7289387a",
+        ("default", True, True, 23): "f5c341cfd2e57907f03b00d4627151d1ebd6282b03cb4f89c116066b754f95ce",
+        ("default", True, False, 0): "65ce0e8553f64a77a9147cdf2e96a499c6c6fe2f78c015a8a8f2620413d368b9",
+        ("default", True, False, 23): "27e76184874959328b85e513becab7e4222ed320b6be5f585555066e402d87c7",
+        ("default", False, True, 0): "a6b74634f81b536979ed4ba176ffc3c407b231cb5cc9109b2434f67afb557f90",
+        ("default", False, True, 23): "7eab35ef9a3165a98118ba4bbd67c38c984fbd4efaa252b5b2e8af3b43e9192a",
+        ("default", False, False, 0): "2d3420997f9e931874ba6d3be24746f2db5ca1807ef7c1130df2b55ae1983f86",
+        ("default", False, False, 23): "c6e5ebcf87bcd4107952b3b0f1ec97231fe802498208eb023480c173ec5d83fa",
+    }
+
+    @pytest.mark.parametrize("profile,share,zero_residual,seed", sorted(DRAW_PINS))
+    def test_draws_pinned(self, profile, share, zero_residual, seed):
+        net = TINY if profile == "tiny" else UNetConfig(bands=28)
+        cfg = unfolding.UnfoldConfig(stages=3, net=net, share_weights=share)
+        arrays = unfolding.init_weights(cfg, seed, zero_residual).arrays()
+        digest = hashlib.sha256()
+        for name in sorted(arrays):
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(arrays[name], dtype=np.float64).tobytes())
+        assert digest.hexdigest() == self.DRAW_PINS[profile, share, zero_residual, seed]
+
+
 class TestLoadModel:
     """A checkpoint's tensors become its model; re-staging touches only stage scalars."""
 
@@ -266,3 +304,95 @@ class TestLoadModel:
             unfolding.load_model(cfg, arrays, 2)
         weights, _ = unfolding.load_model(cfg, arrays, 3)
         assert weights.arrays().keys() == arrays.keys()
+
+    @pytest.mark.parametrize("stages", [3.0, True], ids=["integral-float", "bool"])
+    def test_stage_count_follows_integer_rule(self, stages):
+        cfg, arrays = self.stored()
+        with pytest.raises(ValueError, match="^stage count must be an integer, got "):
+            unfolding.load_model(cfg, arrays, stages)
+
+    def test_stage_count_text_restages(self):
+        cfg, arrays = self.stored()
+        weights, config = unfolding.load_model(cfg, arrays, "2")
+        assert config == unfolding.UnfoldConfig(stages=2, net=TINY)
+        assert weights.arrays().keys() == arrays.keys() - unfolding.stage_scalars(2).keys()
+
+    def test_builds_from_the_file_drawing_nothing(self, monkeypatch):
+        cfg, arrays = self.stored()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_model drew weights")
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(unfolding, "init_weights", refuse)
+        monkeypatch.setattr(ModelWeights, "draw", refuse)
+        weights, _ = unfolding.load_model(cfg, arrays)
+        assert list(weights.arrays()) == [name for name, _, _ in unfolding.tensor_layout(cfg)]
+        assert all(np.array_equal(weights[name].value, arrays[name]) for name in arrays)
+
+    # profiles far larger than the TINY K=3 tensor set they are stored over; a load
+    # that drew any of them would ask numpy for GiBs, or never end
+    @pytest.mark.parametrize("config", [
+        unfolding.UnfoldConfig(stages=3, net=dataclasses.replace(TINY, levels=40)),
+        unfolding.UnfoldConfig(stages=3, net=dataclasses.replace(TINY, blocks_per_level=10 ** 9)),
+        unfolding.UnfoldConfig(stages=10 ** 9, net=TINY),
+        unfolding.UnfoldConfig(stages=10 ** 9, net=TINY, share_weights=False),
+    ], ids=["levels40", "blocks1e9", "stages1e9", "stages1e9-per-stage"])
+    def test_profile_far_larger_than_file_refused_at_file_cost(self, config):
+        _, arrays = self.stored()
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ValueError) as refusal:
+                unfolding.load_model(config, arrays)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refusal.value).startswith("checkpoint lacks weight tensors: ")
+        assert str(refusal.value).endswith(
+            f", ... (the profile names over {2 * len(arrays) + 1} tensors; "
+            f"the file holds {len(arrays)})")
+        assert elapsed < 0.25
+        assert peak < 1 << 20
+
+
+class TestExactTensorSet:
+    """`load_model` and `ModelWeights.load_arrays` refuse a file with one message source."""
+
+    def stored(self):
+        cfg = unfolding.UnfoldConfig(stages=2, net=TINY)
+        return cfg, unfolding.init_weights(cfg, seed=8, zero_residual=False)
+
+    @pytest.mark.parametrize("load", ["load_model", "load_arrays"])
+    @pytest.mark.parametrize("change,message", [
+        ("missing", "checkpoint lacks weight tensors: shared/out/w"),
+        ("two-missing", "checkpoint lacks weight tensors: est/alpha_raw1, est/beta_raw1"),
+        ("unknown", "unknown weight name in checkpoint: shared/extra"),
+        ("shape", "shape mismatch for shared/out/b: have (2,), file (3,)"),
+    ])
+    def test_messages(self, load, change, message):
+        cfg, weights = self.stored()
+        arrays = weights.arrays()
+        if change == "missing":
+            del arrays["shared/out/w"]
+        elif change == "two-missing":
+            del arrays["est/alpha_raw1"], arrays["est/beta_raw1"]
+        elif change == "unknown":
+            arrays["shared/extra"] = np.zeros(3)
+        else:
+            arrays["shared/out/b"] = np.zeros(3)
+        with pytest.raises(ValueError) as refusal:
+            if load == "load_model":
+                unfolding.load_model(cfg, arrays)
+            else:
+                weights.load_arrays(arrays)
+        assert str(refusal.value) == message
+
+    def test_refused_load_arrays_changes_nothing(self):
+        _, weights = self.stored()
+        before = {name: value.copy() for name, value in weights.arrays().items()}
+        arrays = {name: value + 1.0 for name, value in before.items()}
+        arrays["shared/out/b"] = np.zeros(3)
+        with pytest.raises(ValueError, match="^shape mismatch for shared/out/b"):
+            weights.load_arrays(arrays)
+        assert all(np.array_equal(weights[name].value, before[name]) for name in before)
