@@ -77,22 +77,21 @@ def init_weights(config: UnfoldConfig, seed: int, zero_residual: bool = True) ->
 
 
 def load_model(config: UnfoldConfig, arrays: dict, stages=None) -> tuple[ModelWeights, UnfoldConfig]:
-    """A checkpoint's model, whose tensors must be exactly `arrays`.  Given `stages`, a
-    shared-weights model is re-staged: the scalars of stages at or past the new count are
-    dropped, and an added stage starts from `stage_scalars`.
-
-    The file is checked against the profile's `tensor_layout` before anything is
-    built, and the model holds the file's arrays: nothing is drawn.
+    """A checkpoint's model, whose tensors must be exactly those its own profile's
+    `tensor_layout` names, so a file that misstates its stage count is refused.  Given
+    `stages`, a shared-weights model is then re-staged: a tensor the file holds keeps its
+    array, and an added stage's scalars come from their init rule, which reads no rng.
     """
     stages = config.stages if stages is None else integer(stages, "stage count", 1)
-    if stages != config.stages:
-        if not config.share_weights:
-            raise ValueError("--stages can only override shared-weights models")
-        dropped = {n for k in range(stages, config.stages) for n in stage_scalars(k)}
-        added = {n: v for k in range(config.stages, stages) for n, v in stage_scalars(k).items()}
-        arrays = {n: v for n, v in arrays.items() if n not in dropped} | added
-        config = replace(config, stages=stages)
-    return ModelWeights.from_arrays(tensor_layout(config), arrays), config
+    weights = ModelWeights.from_arrays(tensor_layout(config), arrays)
+    if stages == config.stages:
+        return weights, config
+    if not config.share_weights:
+        raise ValueError("--stages can only override shared-weights models")
+    config = replace(config, stages=stages)
+    restaged = {name: arrays[name] if name in arrays else init(None, shape)
+                for name, shape, init in tensor_layout(config)}
+    return ModelWeights.from_arrays(tensor_layout(config), restaged), config
 
 
 def data_step_node(z: "ad.Node", y: np.ndarray, op: cassi.SensingOperator, mu: "ad.Node") -> "ad.Node":

@@ -310,20 +310,24 @@ class TestCheckpointTensors:
         assert not (workspace / "rec.hsic").exists()
 
     # each profile is stored over the model fixture's tensors; a load that built or
-    # drew it would ask numpy for GiBs, or never end
-    @pytest.mark.parametrize("stages,share,net", [
-        (2, True, {"levels": 40}),
-        (2, True, {"blocks_per_level": 10 ** 9}),
-        (10 ** 9, True, {}),
-        (10 ** 9, False, {}),
-    ], ids=["levels40", "blocks1e9", "stages1e9", "stages1e9-per-stage"])
+    # drew it would ask numpy for GiBs, or never end.  Each is also re-staged to K=2
+    HOSTILE = {
+        "levels40": (2, True, {"levels": 40}),
+        "blocks1e9": (2, True, {"blocks_per_level": 10 ** 9}),
+        "stages1e9": (10 ** 9, True, {}),
+        "stages1e9-per-stage": (10 ** 9, False, {}),
+    }
+
+    @pytest.mark.parametrize("stages,share,net,extra", [
+        pytest.param(*profile, extra, id=name + suffix) for name, profile in HOSTILE.items()
+        for extra, suffix in (((), ""), (("--stages", "2"), "-restaged"))])
     def test_profile_far_larger_than_file_exit_1(self, workspace, model, capsys, stages, share,
-                                                 net):
+                                                 net, extra):
         config, weights, _, _ = model
         stand_in = SimpleNamespace(stages=stages, share_weights=share, net=SimpleNamespace(
             **{**dataclasses.asdict(TOY_NET), **net}))
         fileio.save_weights(workspace / "vast.csmw", weights, stand_in)
-        assert self.reconstruct(workspace, workspace / "vast.csmw") == 1
+        assert self.reconstruct(workspace, workspace / "vast.csmw", *extra) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint lacks weight tensors: ")
         assert err.count("\n") == 1

@@ -1,6 +1,6 @@
 """Every field of a dataclass in `src/` is read somewhere in `src/`, and
-every top-level function, class and constant in `src/` is named by the
-code that runs the package.
+every top-level function, class and constant, and every method and
+property of a class, in `src/` is named by the code that runs the package.
 
 A field that no code reads is a setting that has no effect: a caller can
 set it and nothing changes.  The check is done with `ast`: a field counts
@@ -13,9 +13,14 @@ named when a name, attribute, import or string constant in `src/` or
 a function only tests call is a test helper, and its home is
 `tests/oracles.py`.  Dunder names such as `__version__` are read by
 tooling, not by code, and are not checked.
+
+A method or property counts as named when some `src/` or `perfbench/` code
+spells it outside its own definition, by the same rule; dunder methods are
+called by Python itself and are not checked.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,18 +87,21 @@ def defined_names(stmt: ast.stmt) -> set[str]:
     return {t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")}
 
 
-def spelled_names(node: ast.AST) -> set[str]:
-    names = set()
+def spellings(node: ast.AST):
+    """Each name a name, attribute, import or string constant under `node` spells, once per use."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            names.add(sub.id)
+            yield sub.id
         elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+            yield sub.attr
         elif isinstance(sub, ast.alias):
-            names.add(sub.name.rsplit(".", 1)[-1])
+            yield sub.name.rsplit(".", 1)[-1]
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            names.add(sub.value)
-    return names
+            yield sub.value
+
+
+def spelled_names(node: ast.AST) -> set[str]:
+    return set(spellings(node))
 
 
 def unnamed_definitions(trees: dict) -> list[str]:
@@ -161,9 +169,79 @@ def test_unnamed_definitions_detected():
         "src/lib.py:chain_head", "src/lib.py:chain_link", "src/lib.py:CHAIN_END"]
 
 
-def test_every_top_level_definition_is_named():
+def user_trees() -> dict:
+    """Each module of `src/` and `perfbench/`, keyed by its repo-relative path."""
     paths = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("perfbench/**/*.py")])
-    trees = {p.relative_to(ROOT).as_posix(): ast.parse(p.read_text(), filename=str(p))
-             for p in paths}
-    dead = unnamed_definitions(trees)
+    return {p.relative_to(ROOT).as_posix(): ast.parse(p.read_text(), filename=str(p))
+            for p in paths}
+
+
+def test_every_top_level_definition_is_named():
+    dead = unnamed_definitions(user_trees())
     assert not dead, "top-level names only tests or nothing name: " + ", ".join(dead)
+
+
+def unnamed_members(trees: dict) -> list[str]:
+    """Methods and properties of `src/` classes that no `src/` or `perfbench/` code names.
+
+    `trees` maps repo-relative paths to modules.  A member's own definition
+    does not count, so recursion is not a use; `tests/` does not count either.
+    """
+    users = {path: tree for path, tree in trees.items() if path.split("/", 1)[0] in USERS}
+    spelled = Counter(name for tree in users.values() for name in spellings(tree))
+    dead = []
+    for path, tree in users.items():
+        if not path.startswith("src/"):
+            continue
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for member in cls.body:
+                if (not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        or member.name.startswith("__") and member.name.endswith("__")):
+                    continue
+                if spelled[member.name] <= Counter(spellings(member))[member.name]:
+                    dead.append(f"{path}:{cls.name}.{member.name}")
+    return dead
+
+
+def test_unnamed_members_detected():
+    lib = ast.parse(
+        "class Store:\n"
+        "    def __init__(self):\n"
+        "        self.data = {}\n"
+        "    def __len__(self):\n"
+        "        return len(self.data)\n"
+        "    def get(self, key):\n"
+        "        return self.data[key]\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return len(self)\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls()\n"
+        "    def by_string(self):\n"
+        "        pass\n"
+        "    def recursive(self, n):\n"
+        "        return self.recursive(n - 1) if n else 0\n"
+        "    def tested_only(self):\n"
+        "        pass\n"
+        "    def unused(self):\n"
+        "        pass\n"
+        "def lookup(store):\n"
+        "    return store.get(1)\n")
+    bench = ast.parse(
+        "import lib\n"
+        "store = lib.Store.make()\n"
+        "print(store.size)\n"
+        "getattr(store, 'by_string')()\n")
+    test = ast.parse(
+        "import lib\n"
+        "lib.Store().tested_only()\n"
+        "lib.Store().recursive(2)\n")
+    trees = {"src/lib.py": lib, "perfbench/bench.py": bench, "tests/test_lib.py": test}
+    assert unnamed_members(trees) == [
+        "src/lib.py:Store.recursive", "src/lib.py:Store.tested_only", "src/lib.py:Store.unused"]
+
+
+def test_every_method_and_property_is_named():
+    dead = unnamed_members(user_trees())
+    assert not dead, "methods and properties only tests or nothing name: " + ", ".join(dead)

@@ -317,6 +317,15 @@ class TestLoadModel:
         assert config == unfolding.UnfoldConfig(stages=2, net=TINY)
         assert weights.arrays().keys() == arrays.keys() - unfolding.stage_scalars(2).keys()
 
+    def test_file_misstating_its_stage_count_refused_when_restaged(self):
+        # a K=2 tensor set under a K=3 profile: re-staging to 2 would make it whole
+        cfg, arrays = self.stored()
+        for name in unfolding.stage_scalars(2):
+            del arrays[name]
+        with pytest.raises(ValueError) as refusal:
+            unfolding.load_model(cfg, arrays, 2)
+        assert str(refusal.value) == "checkpoint lacks weight tensors: est/alpha_raw2, est/beta_raw2"
+
     def test_builds_from_the_file_drawing_nothing(self, monkeypatch):
         cfg, arrays = self.stored()
 
@@ -330,20 +339,26 @@ class TestLoadModel:
         assert all(np.array_equal(weights[name].value, arrays[name]) for name in arrays)
 
     # profiles far larger than the TINY K=3 tensor set they are stored over; a load
-    # that drew any of them would ask numpy for GiBs, or never end
-    @pytest.mark.parametrize("config", [
-        unfolding.UnfoldConfig(stages=3, net=dataclasses.replace(TINY, levels=40)),
-        unfolding.UnfoldConfig(stages=3, net=dataclasses.replace(TINY, blocks_per_level=10 ** 9)),
-        unfolding.UnfoldConfig(stages=10 ** 9, net=TINY),
-        unfolding.UnfoldConfig(stages=10 ** 9, net=TINY, share_weights=False),
-    ], ids=["levels40", "blocks1e9", "stages1e9", "stages1e9-per-stage"])
-    def test_profile_far_larger_than_file_refused_at_file_cost(self, config):
+    # that drew any of them would ask numpy for GiBs, or never end.  Each is also
+    # re-staged to K=2, which is refused by the same check of the file's own profile
+    HOSTILE = {
+        "levels40": unfolding.UnfoldConfig(stages=3, net=dataclasses.replace(TINY, levels=40)),
+        "blocks1e9": unfolding.UnfoldConfig(
+            stages=3, net=dataclasses.replace(TINY, blocks_per_level=10 ** 9)),
+        "stages1e9": unfolding.UnfoldConfig(stages=10 ** 9, net=TINY),
+        "stages1e9-per-stage": unfolding.UnfoldConfig(stages=10 ** 9, net=TINY, share_weights=False),
+    }
+
+    @pytest.mark.parametrize("config,stages", [
+        pytest.param(config, stages, id=name + suffix) for name, config in HOSTILE.items()
+        for stages, suffix in ((None, ""), (2, "-restaged"))])
+    def test_profile_far_larger_than_file_refused_at_file_cost(self, config, stages):
         _, arrays = self.stored()
         tracemalloc.start()
         try:
             start = time.perf_counter()
             with pytest.raises(ValueError) as refusal:
-                unfolding.load_model(config, arrays)
+                unfolding.load_model(config, arrays, stages)
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
