@@ -3,7 +3,9 @@
 SSIM uses the canonical 11x11 Gaussian window (sigma 1.5) with
 C1 = (0.01 * range)^2 and C2 = (0.03 * range)^2, averaged over the valid
 window positions.  The window is the outer product of one 1-D Gaussian, so
-the local moments use a separable (two 1-D passes) filter, along W then H.
+the local moments use a separable filter: two 1-D passes, along H then W.
+Each pass filters the middle axis of a [5, rows, cols] moment stack, the
+one axis where numpy's matmul hands the overlapping windows to BLAS.
 PSNR is capped at 100 dB, returned exactly at zero MSE.
 """
 
@@ -72,10 +74,17 @@ def ssim(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
         return math.nan
     g = np.exp(-0.5 * ((np.arange(k) - (k - 1) / 2.0) / SSIM_SIGMA) ** 2)
     g /= g.sum()
-    # each 1-D pass keeps only the valid positions: [5, H, W] -> [5, H-k+1, W-k+1]
-    moments = np.stack([a, b, a * a, b * b, a * b])
-    for axis in (2, 1):
-        moments = np.lib.stride_tricks.sliding_window_view(moments, k, axis=axis) @ g
+    # `windows @ g` reaches BLAS (a matrix-vector product) only along the middle
+    # axis; along the last one numpy loops by itself.  So both passes filter
+    # axis 1, with one transpose between them, each keeping the valid positions:
+    # [5, H, W] -> [5, H-k+1, W] -> [5, W, H-k+1] -> [5, W-k+1, H-k+1].  The
+    # map's mean does not need it transposed back.  np.array, unlike np.stack,
+    # lays the stack out C-ordered whatever the images' layout, so every layout
+    # takes one BLAS path and scores the same.
+    moments = np.array([a, b, a * a, b * b, a * b])
+    moments = np.lib.stride_tricks.sliding_window_view(moments, k, axis=1) @ g
+    moments = np.ascontiguousarray(moments.transpose(0, 2, 1))
+    moments = np.lib.stride_tricks.sliding_window_view(moments, k, axis=1) @ g
     mu_a, mu_b, m_aa, m_bb, m_ab = moments
     var_a = m_aa - mu_a * mu_a
     var_b = m_bb - mu_b * mu_b

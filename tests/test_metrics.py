@@ -1,12 +1,22 @@
-"""PSNR/SSIM against closed forms and a per-pixel definitional oracle."""
+"""PSNR/SSIM against closed forms and a per-pixel definitional oracle.
 
+SSIM's filter runs through BLAS, so its scores are also checked across
+image orientation, memory layout and BLAS thread count.
+"""
+
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cassi_ssm import metrics
 from oracles import ssim_loop_oracle
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestPsnr:
@@ -98,6 +108,28 @@ class TestSsim:
         rng = np.random.default_rng(5)
         a, b = rng.random((13, 13)), rng.random((13, 13))
         assert abs(metrics.ssim(a, b, 1.0) - metrics.ssim(b, a, 1.0)) <= 1e-12
+
+    # the two passes run in a fixed axis order, so an H/W mix-up shows here
+    @pytest.mark.parametrize("shape", [(14, 17), (11, 40)], ids=["14x17", "11x40"])
+    def test_transpose_scores_the_same(self, shape):
+        rng = np.random.default_rng(14)
+        a = rng.random(shape)
+        b = np.clip(a + 0.1 * rng.normal(size=shape), 0, 1)
+        assert abs(metrics.ssim(a.T, b.T, 1.0) - metrics.ssim(a, b, 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("band", [
+        lambda cube, i: np.asfortranarray(cube[i]),
+        lambda cube, i: cube[:, ::-1][i],
+        lambda cube, i: cube[i].astype(np.float32),
+    ], ids=["fortran", "strided-view", "float32"])
+    def test_layout_scores_as_its_contiguous_float64_copy(self, band):
+        rng = np.random.default_rng(15)
+        ref = rng.random((3, 20, 23))
+        test = np.clip(ref + 0.1 * rng.normal(size=ref.shape), 0, 1)
+        a, b = band(ref, 1), band(test, 1)
+        assert not (a.flags.c_contiguous and a.dtype == np.float64)
+        copy_a, copy_b = (np.ascontiguousarray(x, dtype=np.float64) for x in (a, b))
+        assert metrics.ssim(a, b, 1.0) == metrics.ssim(copy_a, copy_b, 1.0)
 
     def test_bounded(self):
         rng = np.random.default_rng(6)
@@ -195,3 +227,25 @@ def test_non_finite_test_image_scores_nan(score, bad):
     test = ref.copy()
     test[0, 5, 6] = bad
     assert np.isnan(score(ref, test))
+
+
+EVALUATE = """
+import numpy as np
+from cassi_ssm import metrics
+rng = np.random.default_rng(16)
+ref = rng.random((4, 64, 64))
+test = np.clip(ref + 0.05 * rng.normal(size=ref.shape), 0, 1)
+print(repr(metrics.evaluate(ref, test).band_ssim))
+"""
+
+
+def test_band_ssim_does_not_depend_on_blas_threads():
+    printed = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", EVALUATE], env=env, cwd=ROOT,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        printed[threads] = proc.stdout
+    assert printed["1"] == printed["2"]
