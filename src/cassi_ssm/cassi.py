@@ -11,6 +11,7 @@ Every function here is pure; shot noise takes an explicit seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,14 @@ class SensingOperator:
     @property
     def detector_width(self) -> int:
         return self.width + self.shift_step * (self.bands - 1)
+
+    @cached_property
+    def _phi_diag(self) -> np.ndarray:
+        """`phi_diag` of this operator, computed on first use and kept read-only."""
+        m2 = self.mask * self.mask
+        diag = _detector_sum(lambda b: m2, self)
+        diag.setflags(write=False)
+        return diag
 
     def check_cube(self, cube: np.ndarray) -> None:
         if cube.shape != (self.bands, self.height, self.width):
@@ -116,10 +125,11 @@ def phi_diag(op: SensingOperator) -> np.ndarray:
     """diag(Phi Phi^T) as an [H, W'] map: summed squared mask per detector pixel.
 
     Each Phi entry is a mask value, so the diagonal entries are sums of M^2
-    over the bands that hit a given detector column.
+    over the bands that hit a given detector column.  The map depends only on
+    the operator, whose mask is read-only, so each operator computes it once
+    and returns the same read-only array on every call.
     """
-    m2 = op.mask * op.mask
-    return _detector_sum(lambda b: m2, op)
+    return op._phi_diag
 
 
 def noise_bits(value) -> int:

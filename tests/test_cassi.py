@@ -184,6 +184,15 @@ class TestPhiDiag:
             off = gram - np.diag(np.diag(gram))
             assert np.abs(off).max() == 0.0
 
+    # the data step reads it once per stage; the operator computes it once
+    def test_computed_once_per_operator_and_read_only(self):
+        mask = np.random.default_rng(9).random((4, 5))
+        op = cassi.SensingOperator(mask, 2, 3)
+        diag = cassi.phi_diag(op)
+        assert cassi.phi_diag(op) is diag
+        assert not diag.flags.writeable
+        assert np.array_equal(diag, cassi.phi_diag(cassi.SensingOperator(mask, 2, 3)))
+
 
 class TestDensePhi:
     def test_identity_operator(self):

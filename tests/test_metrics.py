@@ -1,13 +1,16 @@
 """PSNR/SSIM against closed forms and a per-pixel definitional oracle.
 
 SSIM's filter runs through BLAS, so its scores are also checked across
-image orientation, memory layout and BLAS thread count.
+image orientation, memory layout and BLAS thread count.  `evaluate` is
+checked to score each band through the module's `psnr` and `ssim`, and to
+stay within a memory bound, and scoring that overflows float64 is refused.
 """
 
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +106,18 @@ class TestSsim:
         b = a + 0.1 * data_range * rng.normal(size=shape)
         got = metrics.ssim(a, b, data_range)
         assert abs(got - ssim_loop_oracle(a, b, data_range)) <= 1e-9
+
+    # the variances enter only as their sum, filtered as one a^2 + b^2 plane:
+    # a textured image against an independent smooth ramp makes them differ
+    # widely, and a DC offset makes that plane large against them
+    @pytest.mark.parametrize("offset", [0.0, 100.0, 1000.0], ids=["dc0", "dc100", "dc1000"])
+    def test_unequal_variances_match_loop_oracle(self, offset):
+        rng = np.random.default_rng(17)
+        textured = offset + rng.random((24, 29))
+        ramp = offset + np.add.outer(np.linspace(0.0, 0.1, 24), np.linspace(0.0, 0.05, 29))
+        data_range = max(textured.max(), ramp.max())
+        got = metrics.ssim(textured, ramp, data_range)
+        assert abs(got - ssim_loop_oracle(textured, ramp, data_range)) <= 1e-9
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
@@ -213,6 +228,73 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=re.escape("expected a 3-D array, got shape (11, 11)")):
             metrics.evaluate(image, image)
 
+    # perfbench's tracer wraps the module-level names, so a band scored through
+    # any other function would not show in its spans
+    def test_scores_each_band_through_module_functions(self, monkeypatch):
+        calls = {"psnr": 0, "ssim": 0}
+
+        def counting(name):
+            original = getattr(metrics, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(metrics, name, counting(name))
+        rng = np.random.default_rng(18)
+        ref = rng.random((3, 12, 12))
+        metrics.evaluate(ref, np.clip(ref + 0.05 * rng.normal(size=ref.shape), 0, 1))
+        assert calls == {"psnr": 3, "ssim": 3}
+
+    # warnings are errors, so a warning fails here
+    def test_non_finite_bands_score_nan_alone(self):
+        rng = np.random.default_rng(19)
+        ref = rng.random((5, 12, 12))
+        test = np.clip(ref + 0.05 * rng.normal(size=ref.shape), 0, 1)
+        test[1, 2, 3] = np.nan
+        test[3, 7, 0] = -np.inf
+        report = metrics.evaluate(ref, test)
+        dr = ref.max()
+        for i in range(5):
+            if i in (1, 3):
+                assert np.isnan(report.band_psnr[i]) and np.isnan(report.band_ssim[i])
+            else:
+                assert report.band_psnr[i] == metrics.psnr(ref[i], test[i], dr)
+                assert report.band_ssim[i] == metrics.ssim(ref[i], test[i], dr)
+
+    @pytest.mark.parametrize("layout", [np.asfortranarray, lambda cube: cube[:, ::-1]],
+                             ids=["fortran", "strided-view"])
+    def test_layout_scores_as_its_contiguous_float64_copy(self, layout):
+        rng = np.random.default_rng(20)
+        ref = rng.random((3, 20, 23))
+        test = np.clip(ref + 0.1 * rng.normal(size=ref.shape), 0, 1)
+        a, b = layout(ref), layout(test)
+        assert not a.flags.c_contiguous
+        copy_a, copy_b = (np.ascontiguousarray(x, dtype=np.float64) for x in (a, b))
+        assert metrics.evaluate(a, b) == metrics.evaluate(copy_a, copy_b)
+
+    # eval sets the peak memory of a scoring run; a float64 temporary the
+    # size of the cube (28 planes), or a C-ordered copy of a whole cube in
+    # another layout, would show here
+    @pytest.mark.parametrize("layout", [
+        lambda cube: cube,
+        lambda cube: np.ascontiguousarray(cube.transpose(1, 2, 0)).transpose(2, 0, 1),
+    ], ids=["c-ordered", "band-last-transposed"])
+    def test_peak_memory_under_half_a_cube(self, layout):
+        rng = np.random.default_rng(21)
+        ref = rng.random((28, 128, 128))
+        test = np.clip(ref + 0.05 * rng.normal(size=ref.shape), 0, 1)
+        ref, test = layout(ref), layout(test)
+        tracemalloc.start()
+        try:
+            metrics.evaluate(ref, test)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * ref[0].nbytes
+
 
 # the NaN rule covers both infinities; warnings are errors, so a warning fails here
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -227,6 +309,45 @@ def test_non_finite_test_image_scores_nan(score, bad):
     test = ref.copy()
     test[0, 5, 6] = bad
     assert np.isnan(score(ref, test))
+
+
+# finite images whose arithmetic overflows float64 are refused, not scored
+# as inf, NaN or 0, and not left to numpy's warning or Python's OverflowError
+def _overflowing_image(ref):
+    return np.full_like(ref, 1e200)
+
+
+def _overflowing_entry(ref):
+    test = ref.copy()
+    test[0, 5, 6] = 1e155
+    return test
+
+
+@pytest.mark.parametrize("make_ref,make_test", [
+    (_overflowing_image, np.zeros_like),
+    (lambda ref: ref, _overflowing_entry),
+], ids=["1e200-against-zeros", "one-1e155-entry"])
+@pytest.mark.parametrize("score", [
+    lambda ref, test: metrics.psnr(ref[0], test[0], float(ref.max())),
+    lambda ref, test: metrics.ssim(ref[0], test[0], float(ref.max())),
+    lambda ref, test: metrics.evaluate(ref, test),
+], ids=["psnr", "ssim", "evaluate"])
+def test_overflowing_images_refused(score, make_ref, make_test):
+    ref = make_ref(np.random.default_rng(22).random((1, 12, 12)))
+    with pytest.raises(ValueError, match="scoring overflows float64"):
+        score(ref, make_test(ref))
+
+
+def test_ssim_range_overflowing_its_constants_refused():
+    image = np.random.default_rng(23).random((12, 12))
+    with pytest.raises(ValueError, match="scoring overflows float64"):
+        metrics.ssim(image, image, 1e200)
+
+
+def test_psnr_huge_range_keeps_the_cap():
+    # the range squared overflows to inf, which the cap reads as 100 dB
+    rng = np.random.default_rng(24)
+    assert metrics.psnr(rng.random((12, 12)), rng.random((12, 12)), 1e200) == 100.0
 
 
 EVALUATE = """
