@@ -499,6 +499,8 @@ def _scan(a: Array, b: Array) -> Array:
        of `a`, so no log and no division.
     3. Carry each chunk's incoming state into its other rows with one
        broadcast, h[k] += P[k] * end[k-1].
+    The running products are dropped before the states are copied out, so
+    at most two [B,L,N]-sized arrays of its own are alive at once.
     """
     batch, length, n = a.shape
     chunks = -(-length // _SCAN_CHUNK)
@@ -516,6 +518,7 @@ def _scan(a: Array, b: Array) -> Array:
     # the last row already holds the full states; carry into the rows before it
     prod[:-1, 1:] *= end[:-1]
     h[:-1, 1:] += prod[:-1, 1:]
+    del prod, end_prod
     return h.transpose(2, 1, 0, 3).reshape(batch, chunks * _SCAN_CHUNK, n)[:, :length]
 
 

@@ -250,26 +250,30 @@ def denoiser_layout(prefix: str, config: UNetConfig, zero_residual: bool = True)
 # ---------------------------------------------------------------------------
 # forward pieces
 
+def _affine(x: "ad.Node", w: "ad.Node", bias: "ad.Node") -> "ad.Node":
+    """x * w + bias, the per-channel `w` and `bias` repeated along the tokens (axis 1) of x."""
+    length = x.shape[1]
+    return ad.add(ad.mul(x, ad.repeat_expand(w, 1, length)), ad.repeat_expand(bias, 1, length))
+
+
 def _ssm_branch(flat: "ad.Node", order, weights: ModelWeights, prefix: str) -> "ad.Node":
     """Per-channel selective scan of a [C, L] tensor read in a scan order.
 
     The tokens are gathered into `order`, scanned, and restored to their
     places.  Each channel carries its own selection: per-token B and C come
     from an affine map of the scalar token, the timescale from a
-    softplus-affine map.
+    softplus-affine map.  The expanded tokens are dropped once B and C are
+    built, and the scan is handed the only reference to each, so tape-free
+    it frees B once read and C once the recurrence has read it.
     """
     seq = ad.gather_last(flat, order.forward, order.inverse)
-    nch, length = seq.shape
     a = ad.scale(ad.exp(weights[f"{prefix}/a_log"]), -1.0)
-    nstate = a.shape[-1]
-    x_e = ad.repeat_expand(seq, 2, nstate)
-    b_tok = ad.add(ad.mul(x_e, ad.repeat_expand(weights[f"{prefix}/w_b"], 1, length)),
-                   ad.repeat_expand(weights[f"{prefix}/b_b"], 1, length))
-    c_tok = ad.add(ad.mul(x_e, ad.repeat_expand(weights[f"{prefix}/w_c"], 1, length)),
-                   ad.repeat_expand(weights[f"{prefix}/b_c"], 1, length))
-    delta = ad.softplus(ad.add(ad.mul(seq, ad.repeat_expand(weights[f"{prefix}/w_dt"], 1, length)),
-                               ad.repeat_expand(weights[f"{prefix}/b_dt"], 1, length)))
-    y = selective_scan(seq, a, b_tok, c_tok, delta, weights[f"{prefix}/d"])
+    x_e = ad.repeat_expand(seq, 2, a.shape[-1])
+    gains = [_affine(x_e, weights[f"{prefix}/w_{g}"], weights[f"{prefix}/b_{g}"]) for g in "bc"]
+    del x_e
+    delta = ad.softplus(_affine(seq, weights[f"{prefix}/w_dt"], weights[f"{prefix}/b_dt"]))
+    # popped, so the scan holds the only reference to each gain
+    y = selective_scan(seq, a, gains.pop(0), gains.pop(0), delta, weights[f"{prefix}/d"])
     return ad.gather_last(y, order.inverse, order.forward)
 
 

@@ -5,7 +5,14 @@ discrete recurrence after zero-order-hold discretization.  A is diagonal
 with negative entries, and B, C, Delta vary per token (input-dependent
 selection), which is what makes the scan "selective".
 
-`selective_scan` is differentiable end to end.
+`selective_scan` is differentiable end to end, and it builds the same nodes
+in the same order with or without a tape.  Without one (no input requires
+grad, as in `reconstruct`), each [B,L,N] intermediate is dropped as soon as
+its last reader has run, and so are `b` and `c` when the caller hands over
+its only references to them, as the denoiser does.  A call then peaks at
+about 4.1 [B,L,N] arrays above its inputs: first while `phi1` runs beside
+delta, delta*a and abar, then in the recurrence, which holds abar, bbar*x
+and two copies of its own.
 """
 
 from __future__ import annotations
@@ -25,7 +32,9 @@ def selective_scan(x, a, b, c, delta, d) -> "ad.Node":
     if x.value.ndim != 2:
         raise ValueError(f"x must be a [B,L] batch of sequences, got shape {x.shape}")
     nb, length = x.shape
-    nstate = a.shape[-1]
+    if a.value.ndim != 2 or a.shape[0] != nb:
+        raise ValueError(f"diagonal a shape {a.shape} does not match x {x.shape}: expected [B,N]")
+    nstate = a.shape[1]
     if b.shape != (nb, length, nstate) or c.shape != (nb, length, nstate):
         raise ValueError(
             f"per-token parameter shapes {b.shape}/{c.shape} do not match "
@@ -36,10 +45,16 @@ def selective_scan(x, a, b, c, delta, d) -> "ad.Node":
         raise ValueError(f"skip gain shape {d.shape} does not match x {x.shape}")
 
     delta_e = ad.repeat_expand(delta, 2, nstate)           # [B,L,N]
-    a_e = ad.repeat_expand(a, 1, length)                   # [B,L,N]
-    da = ad.mul(delta_e, a_e)
+    da = ad.mul(delta_e, ad.repeat_expand(a, 1, length))
     abar = ad.exp(da)
-    bbar = ad.mul(ad.phi1(da), ad.mul(delta_e, b))
-    x_e = ad.repeat_expand(x, 2, nstate)
-    y = ad.linear_scan(abar, ad.mul(bbar, x_e), c)
+    phi = ad.phi1(da)
+    del da
+    gain = ad.mul(delta_e, b)
+    del delta_e, b
+    bbar = ad.mul(phi, gain)
+    del phi, gain
+    bx = ad.mul(bbar, ad.repeat_expand(x, 2, nstate))
+    del bbar
+    y = ad.linear_scan(abar, bx, c)
+    del abar, bx, c
     return ad.add(y, ad.mul(x, ad.repeat_expand(d, 1, length)))

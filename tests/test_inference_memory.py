@@ -1,23 +1,34 @@
-"""A CLI `reconstruct` keeps no tape, with or without glibc's heap pad.
+"""Tape-free inference: what it keeps alive, measured through the public API.
 
-Each run is a fresh interpreter, which reports the peak RSS of its own
-address space (`VmHWM`).  Its `ru_maxrss` would not do: Linux folds the
-peak of the process that spawned it, here the test runner, into a child's
-`ru_maxrss` at exec.  With the tape kept, one 64x64x8 item of this toy
-peaks at about 1 GB; tape-free it stays near 60 MB.  The second run
-makes `ctypes.CDLL` refuse, as on a C library without `mallopt`: the pad
-is then skipped, and the output must not change.
+A CLI `reconstruct` keeps no tape, with or without glibc's heap pad.  Each
+run is a fresh interpreter, which reports the peak RSS of its own address
+space (`VmHWM`).  Its `ru_maxrss` would not do: Linux folds the peak of the
+process that spawned it, here the test runner, into a child's `ru_maxrss`
+at exec.  With the tape kept, one 64x64x8 item of this toy peaks at about
+1 GB; tape-free it peaks at about 49 MB.  The second run makes
+`ctypes.CDLL` refuse, as on a C library without `mallopt`: the pad is then
+skipped, and the output must not change.
+
+Tape-free, the selective-scan branch drops each [B,L,N] intermediate once
+its last reader has run.  `tracemalloc` counts the peak of one call above
+its inputs in [B,L,N] arrays: `ssm.selective_scan` peaks at about 4.1 and
+`denoiser.spatial_ssm` on a `frozen` view at about 6.8.  Their bounds, 5
+and 8, lie below the 10.0 and 13.6 they peak at when every intermediate
+lives until the call returns.
 """
 
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cassi_ssm import cassi, fileio, training, unfolding
+from cassi_ssm import autodiff as ad
+from cassi_ssm import cassi, denoiser, fileio, ssm, training, unfolding
 from cassi_ssm.demo import toy_mask, toy_scene
 from cassi_ssm.denoiser import UNetConfig
 
@@ -79,3 +90,38 @@ def test_reconstruct_builds_no_tape(runs, mode):
 
 def test_output_does_not_depend_on_the_heap_pad(runs):
     assert runs["glibc"][2] == runs["refuse"][2]
+
+
+def _peak_bytes(call):
+    """Peak bytes `call()` allocates while it runs (its inputs exist before)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_selective_scan_drops_intermediates_once_read():
+    # 1 MiB per [B,L,N] array; b and c are held here, so only the scan's own arrays count
+    nb, length, nstate = 4, 4096, 8
+    x, delta = ad.constant(np.full((nb, length), 0.5)), ad.constant(np.full((nb, length), 0.1))
+    a, d = ad.constant(np.full((nb, nstate), -1.0)), ad.constant(np.ones(nb))
+    b, c = (ad.constant(np.full((nb, length, nstate), v)) for v in (0.3, 0.2))
+    peak = _peak_bytes(lambda: ssm.selective_scan(x, a, b, c, delta, d))
+    assert peak / b.value.nbytes <= 5.0
+
+
+def test_spatial_branch_drops_intermediates_once_read():
+    net = UNetConfig(bands=8, base_channels=8, levels=1, blocks_per_level=1, patch=4,
+                     cube=(2, 2, 2), state_size=8, expansion=2)
+    weights = denoiser.ModelWeights.draw(denoiser.denoiser_layout("p", net),
+                                         np.random.default_rng(0)).frozen()
+    f = ad.constant(np.full((8, 64, 64), 0.25))
+
+    def run():
+        return denoiser.spatial_ssm(f, weights, "p/enc0/blk0/sp", net.patch)
+
+    run()  # builds the cached scan orders
+    # one [C,HW,N] array is 2 MiB
+    assert _peak_bytes(run) / (f.value.nbytes * net.state_size) <= 8.0

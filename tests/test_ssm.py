@@ -1,6 +1,8 @@
 """State-space primitive: discretization values, oracle equivalence,
 stability, causality, and gradient checks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,18 @@ class TestSelectiveScan:
             ssm.selective_scan(*map(ad.constant, (x, a, b, c, delta[:, :4], d)))
         with pytest.raises(ValueError, match="skip gain"):
             ssm.selective_scan(*map(ad.constant, (x, a, b, c, delta, 0.5)))
+
+    # named before any [B,L,N] array is made, not left to surface as a shape
+    # clash inside `mul` or as a wrong "state size"
+    @pytest.mark.parametrize("shape", [(4, 2), (2,), (3, 2, 1)],
+                             ids=["other-batch", "one-axis", "three-axes"])
+    def test_misshaped_a_named_before_any_work(self, shape):
+        r = np.random.default_rng(6)
+        x, _, b, c, delta, d = (np.repeat(np.asarray(v)[None], 3, axis=0)
+                                for v in make_random_case(r, 5, 2))
+        with pytest.raises(ValueError, match=re.escape(
+                f"diagonal a shape {shape} does not match x (3, 5): expected [B,N]")):
+            ssm.selective_scan(*map(ad.constant, (x, -np.ones(shape), b, c, delta, d)))
 
     def test_unbatched_input_rejected(self):
         r = np.random.default_rng(6)

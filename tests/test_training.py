@@ -322,6 +322,19 @@ class TestMaskedMode:
             results.append(state.losses[-1])
         assert results[0] != results[1]
 
+    def test_four_toy_steps_keep_their_recorded_losses(self):
+        # the 16x16x4 toy at K=3, masked: a change to the tape's nodes or to
+        # their arithmetic moves these bits
+        net = UNetConfig(bands=4, base_channels=8, levels=1, blocks_per_level=1,
+                         patch=4, cube=(2, 2, 2), state_size=4, expansion=2)
+        cfg = unfolding.UnfoldConfig(stages=3, net=net, share_weights=True)
+        weights = unfolding.init_weights(cfg, seed=23)
+        op = cassi.SensingOperator(toy_mask(16, 16, seed=22), 2, 4)
+        tc = training.TrainConfig(steps=4, masked=True, mask_seed=13)
+        state = training.train([(toy_scene(16, 16, 4, seed=21), op)], weights, cfg, tc)
+        assert np.array_equal(state.losses, [0.0695401177714194, 0.1358095806353165,
+                                             0.139996389359622, 0.09711242422874215])
+
 
 class TestSchedule:
     def test_cosine_endpoints(self):
