@@ -8,6 +8,9 @@ measurement and one default-profile model (three shared-weight stages,
 runs the CLI `reconstruct` on them in a fresh interpreter.  That run reports:
 
 - `seconds`: wall time of the command, imports excluded;
+- `cpu_seconds`: its CPU time, user plus system, over all its threads; a
+  kernel that goes multi-threaded shows as CPU time above wall time;
+- `seconds_per_mvoxel`: `seconds` per million voxels of the output cube;
 - `vmhwm_mb`: the peak RSS of its own address space (`VmHWM`), not
   `ru_maxrss`, which Linux seeds at exec with the peak of the process that
   spawned it;
@@ -47,15 +50,17 @@ SIZES = (32, 64, 128)
 RECONSTRUCT = """
 import json, resource, sys, time
 from cassi_ssm.cli import parse_and_dispatch
-faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+before = resource.getrusage(resource.RUSAGE_SELF)
 start = time.perf_counter()
 code = parse_and_dispatch(sys.argv[1:])
 seconds = time.perf_counter() - start
-faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+after = resource.getrusage(resource.RUSAGE_SELF)
+cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+faults = after.ru_minflt - before.ru_minflt
 with open("/proc/self/status") as status:
     kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-print(json.dumps({"code": code, "seconds": seconds, "vmhwm_mb": kib / 1024,
-                  "minor_faults": faults}))
+print(json.dumps({"code": code, "seconds": seconds, "cpu_seconds": cpu,
+                  "vmhwm_mb": kib / 1024, "minor_faults": faults}))
 """
 
 
@@ -96,6 +101,7 @@ def measure(size: int, work: Path, model: Path) -> dict:
     report = json.loads(proc.stdout.splitlines()[-1])
     if report.pop("code") != 0:
         raise RuntimeError(f"reconstruct at {size}x{size}x{BANDS} exited {proc.stdout}")
+    report["seconds_per_mvoxel"] = report["seconds"] / (size * size * BANDS / 1e6)
     report["sha256"] = hashlib.sha256(paths["out"].read_bytes()).hexdigest()
     return {"size": f"{size}x{size}x{BANDS}", **report}
 

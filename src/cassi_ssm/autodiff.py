@@ -14,7 +14,8 @@ gradient map: `_binary` (add, sub, mul, div) holds the shape check, the
 `requires_grad` guards and the scalar reduction; `unary` serves every
 single-input op and runs its gradient map only in the backward pass; and
 `_window_conv` holds the windows, bias and backward of both convolutions,
-which state only the einsum of one kernel tap.
+which state only the product of one kernel tap with its window and that
+tap's gradient.
 
 All compute is 64-bit.  A tape belongs to one logical thread; node values
 may be shared freely across threads for reading.
@@ -355,16 +356,38 @@ def gather_last(a, forward_idx, inverse_idx) -> Node:
 # ---------------------------------------------------------------------------
 # convolution and friends
 
-def _window_conv(x: Node, w: Node, bias: Node, stride, tap: str) -> Node:
+def _rows(a: Array) -> Array:
+    """[C,H,W] viewed as [H,C,W], so that `np.matmul` runs one GEMM per row."""
+    return a.transpose(1, 0, 2)
+
+
+def _conv_tap(kernel: Array, window: Array, out: Array) -> None:
+    # out[:, i] = kernel @ window[:, i] for each output row i; one small GEMM each
+    # keeps OpenBLAS on one thread, where a whole-plane product would wake a second
+    np.matmul(kernel, _rows(window), out=_rows(out))
+
+
+def _conv_tap_grad(g: Array, window: Array) -> Array:
+    return np.matmul(_rows(g), window.transpose(1, 2, 0)).sum(axis=0)
+
+
+def _depthwise_tap(kernel: Array, window: Array, out: Array) -> None:
+    np.einsum("c,chw->chw", kernel, window, out=out)
+
+
+def _depthwise_tap_grad(g: Array, window: Array) -> Array:
+    return np.einsum("chw,chw->c", g, window)
+
+
+def _window_conv(x: Node, w: Node, bias: Node, stride, tap, tap_grad) -> Node:
     """Sum over the k x k kernel taps of x [C,H,W], zero padded by k // 2, plus bias [C_out].
 
     Tap (di, dj) is `w[..., di, dj]` and meets the strided window of the padded
-    input that starts at (di, dj).  `tap` is the einsum "A,B->C" of its share of
-    the output, kernel tap A and window B; the gradients swap operand roles:
-    "C,B->A" for the kernel tap and "A,C->B" for the window.
+    input that starts at (di, dj).  `tap(kernel, window, out)` writes the tap's
+    share of the output; it is linear in the window, and its adjoint is the same
+    product with the kernel tap transposed.  `tap_grad(g, window)` is the
+    gradient of the kernel tap.
     """
-    kernel, window, out = tap.replace("->", ",").split(",")
-    grad_w, grad_x = f"{out},{window}->{kernel}", f"{kernel},{out}->{window}"
     c_out, k = w.shape[0], w.shape[-1]
     if bias.shape != (c_out,):
         raise ValueError(f"bias shape {bias.shape} does not match {c_out} output channels")
@@ -378,23 +401,37 @@ def _window_conv(x: Node, w: Node, bias: Node, stride, tap: str) -> Node:
     windows = [((di, dj), (slice(None), slice(di, di + stride * h_out, stride),
                            slice(dj, dj + stride * w_out, stride)))
                for di in range(k) for dj in range(k)]
-    out_value = np.zeros((c_out, h_out, w_out))
-    for (di, dj), win in windows:
-        out_value += np.einsum(tap, w.value[..., di, dj], xp[win])
+
+    # each tap's kernel as one contiguous matrix, and each strided window copied,
+    # so that every product reads unit-stride rows
+    kernels = np.moveaxis(w.value, (-2, -1), (0, 1)).copy()
+
+    def window(win):
+        return xp[win] if stride == 1 else np.ascontiguousarray(xp[win])
+
+    out_value = np.empty((c_out, h_out, w_out))
+    share = np.empty_like(out_value)
+    for n, ((di, dj), win) in enumerate(windows):
+        # the first tap writes the output, and each later one adds its share
+        tap(kernels[di, dj], window(win), share if n else out_value)
+        if n:
+            out_value += share
     out_value += bias.value[:, None, None]
 
     def backward(g):
         if bias.requires_grad:
             bias.accumulate(g.sum(axis=(1, 2)))
         if w.requires_grad:
-            gw = np.zeros_like(w.value)
+            gw = np.empty_like(w.value)
             for (di, dj), win in windows:
-                gw[..., di, dj] = np.einsum(grad_w, g, xp[win])
+                gw[..., di, dj] = tap_grad(g, window(win))
             w.accumulate(gw)
         if x.requires_grad:
             gxp = np.zeros_like(xp)
+            share = np.empty((x.shape[0], h_out, w_out))
             for (di, dj), win in windows:
-                gxp[win] += np.einsum(grad_x, w.value[..., di, dj], g)
+                tap(kernels[di, dj].T, g, share)
+                gxp[win] += share
             x.accumulate(gxp[:, pad:pad + h, pad:pad + wd] if pad else gxp)
 
     return _make(out_value, (x, w, bias), backward)
@@ -404,7 +441,9 @@ def conv2d(x, w, bias, stride: int = 1) -> Node:
     """Cross-correlation of x [C_in,H,W] with kernels w [C_out,C_in,k,k], plus bias [C_out].
 
     k in {1, 3}, stride in {1, 2}, zero padding k // 2, so stride 1 keeps
-    the spatial dims.
+    the spatial dims.  Each kernel tap is one BLAS product batched over output
+    rows, [C_out x C_in] @ [C_in x W_out] per row; the gradients are the same
+    row products.
     """
     c_out, c_in, k, k2 = w.shape
     if k != k2:
@@ -415,7 +454,7 @@ def conv2d(x, w, bias, stride: int = 1) -> Node:
         raise ValueError(f"stride {stride} not supported (expected 1 or 2)")
     if x.value.ndim != 3 or x.shape[0] != c_in:
         raise ValueError(f"channel mismatch: input {x.shape} vs kernel {w.shape}")
-    return _window_conv(x, w, bias, stride, "oc,chw->ohw")
+    return _window_conv(x, w, bias, stride, _conv_tap, _conv_tap_grad)
 
 
 def depthwise_conv2d(x, w, bias) -> Node:
@@ -429,7 +468,7 @@ def depthwise_conv2d(x, w, bias) -> Node:
         raise ValueError(f"depthwise kernel must be odd square, got {k}x{k2}")
     if x.value.ndim != 3 or x.shape[0] != c:
         raise ValueError(f"channel mismatch: input {x.shape} vs depthwise kernel {w.shape}")
-    return _window_conv(x, w, bias, 1, "c,chw->chw")
+    return _window_conv(x, w, bias, 1, _depthwise_tap, _depthwise_tap_grad)
 
 
 def upsample_nearest2x(a) -> Node:

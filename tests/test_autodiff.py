@@ -320,6 +320,38 @@ class TestConv2d:
                         ad.constant(np.zeros(2)), stride=2)
         assert out.shape == (2, 4, 3)
 
+    # each kernel tap is one product per output row, so a plane of one row or
+    # one column, odd dims at stride 2 and C_out != C_in each stress that batching
+    @pytest.mark.parametrize("c_in,c_out,h,wd,k,stride,out_hw", [
+        (2, 3, 7, 9, 3, 2, (4, 5)),
+        (2, 3, 7, 9, 1, 2, (4, 5)),
+        (3, 5, 1, 7, 1, 1, (1, 7)),
+        (3, 5, 1, 7, 3, 1, (1, 7)),
+        (3, 5, 7, 1, 1, 1, (7, 1)),
+        (3, 5, 7, 1, 3, 1, (7, 1)),
+        (5, 2, 6, 4, 3, 1, (6, 4)),
+    ], ids=["7x9-k3-s2", "7x9-k1-s2", "1x7-k1", "1x7-k3", "7x1-k1", "7x1-k3", "cout<cin"])
+    def test_row_batching_shapes_match_loop_oracle(self, c_in, c_out, h, wd, k, stride, out_hw):
+        rng = np.random.default_rng(60 + h * wd + k)
+        x, w = rng.normal(size=(c_in, h, wd)), rng.normal(size=(c_out, c_in, k, k))
+        b = rng.normal(size=c_out)
+        got = ad.conv2d(ad.constant(x), ad.constant(w), ad.constant(b), stride=stride).value
+        want = conv2d_loop_oracle(x, w, b, stride=stride)
+        assert got.shape == want.shape == (c_out, *out_hw)
+        assert_rel_close(got, want)
+        g = rng.normal(size=want.shape)
+        got = conv_grads(ad.conv2d, x, w, b, g, stride=stride)
+        for got_grad, want_grad in zip(got, conv2d_loop_adjoint(x, w, g, stride=stride)):
+            assert got_grad.shape == want_grad.shape
+            assert_rel_close(got_grad, want_grad)
+
+    def test_stride2_odd_plane_matches_finite_differences(self):
+        rng = np.random.default_rng(70)
+        inputs = {"x": rng.normal(size=(2, 7, 9)), "w": rng.normal(size=(3, 2, 3, 3)),
+                  "bias": rng.normal(size=3)}
+        errors = input_grad_errors(ad.conv2d, inputs, rng.normal(size=(3, 4, 5)), stride=2)
+        assert max(errors.values()) <= 1e-4, errors
+
 
 class TestGather:
     def test_identity_order(self):
@@ -547,6 +579,14 @@ class TestStructuralOps:
         for c in range(3):
             want = conv2d_loop_oracle(x[c:c + 1], w[c].reshape(1, 1, 3, 3))
             assert np.abs(got[c] - want[0]).max() <= 1e-12
+
+    def test_depthwise_non_square_matches_grouped_loop(self):
+        rng = np.random.default_rng(18)
+        x, w, b = rng.normal(size=(3, 4, 7)), rng.normal(size=(3, 3, 3)), rng.normal(size=3)
+        got = ad.depthwise_conv2d(ad.constant(x), ad.constant(w), ad.constant(b)).value
+        for c in range(3):
+            want = conv2d_loop_oracle(x[c:c + 1], w[c].reshape(1, 1, 3, 3), b[c:c + 1])
+            assert_rel_close(got[c], want[0])
 
     def test_depthwise_grad(self):
         rng = np.random.default_rng(14)

@@ -324,7 +324,8 @@ class TestMaskedMode:
 
     def test_four_toy_steps_keep_their_recorded_losses(self):
         # the 16x16x4 toy at K=3, masked: a change to the tape's nodes or to
-        # their arithmetic moves these bits
+        # their arithmetic moves these bits (the BLAS convolutions set the last
+        # bit of losses 2 and 4; they are the same under one or two BLAS threads)
         net = UNetConfig(bands=4, base_channels=8, levels=1, blocks_per_level=1,
                          patch=4, cube=(2, 2, 2), state_size=4, expansion=2)
         cfg = unfolding.UnfoldConfig(stages=3, net=net, share_weights=True)
@@ -332,8 +333,8 @@ class TestMaskedMode:
         op = cassi.SensingOperator(toy_mask(16, 16, seed=22), 2, 4)
         tc = training.TrainConfig(steps=4, masked=True, mask_seed=13)
         state = training.train([(toy_scene(16, 16, 4, seed=21), op)], weights, cfg, tc)
-        assert np.array_equal(state.losses, [0.0695401177714194, 0.1358095806353165,
-                                             0.139996389359622, 0.09711242422874215])
+        assert np.array_equal(state.losses, [0.0695401177714194, 0.13580958063531653,
+                                             0.139996389359622, 0.09711242422874217])
 
 
 class TestSchedule:
