@@ -361,6 +361,11 @@ def _rows(a: Array) -> Array:
     return a.transpose(1, 0, 2)
 
 
+def _taps(w: Array) -> Array:
+    """Kernels [..., k, k] as [k, k, ...], so that each tap's kernel is one contiguous matrix."""
+    return np.moveaxis(w, (-2, -1), (0, 1)).copy()
+
+
 def _conv_tap(kernel: Array, window: Array, out: Array) -> None:
     # out[:, i] = kernel @ window[:, i] for each output row i; one small GEMM each
     # keeps OpenBLAS on one thread, where a whole-plane product would wake a second
@@ -402,13 +407,11 @@ def _window_conv(x: Node, w: Node, bias: Node, stride, tap, tap_grad) -> Node:
                            slice(dj, dj + stride * w_out, stride)))
                for di in range(k) for dj in range(k)]
 
-    # each tap's kernel as one contiguous matrix, and each strided window copied,
-    # so that every product reads unit-stride rows
-    kernels = np.moveaxis(w.value, (-2, -1), (0, 1)).copy()
-
     def window(win):
+        # a strided window is copied, so that every product reads unit-stride rows
         return xp[win] if stride == 1 else np.ascontiguousarray(xp[win])
 
+    kernels = _taps(w.value)
     out_value = np.empty((c_out, h_out, w_out))
     share = np.empty_like(out_value)
     for n, ((di, dj), win) in enumerate(windows):
@@ -427,7 +430,8 @@ def _window_conv(x: Node, w: Node, bias: Node, stride, tap, tap_grad) -> Node:
                 gw[..., di, dj] = tap_grad(g, window(win))
             w.accumulate(gw)
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
+            # the kernels are rebuilt here, so that the tape keeps no copy of them
+            kernels, gxp = _taps(w.value), np.zeros_like(xp)
             share = np.empty((x.shape[0], h_out, w_out))
             for (di, dj), win in windows:
                 tap(kernels[di, dj].T, g, share)

@@ -324,8 +324,8 @@ class TestMaskedMode:
 
     def test_four_toy_steps_keep_their_recorded_losses(self):
         # the 16x16x4 toy at K=3, masked: a change to the tape's nodes or to
-        # their arithmetic moves these bits (the BLAS convolutions set the last
-        # bit of losses 2 and 4; they are the same under one or two BLAS threads)
+        # their arithmetic moves these bits; the convolutions' BLAS sums set some
+        # of the last ones, which are the same under one or two BLAS threads
         net = UNetConfig(bands=4, base_channels=8, levels=1, blocks_per_level=1,
                          patch=4, cube=(2, 2, 2), state_size=4, expansion=2)
         cfg = unfolding.UnfoldConfig(stages=3, net=net, share_weights=True)
