@@ -402,7 +402,10 @@ def _window_conv(x: Node, w: Node, bias: Node, stride, tap, tap_grad) -> Node:
     w_out = (wd + 2 * pad - k) // stride + 1
     if h_out < 1 or w_out < 1:
         raise ValueError(f"convolution output would be empty: input {h}x{wd}, k={k}, stride={stride}")
-    xp = np.pad(x.value, ((0, 0), (pad, pad), (pad, pad))) if pad else x.value
+    xp = x.value
+    if pad:
+        xp = np.zeros((x.shape[0], h + 2 * pad, wd + 2 * pad))
+        xp[:, pad:pad + h, pad:pad + wd] = x.value
     windows = [((di, dj), (slice(None), slice(di, di + stride * h_out, stride),
                            slice(dj, dj + stride * w_out, stride)))
                for di in range(k) for dj in range(k)]

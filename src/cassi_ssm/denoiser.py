@@ -250,30 +250,16 @@ def denoiser_layout(prefix: str, config: UNetConfig, zero_residual: bool = True)
 # ---------------------------------------------------------------------------
 # forward pieces
 
-def _affine(x: "ad.Node", w: "ad.Node", bias: "ad.Node") -> "ad.Node":
-    """x * w + bias, the per-channel `w` and `bias` repeated along the tokens (axis 1) of x."""
-    length = x.shape[1]
-    return ad.add(ad.mul(x, ad.repeat_expand(w, 1, length)), ad.repeat_expand(bias, 1, length))
-
-
 def _ssm_branch(flat: "ad.Node", order, weights: ModelWeights, prefix: str) -> "ad.Node":
     """Per-channel selective scan of a [C, L] tensor read in a scan order.
 
-    The tokens are gathered into `order`, scanned, and restored to their
-    places.  Each channel carries its own selection: per-token B and C come
-    from an affine map of the scalar token, the timescale from a
-    softplus-affine map.  The expanded tokens are dropped once B and C are
-    built, and the scan is handed the only reference to each, so tape-free
-    it frees B once read and C once the recurrence has read it.
+    The tokens are gathered into `order`, scanned with the branch's weights
+    (see `ssm.selective_scan`), and restored to their places.
     """
     seq = ad.gather_last(flat, order.forward, order.inverse)
-    a = ad.scale(ad.exp(weights[f"{prefix}/a_log"]), -1.0)
-    x_e = ad.repeat_expand(seq, 2, a.shape[-1])
-    gains = [_affine(x_e, weights[f"{prefix}/w_{g}"], weights[f"{prefix}/b_{g}"]) for g in "bc"]
-    del x_e
-    delta = ad.softplus(_affine(seq, weights[f"{prefix}/w_dt"], weights[f"{prefix}/b_dt"]))
-    # popped, so the scan holds the only reference to each gain
-    y = selective_scan(seq, a, gains.pop(0), gains.pop(0), delta, weights[f"{prefix}/d"])
+    # by keyword, under the layout's names, so no two weights can trade places
+    y = selective_scan(seq, **{name: weights[f"{prefix}/{name}"] for name in
+                               ("a_log", "w_b", "b_b", "w_c", "b_c", "w_dt", "b_dt", "d")})
     return ad.gather_last(y, order.inverse, order.forward)
 
 

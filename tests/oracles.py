@@ -8,9 +8,10 @@ compared with, central finite differences, and the windowed SSIM loop.
 The package itself never calls them.  `total` is the tests' sum of a
 tape value, which the package does not need either.
 
-`discretize_zoh` and `naive_scan_oracle` deliberately share no code with
-`autodiff.phi1` and `ssm.selective_scan`: they are the independent oracle
-those are checked against, so the ZOH formula is written twice on purpose.
+`discretize_zoh`, `naive_scan_oracle` and `selective_scan_oracle`
+deliberately share no code with `autodiff.phi1` and `ssm.selective_scan`:
+they are the independent oracle those are checked against, so the ZOH
+formula and the selection maps are written twice on purpose.
 """
 
 from __future__ import annotations
@@ -98,6 +99,25 @@ def naive_scan_oracle(x, abar, bbar, c, d) -> np.ndarray:
         h = abar[t] * h + bbar[t] * x[t]
         y[t] = float(np.dot(c[t], h)) + d * x[t]
     return y
+
+
+def selective_scan_oracle(x, a_log, w_b, b_b, w_c, b_c, w_dt, b_dt, d) -> np.ndarray:
+    """The selective scan of each row of x [B,L], built from its weights in numpy.
+
+    a_log and the gains w_b, b_b, w_c, b_c are [B,N]; w_dt, b_dt, d are [B].
+    Row i runs `naive_scan_oracle` with a = -exp(a_log[i]), per-token
+    b_t = x_t w_b + b_b and c_t = x_t w_c + b_c, and the timescale
+    delta_t = log(1 + exp(x_t w_dt + b_dt)).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    rows = []
+    for i, xi in enumerate(x):
+        b = xi[:, None] * w_b[i] + b_b[i]
+        c = xi[:, None] * w_c[i] + b_c[i]
+        delta = np.logaddexp(0.0, xi * w_dt[i] + b_dt[i])
+        abar, bbar = discretize_zoh(-np.exp(a_log[i]), b, delta[:, None])
+        rows.append(naive_scan_oracle(xi, abar, bbar, c, d[i]))
+    return np.array(rows)
 
 
 def continuous_response_check(a, b, c, d, u: float, delta: float, steps: int) -> float:

@@ -24,8 +24,8 @@ from cassi_ssm.denoiser import (
 )
 from cassi_ssm.demo import toy_mask, toy_scene
 from oracles import (
-    build_dense_phi, continuous_response_check, dense_oracle_data_step, discretize_zoh,
-    finite_diff_check, naive_scan_oracle, spectral_scan_order, ssim_loop_oracle, total)
+    build_dense_phi, continuous_response_check, dense_oracle_data_step, finite_diff_check,
+    selective_scan_oracle, spectral_scan_order, ssim_loop_oracle, total)
 
 GRAD_TOL = 1e-4
 
@@ -131,16 +131,15 @@ def test_criterion_05_ssm_correctness():
         rng = np.random.default_rng(5000 + seed)
         length = int(rng.integers(1, 513)) if seed else 4096
         nstate = int(rng.integers(1, 17))
-        x = rng.normal(size=length)
-        a = -rng.uniform(0.2, 4.0, size=nstate)
-        b = rng.normal(size=(length, nstate))
-        c = rng.normal(size=(length, nstate))
-        delta = rng.uniform(0.01, 0.8, size=length)
-        d = float(rng.normal())
-        got = ssm.selective_scan(*(ad.constant(v) for v in (
-            x[None], a[None], b[None], c[None], delta[None], np.array([d])))).value[0]
-        abar, bbar = discretize_zoh(a[None, :], b, delta[:, None])
-        want = naive_scan_oracle(x, abar, bbar, c, d)
+        # a in [-4, -0.2]; the timescale bias spans softplus^-1 of [0.01, 0.8]
+        case = {"x": rng.normal(size=(1, length)),
+                "a_log": np.log(rng.uniform(0.2, 4.0, size=(1, nstate))),
+                **{g: rng.normal(size=(1, nstate)) for g in ("w_b", "b_b", "w_c", "b_c")},
+                "w_dt": rng.uniform(-1.0, 1.0, size=1),
+                "b_dt": rng.uniform(np.log(np.expm1(0.01)), np.log(np.expm1(0.8)), size=1),
+                "d": rng.normal(size=1)}
+        got = ssm.selective_scan(**{k: ad.constant(v) for k, v in case.items()}).value
+        want = selective_scan_oracle(**case)
         worst = max(worst, np.abs(got - want).max() / max(1.0, np.abs(want).max()))
     assert worst <= 1e-12
 
@@ -182,16 +181,16 @@ def test_criterion_06_differentiability():
 
     # selective_scan (through input, selection and timescale), as a batch of one
     length, nstate = 12, 3
-    sx = rng.normal(size=length)[None]
-    sa = -rng.uniform(0.3, 2.0, size=nstate)[None]
-    sb = rng.normal(size=(length, nstate))[None]
-    sc = rng.normal(size=(length, nstate))[None]
-    sdelta = rng.uniform(0.05, 0.6, size=length)[None]
-    sproj = rng.normal(size=length)[None]
+    sx = rng.normal(size=(1, length))
+    sweights = {"a_log": np.log(rng.uniform(0.3, 2.0, size=(1, nstate))),
+                **{g: rng.normal(size=(1, nstate)) for g in ("w_b", "b_b", "w_c", "b_c")},
+                "w_dt": rng.uniform(-0.5, 0.5, size=1),
+                "b_dt": rng.uniform(np.log(np.expm1(0.05)), np.log(np.expm1(0.6)), size=1),
+                "d": np.array([0.4])}
+    sproj = rng.normal(size=(1, length))
 
     def scan_input(t):
-        y = ssm.selective_scan(t, ad.constant(sa), ad.constant(sb), ad.constant(sc),
-                               ad.constant(sdelta), ad.constant(np.array([0.4])))
+        y = ssm.selective_scan(t, **{k: ad.constant(v) for k, v in sweights.items()})
         return total(ad.mul(y, ad.constant(sproj)))
 
     results["selective_scan"] = finite_diff_check(scan_input, sx)

@@ -9,23 +9,49 @@ import pytest
 from cassi_ssm import autodiff as ad
 from cassi_ssm import ssm
 from oracles import (
-    continuous_response_check, discretize_zoh, finite_diff_check, naive_scan_oracle, total)
+    continuous_response_check, discretize_zoh, finite_diff_check, naive_scan_oracle,
+    selective_scan_oracle, total)
+
+WEIGHTS = ("a_log", "w_b", "b_b", "w_c", "b_c", "w_dt", "b_dt", "d")
+# softplus^-1 of the timescales 0.01 and 0.8
+DT_LOW, DT_HIGH = np.log(np.expm1(0.01)), np.log(np.expm1(0.8))
 
 
-def make_random_case(rng, length, nstate):
-    x = rng.normal(size=length)
-    a = -rng.uniform(0.2, 4.0, size=nstate)
-    b = rng.normal(size=(length, nstate))
-    c = rng.normal(size=(length, nstate))
-    delta = rng.uniform(0.01, 0.8, size=length)
-    d = float(rng.normal())
-    return x, a, b, c, delta, d
+def make_random_case(rng, length, nstate, nb=1):
+    """Tokens and branch weights of `nb` channels: a = -exp(a_log) lies in
+    [-4, -0.2], and the timescale bias spans softplus^-1 of [0.01, 0.8]."""
+    return {
+        "x": rng.normal(size=(nb, length)),
+        "a_log": np.log(rng.uniform(0.2, 4.0, size=(nb, nstate))),
+        **{g: rng.normal(size=(nb, nstate)) for g in ("w_b", "b_b", "w_c", "b_c")},
+        "w_dt": rng.uniform(-1.0, 1.0, size=nb),
+        "b_dt": rng.uniform(DT_LOW, DT_HIGH, size=nb),
+        "d": rng.normal(size=nb),
+    }
 
 
-def scan_one(x, a, b, c, delta, d):
-    """selective_scan of one sequence, run as a batch of one."""
-    return ssm.selective_scan(*(ad.constant(v) for v in (
-        x[None], a[None], b[None], c[None], delta[None], np.array([d])))).value[0]
+def scan(case):
+    """selective_scan of a case's arrays, as constants."""
+    return ssm.selective_scan(**{k: ad.constant(v) for k, v in case.items()}).value
+
+
+def defect(case):
+    """Largest deviation from the oracle, relative to max(1, |oracle|)."""
+    want = selective_scan_oracle(**case)
+    return np.abs(scan(case) - want).max() / max(1.0, np.abs(want).max())
+
+
+def gradcheck_all_inputs(case):
+    """finite_diff_check through each of the nine inputs of a random projection of y."""
+    proj = np.random.default_rng(0).normal(size=case["x"].shape)
+
+    def check(target):
+        def f(t):
+            nodes = {k: t if k == target else ad.constant(v) for k, v in case.items()}
+            return total(ad.mul(ssm.selective_scan(**nodes), ad.constant(proj)))
+        return finite_diff_check(f, case[target])
+
+    return {target: check(target) for target in case}
 
 
 class TestDiscretizeZoh:
@@ -89,126 +115,98 @@ class TestNaiveOracle:
 
 class TestSelectiveScan:
     def test_matches_naive_oracle_randomized(self):
-        rng = np.random.default_rng(1)
         worst = 0.0
         for seed in range(100):
             r = np.random.default_rng(seed)
             length = int(r.integers(1, 257))
             nstate = int(r.integers(1, 17))
-            x, a, b, c, delta, d = make_random_case(r, length, nstate)
-            got = scan_one(x, a, b, c, delta, d)
-            abar, bbar = discretize_zoh(a[None, :], b, delta[:, None])
-            want = naive_scan_oracle(x, abar, bbar, c, d)
-            scale = max(1.0, np.abs(want).max())
-            worst = max(worst, np.abs(got - want).max() / scale)
+            worst = max(worst, defect(make_random_case(r, length, nstate)))
         assert worst <= 1e-12
 
     def test_matches_naive_oracle_long_sequence(self):
-        r = np.random.default_rng(2)
-        x, a, b, c, delta, d = make_random_case(r, 4096, 16)
-        got = scan_one(x, a, b, c, delta, d)
-        abar, bbar = discretize_zoh(a[None, :], b, delta[:, None])
-        want = naive_scan_oracle(x, abar, bbar, c, d)
-        assert np.abs(got - want).max() / max(1.0, np.abs(want).max()) <= 1e-12
+        assert defect(make_random_case(np.random.default_rng(2), 4096, 16)) <= 1e-12
 
     def test_matches_naive_oracle_cross_scan_length(self):
         # the 64x64x8 cross-cube scan: one sequence of 4096 eight-step chunks
-        r = np.random.default_rng(4)
-        x, a, b, c, delta, d = make_random_case(r, 32768, 4)
-        got = scan_one(x, a, b, c, delta, d)
-        abar, bbar = discretize_zoh(a[None, :], b, delta[:, None])
-        want = naive_scan_oracle(x, abar, bbar, c, d)
-        assert np.abs(got - want).max() / max(1.0, np.abs(want).max()) <= 1e-12
+        assert defect(make_random_case(np.random.default_rng(4), 32768, 4)) <= 1e-12
+
+    # every branch of the 16x16x4 toy (base 8, one level, state 4): the spatial
+    # and cross-cube scans at the full and at the half plane
+    @pytest.mark.parametrize("nb,length", [(8, 256), (1, 2048), (16, 64), (1, 1024)],
+                             ids=["8x256x4", "1x2048x4", "16x64x4", "1x1024x4"])
+    def test_matches_naive_oracle_at_model_branch_shapes(self, nb, length):
+        assert defect(make_random_case(np.random.default_rng(nb * length), length, 4, nb)) <= 1e-12
 
     def test_stability_bounded_over_1e5_steps(self):
         r = np.random.default_rng(3)
         length = 100_000
-        x = r.uniform(-1.0, 1.0, size=length)
-        a = -np.arange(1.0, 5.0)
-        b = r.normal(size=(length, 4))
-        c = r.normal(size=(length, 4))
-        delta = r.uniform(0.01, 0.5, size=length)
-        y = scan_one(x, a, b, c, delta, 1.0)
+        # x in [-1, 1] maps the timescale onto [0.01, 0.5]
+        low, high = np.log(np.expm1(0.01)), np.log(np.expm1(0.5))
+        case = {
+            "x": r.uniform(-1.0, 1.0, size=(1, length)),
+            "a_log": np.log(np.arange(1.0, 5.0))[None],
+            **{g: r.normal(size=(1, 4)) for g in ("w_b", "b_b", "w_c", "b_c")},
+            "w_dt": np.array([(high - low) / 2]),
+            "b_dt": np.array([(high + low) / 2]),
+            "d": np.ones(1),
+        }
+        y = scan(case)
         assert np.isfinite(y).all()
         assert np.abs(y).max() < 1e6
 
     def test_causality(self):
         r = np.random.default_rng(4)
-        x, a, b, c, delta, d = make_random_case(r, 32, 4)
-        base = scan_one(x, a, b, c, delta, d)
-        x2 = x.copy()
-        x2[20:] += r.normal(size=12)
-        bumped = scan_one(x2, a, b, c, delta, d)
-        assert np.array_equal(base[:20], bumped[:20])
-        assert not np.array_equal(base[20:], bumped[20:])
+        case = make_random_case(r, 32, 4)
+        base = scan(case)
+        case["x"] = case["x"].copy()
+        case["x"][0, 20:] += r.normal(size=12)
+        bumped = scan(case)
+        assert np.array_equal(base[0, :20], bumped[0, :20])
+        assert not np.array_equal(base[0, 20:], bumped[0, 20:])
 
     def test_batched_equals_per_channel(self):
-        r = np.random.default_rng(5)
-        nb, length, nstate = 3, 40, 4
-        x = r.normal(size=(nb, length))
-        a = -r.uniform(0.5, 3.0, size=(nb, nstate))
-        b = r.normal(size=(nb, length, nstate))
-        c = r.normal(size=(nb, length, nstate))
-        delta = r.uniform(0.05, 0.5, size=(nb, length))
-        d = r.normal(size=nb)
-        batched = ssm.selective_scan(*map(ad.constant, (x, a, b, c, delta, d))).value
-        for i in range(nb):
-            one = slice(i, i + 1)
-            single = ssm.selective_scan(*(ad.constant(v[one])
-                                          for v in (x, a, b, c, delta, d))).value
+        case = make_random_case(np.random.default_rng(5), 40, 4, nb=3)
+        batched = scan(case)
+        for i in range(3):
+            single = scan({k: v[i:i + 1] for k, v in case.items()})
             assert np.array_equal(batched[i], single[0])
 
     def test_shape_errors(self):
-        r = np.random.default_rng(6)
-        x, a, b, c, delta, d = (np.asarray(v)[None] for v in make_random_case(r, 8, 2))
-        with pytest.raises(ValueError, match="do not match"):
-            ssm.selective_scan(*map(ad.constant, (x, a, b[:, :4], c, delta, d)))
-        with pytest.raises(ValueError, match="delta"):
-            ssm.selective_scan(*map(ad.constant, (x, a, b, c, delta[:, :4], d)))
-        with pytest.raises(ValueError, match="skip gain"):
-            ssm.selective_scan(*map(ad.constant, (x, a, b, c, delta, 0.5)))
+        case = make_random_case(np.random.default_rng(6), 8, 2, nb=3)
+        # one channel too many, on each weight in turn
+        for name in WEIGHTS:
+            bad = dict(case, **{name: np.concatenate([case[name], case[name][:1]])})
+            with pytest.raises(ValueError, match=f"^{name} shape"):
+                scan(bad)
+        with pytest.raises(ValueError, match=r"^w_b shape \(3, 3\) .* expected \[B,N\]"):
+            scan(dict(case, w_b=np.ones((3, 3))))
+        with pytest.raises(ValueError, match=r"^d shape \(\) .* expected \[B\]"):
+            scan(dict(case, d=np.array(0.5)))
 
     # named before any [B,L,N] array is made, not left to surface as a shape
     # clash inside `mul` or as a wrong "state size"
     @pytest.mark.parametrize("shape", [(4, 2), (2,), (3, 2, 1)],
                              ids=["other-batch", "one-axis", "three-axes"])
     def test_misshaped_a_named_before_any_work(self, shape):
-        r = np.random.default_rng(6)
-        x, _, b, c, delta, d = (np.repeat(np.asarray(v)[None], 3, axis=0)
-                                for v in make_random_case(r, 5, 2))
+        case = make_random_case(np.random.default_rng(6), 5, 2, nb=3)
         with pytest.raises(ValueError, match=re.escape(
-                f"diagonal a shape {shape} does not match x (3, 5): expected [B,N]")):
-            ssm.selective_scan(*map(ad.constant, (x, -np.ones(shape), b, c, delta, d)))
+                f"a_log shape {shape} does not match x (3, 5): expected [B,N]")):
+            scan(dict(case, a_log=np.zeros(shape)))
 
     def test_unbatched_input_rejected(self):
-        r = np.random.default_rng(6)
-        x, a, b, c, delta, d = make_random_case(r, 8, 2)
+        case = make_random_case(np.random.default_rng(6), 8, 2)
         with pytest.raises(ValueError, match=r"\[B,L\]"):
-            ssm.selective_scan(*map(ad.constant, (x, a, b, c, delta, d)))
+            scan(dict(case, x=case["x"][0]))
 
     def test_gradcheck_all_inputs(self):
-        r = np.random.default_rng(7)
-        length, nstate = 12, 3
-        x, a, b, c, delta, d = (np.asarray(v)[None] for v in make_random_case(r, length, nstate))
-        proj = r.normal(size=(1, length))
+        errors = gradcheck_all_inputs(make_random_case(np.random.default_rng(7), 12, 3))
+        assert sorted(errors) == sorted(("x",) + WEIGHTS)
+        assert max(errors.values()) <= 1e-4
 
-        def check(target, theta):
-            def f(t):
-                vals = {"x": ad.constant(x), "a": ad.constant(a), "b": ad.constant(b),
-                        "c": ad.constant(c), "delta": ad.constant(delta),
-                        "d": ad.constant(d)}
-                vals[target] = t
-                y = ssm.selective_scan(vals["x"], vals["a"], vals["b"], vals["c"],
-                                       vals["delta"], vals["d"])
-                return total(ad.mul(y, ad.constant(proj)))
-            return finite_diff_check(f, theta)
-
-        assert check("x", x) <= 1e-4
-        assert check("b", b) <= 1e-4
-        assert check("c", c) <= 1e-4
-        assert check("delta", delta) <= 1e-4
-        assert check("a", a) <= 1e-4
-        assert check("d", d) <= 1e-4
+    def test_gradcheck_all_inputs_batched(self):
+        errors = gradcheck_all_inputs(make_random_case(np.random.default_rng(9), 12, 3, nb=2))
+        assert sorted(errors) == sorted(("x",) + WEIGHTS)
+        assert max(errors.values()) <= 1e-4
 
 
 class TestContinuousResponse:
