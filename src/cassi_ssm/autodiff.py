@@ -17,6 +17,12 @@ single-input op and runs its gradient map only in the backward pass; and
 which state only the product of one kernel tap with its window and that
 tap's gradient.
 
+One function works on arrays and records nothing: `selective_scan_forward`,
+the value of `ssm.selective_scan` when no input requires grad.  It computes
+through the same helpers as `softplus`, `phi1` and `linear_scan`
+(`_softplus`, `_phi1`, `_scan_chunks`), so each formula has one
+implementation and both paths give the same bits.
+
 All compute is 64-bit.  A tape belongs to one logical thread; node values
 may be shared freely across threads for reading.
 """
@@ -147,14 +153,19 @@ def scale(a, s: float) -> Node:
     return unary(a, a.value * s, lambda g: g * s)
 
 
-def softplus(a) -> Node:
+def _softplus(x: Array) -> Array:
     """log(1 + e^x) as max(x, 0) + log1p(e^-|x|): SIMD ufuncs only, where
     `np.logaddexp` runs a scalar loop, and no exponential can overflow."""
-    x = a.value
-    out_value = np.negative(np.abs(x), out=np.empty_like(x))    # an array, 0-d included
-    np.exp(out_value, out=out_value)
-    np.log1p(out_value, out=out_value)
-    out_value += np.maximum(x, 0.0)
+    out = np.negative(np.abs(x), out=np.empty_like(x))    # an array, 0-d included
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
+
+
+def softplus(a) -> Node:
+    """log(1 + e^x), computed as in `_softplus`."""
+    out_value = _softplus(a.value)
     # the derivative 1 / (1 + exp(-x)) is 1 - exp(-softplus(x))
     return unary(a, out_value, lambda g: g * -np.expm1(-out_value))
 
@@ -250,21 +261,33 @@ def _ones_at(x: Array, idx: Array) -> Array:
     return x
 
 
-def phi1(a) -> Node:
+def _phi1(z: Array) -> Array:
     """(exp(z) - 1) / z per element, with value 1 taken for |z| < 1e-8.
 
+    As in `_erf`, the entries near 0 are patched by index, not by mask; they
+    divide by 1, so z = 0 raises no floating-point flag.  The result is one
+    new array: |z| is formed in it, and then exp(z) - 1.
+    """
+    flat = z.ravel()
+    out = np.abs(flat)
+    small = np.flatnonzero(out < 1e-8)
+    np.expm1(flat, out=out)
+    out /= _ones_at(flat, small)
+    out[small] = 1.0
+    return out.reshape(z.shape)
+
+
+def phi1(a) -> Node:
+    """(exp(z) - 1) / z per element, computed as in `_phi1`.
+
     This is the factor that turns a continuous input gain into its
-    zero-order-hold discrete counterpart.  As in `_erf`, the entries near 0
-    are patched by index, not by mask; they divide by 1, so z = 0 raises no
-    floating-point flag.
+    zero-order-hold discrete counterpart.
     """
     z = a.value
-    flat = z.ravel()
-    small = np.flatnonzero(np.abs(flat) < 1e-8)
-    out = np.expm1(flat) / _ones_at(flat, small)
-    out[small] = 1.0
+    out_value = _phi1(z)
 
     def vjp(g):
+        flat, out = z.ravel(), out_value.ravel()
         # d/dz [(e^z - 1)/z] = (e^z - phi1(z)) / z; series near 0: 1/2 + z/3
         tiny = np.flatnonzero(np.abs(flat) < 1e-5)
         d = np.exp(flat)
@@ -275,7 +298,7 @@ def phi1(a) -> Node:
         d *= g
         return d
 
-    return unary(a, out.reshape(z.shape), vjp)
+    return unary(a, out_value, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -533,25 +556,23 @@ def _flip(x: Array) -> Array:
     return x.reshape(len(x), x.shape[1] * x.shape[2])[:, ::-1].reshape(x.shape)
 
 
-def _scan(a: Array, b: Array) -> Array:
-    """All states h[:, t] = a[:, t] * h[:, t-1] + b[:, t] (h[:, -1] = 0) of [B,L,N] arrays.
+def _scan_chunks(prod: Array, h: Array) -> None:
+    """h_t = a_t * h_{t-1} + b_t (h_{-1} = 0) in place, over L in chunks of _SCAN_CHUNK steps.
 
-    Three phases, none with a Python loop over L:
-    1. Split L into chunks of _SCAN_CHUNK steps (the tail padded with a=1,
-       b=0) and run the recurrence inside every chunk at once, building each
-       chunk's running product of `a` in place of `a`.
+    `prod` and `h` are [_SCAN_CHUNK, chunks, ...] arrays, or views, that hold
+    step j of chunk k at [j, k]: `prod` holds a and `h` holds b, with the tail
+    of L padded with a=1, b=0.  On return `h` holds every state and `prod`
+    the running products of a.  Three phases, none with a Python loop over L:
+    1. Run the recurrence inside every chunk at once, building each chunk's
+       running product of `a` in place of `a`.
     2. Hillis-Steele doubling scan over the chunk-end states, in place on
        the last row: ceil(log2(L/_SCAN_CHUNK)) passes, with only products
        of `a`, so no log and no division.
     3. Carry each chunk's incoming state into its other rows with one
        broadcast, h[k] += P[k] * end[k-1].
-    The running products are dropped before the states are copied out, so
-    at most two [B,L,N]-sized arrays of its own are alive at once.
+    Every step is elementwise, so the bits do not depend on the memory layout.
     """
-    batch, length, n = a.shape
-    chunks = -(-length // _SCAN_CHUNK)
-    prod = _chunk_major(a, chunks, 1.0)
-    h = _chunk_major(b, chunks, 0.0)
+    chunks = prod.shape[1]
     for j in range(1, _SCAN_CHUNK):
         h[j] += prod[j] * h[j - 1]
         prod[j] *= prod[j - 1]
@@ -564,7 +585,21 @@ def _scan(a: Array, b: Array) -> Array:
     # the last row already holds the full states; carry into the rows before it
     prod[:-1, 1:] *= end[:-1]
     h[:-1, 1:] += prod[:-1, 1:]
-    del prod, end_prod
+
+
+def _scan(a: Array, b: Array) -> Array:
+    """All states h[:, t] = a[:, t] * h[:, t-1] + b[:, t] (h[:, -1] = 0) of [B,L,N] arrays.
+
+    The arrays are copied chunk-major and scanned by `_scan_chunks`.  The
+    running products are dropped before the states are copied out, so at
+    most two [B,L,N]-sized arrays of its own are alive at once.
+    """
+    batch, length, n = a.shape
+    chunks = -(-length // _SCAN_CHUNK)
+    prod = _chunk_major(a, chunks, 1.0)
+    h = _chunk_major(b, chunks, 0.0)
+    _scan_chunks(prod, h)
+    del prod
     return h.transpose(2, 1, 0, 3).reshape(batch, chunks * _SCAN_CHUNK, n)[:, :length]
 
 
@@ -602,6 +637,75 @@ def linear_scan(abar, bx, cseq) -> Node:
             cseq.accumulate(g[:, :, None] * hs)
 
     return _make(out_value, (abar, bx, cseq), backward)
+
+
+def _to_chunk_major(a: Array, out: Array | None = None) -> Array:
+    """[_SCAN_CHUNK, B, N, chunks] copied into `out` (a new array if None) as
+    [_SCAN_CHUNK, chunks, B, N], the layout of `_chunk_major`."""
+    if out is None:
+        out = np.empty((a.shape[0], a.shape[3], a.shape[1], a.shape[2]))
+    np.copyto(np.moveaxis(out, 1, 3), a)
+    return out
+
+
+def selective_scan_forward(x, a_log, w_b, b_b, w_c, b_c, w_dt, b_dt, d) -> Array:
+    """The value of `ssm.selective_scan` on arrays, with no tape and no copies along N.
+
+    Shapes and formulas are those of `ssm.selective_scan`, which checks them.
+    Every value is formed by the same operations in the same order as that
+    function's composed graph (through `_softplus`, `_phi1`, `_scan_chunks`
+    and the readout's `einsum`), so the result is the graph's, bit for bit.
+
+    The pointwise work runs in a [_SCAN_CHUNK, B, N, chunks] layout, built
+    straight from the [B,L] tokens: token k * _SCAN_CHUNK + j of row b sits
+    at [j, b, :, k], so the [B,N] weights broadcast along the long chunk
+    axis.  `exp`, the zero-order-hold factor's division, the gain and the
+    products with x run in place.  The tail of L is padded with the last
+    token, so the pad computes nothing that a real token does not.  abar,
+    bbar * x and c are then copied chunk-major, as `linear_scan` scans them,
+    with the pad's a and b set to 1 and 0: there the recurrence runs about
+    twice as fast for B > 1, and the readout `einsum` finds the states' axis
+    contiguous, as in the graph.  At most three [B,L,N] arrays are alive at
+    once.
+    """
+    nb, length = x.shape
+    full, tail = divmod(length, _SCAN_CHUNK)
+    chunks = full + (tail > 0)
+    xt = np.empty((_SCAN_CHUNK, nb, chunks))
+    xt[:, :, :full] = x[:, :full * _SCAN_CHUNK].reshape(nb, full, _SCAN_CHUNK).transpose(2, 0, 1)
+    if tail:
+        xt[:tail, :, full] = x[:, full * _SCAN_CHUNK:].T
+        xt[tail:, :, full] = x[:, -1]
+    pre = xt * w_dt[:, None]
+    pre += b_dt[:, None]
+    delta = _softplus(pre)[:, :, None]                  # [_SCAN_CHUNK, B, 1, chunks]
+    x4 = xt[:, :, None]
+    a = -np.exp(a_log)[:, :, None]                      # [B, N, 1]
+
+    da = delta * a
+    bx = _phi1(da)
+    abar = _to_chunk_major(da)
+    del da
+    np.exp(abar, out=abar)
+    gain = x4 * w_b[:, :, None]
+    gain += b_b[:, :, None]
+    gain *= delta
+    bx *= gain                                          # bbar
+    del gain
+    bx *= x4
+    h = _to_chunk_major(bx)
+    del bx
+    if tail:
+        abar[tail:, -1] = 1.0
+        h[tail:, -1] = 0.0
+    _scan_chunks(abar, h)
+
+    c = x4 * w_c[:, :, None]
+    c += b_c[:, :, None]
+    c = _to_chunk_major(c, out=abar)                    # abar is spent: its memory takes c
+    y = np.einsum("jkbn,jkbn->jkb", c, h)
+    y = y.transpose(2, 1, 0).reshape(nb, chunks * _SCAN_CHUNK)[:, :length]
+    return y + x * d[:, None]
 
 
 # ---------------------------------------------------------------------------

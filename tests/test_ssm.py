@@ -2,6 +2,7 @@
 stability, causality, and gradient checks."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -30,15 +31,17 @@ def make_random_case(rng, length, nstate, nb=1):
     }
 
 
-def scan(case):
-    """selective_scan of a case's arrays, as constants."""
-    return ssm.selective_scan(**{k: ad.constant(v) for k, v in case.items()}).value
+def scan(case, leaf):
+    """selective_scan of a case's arrays, each wrapped by `leaf`: with
+    `ad.constant` the call runs the tape-free kernel, with `ad.parameter`
+    the composed graph."""
+    return ssm.selective_scan(**{k: leaf(v) for k, v in case.items()}).value
 
 
-def defect(case):
+def defect(case, leaf):
     """Largest deviation from the oracle, relative to max(1, |oracle|)."""
     want = selective_scan_oracle(**case)
-    return np.abs(scan(case) - want).max() / max(1.0, np.abs(want).max())
+    return np.abs(scan(case, leaf) - want).max() / max(1.0, np.abs(want).max())
 
 
 def gradcheck_all_inputs(case):
@@ -114,28 +117,40 @@ class TestNaiveOracle:
 
 
 class TestSelectiveScan:
+    """Every input a constant, so each call runs `ad.selective_scan_forward`;
+    `TestSelectiveScanOnTape` runs the same tests on the composed graph."""
+
+    leaf = staticmethod(ad.constant)
+
+    def scan(self, case):
+        return scan(case, self.leaf)
+
+    def defect(self, case):
+        return defect(case, self.leaf)
+
     def test_matches_naive_oracle_randomized(self):
         worst = 0.0
         for seed in range(100):
             r = np.random.default_rng(seed)
             length = int(r.integers(1, 257))
             nstate = int(r.integers(1, 17))
-            worst = max(worst, defect(make_random_case(r, length, nstate)))
+            worst = max(worst, self.defect(make_random_case(r, length, nstate)))
         assert worst <= 1e-12
 
     def test_matches_naive_oracle_long_sequence(self):
-        assert defect(make_random_case(np.random.default_rng(2), 4096, 16)) <= 1e-12
+        assert self.defect(make_random_case(np.random.default_rng(2), 4096, 16)) <= 1e-12
 
     def test_matches_naive_oracle_cross_scan_length(self):
         # the 64x64x8 cross-cube scan: one sequence of 4096 eight-step chunks
-        assert defect(make_random_case(np.random.default_rng(4), 32768, 4)) <= 1e-12
+        assert self.defect(make_random_case(np.random.default_rng(4), 32768, 4)) <= 1e-12
 
     # every branch of the 16x16x4 toy (base 8, one level, state 4): the spatial
     # and cross-cube scans at the full and at the half plane
     @pytest.mark.parametrize("nb,length", [(8, 256), (1, 2048), (16, 64), (1, 1024)],
                              ids=["8x256x4", "1x2048x4", "16x64x4", "1x1024x4"])
     def test_matches_naive_oracle_at_model_branch_shapes(self, nb, length):
-        assert defect(make_random_case(np.random.default_rng(nb * length), length, 4, nb)) <= 1e-12
+        case = make_random_case(np.random.default_rng(nb * length), length, 4, nb)
+        assert self.defect(case) <= 1e-12
 
     def test_stability_bounded_over_1e5_steps(self):
         r = np.random.default_rng(3)
@@ -150,25 +165,25 @@ class TestSelectiveScan:
             "b_dt": np.array([(high + low) / 2]),
             "d": np.ones(1),
         }
-        y = scan(case)
+        y = self.scan(case)
         assert np.isfinite(y).all()
         assert np.abs(y).max() < 1e6
 
     def test_causality(self):
         r = np.random.default_rng(4)
         case = make_random_case(r, 32, 4)
-        base = scan(case)
+        base = self.scan(case)
         case["x"] = case["x"].copy()
         case["x"][0, 20:] += r.normal(size=12)
-        bumped = scan(case)
+        bumped = self.scan(case)
         assert np.array_equal(base[0, :20], bumped[0, :20])
         assert not np.array_equal(base[0, 20:], bumped[0, 20:])
 
     def test_batched_equals_per_channel(self):
         case = make_random_case(np.random.default_rng(5), 40, 4, nb=3)
-        batched = scan(case)
+        batched = self.scan(case)
         for i in range(3):
-            single = scan({k: v[i:i + 1] for k, v in case.items()})
+            single = self.scan({k: v[i:i + 1] for k, v in case.items()})
             assert np.array_equal(batched[i], single[0])
 
     def test_shape_errors(self):
@@ -177,11 +192,11 @@ class TestSelectiveScan:
         for name in WEIGHTS:
             bad = dict(case, **{name: np.concatenate([case[name], case[name][:1]])})
             with pytest.raises(ValueError, match=f"^{name} shape"):
-                scan(bad)
+                self.scan(bad)
         with pytest.raises(ValueError, match=r"^w_b shape \(3, 3\) .* expected \[B,N\]"):
-            scan(dict(case, w_b=np.ones((3, 3))))
+            self.scan(dict(case, w_b=np.ones((3, 3))))
         with pytest.raises(ValueError, match=r"^d shape \(\) .* expected \[B\]"):
-            scan(dict(case, d=np.array(0.5)))
+            self.scan(dict(case, d=np.array(0.5)))
 
     # named before any [B,L,N] array is made, not left to surface as a shape
     # clash inside `mul` or as a wrong "state size"
@@ -191,12 +206,12 @@ class TestSelectiveScan:
         case = make_random_case(np.random.default_rng(6), 5, 2, nb=3)
         with pytest.raises(ValueError, match=re.escape(
                 f"a_log shape {shape} does not match x (3, 5): expected [B,N]")):
-            scan(dict(case, a_log=np.zeros(shape)))
+            self.scan(dict(case, a_log=np.zeros(shape)))
 
     def test_unbatched_input_rejected(self):
         case = make_random_case(np.random.default_rng(6), 8, 2)
         with pytest.raises(ValueError, match=r"\[B,L\]"):
-            scan(dict(case, x=case["x"][0]))
+            self.scan(dict(case, x=case["x"][0]))
 
     def test_gradcheck_all_inputs(self):
         errors = gradcheck_all_inputs(make_random_case(np.random.default_rng(7), 12, 3))
@@ -207,6 +222,67 @@ class TestSelectiveScan:
         errors = gradcheck_all_inputs(make_random_case(np.random.default_rng(9), 12, 3, nb=2))
         assert sorted(errors) == sorted(("x",) + WEIGHTS)
         assert max(errors.values()) <= 1e-4
+
+
+class TestSelectiveScanOnTape(TestSelectiveScan):
+    """The tests above with every input a parameter, so each call builds the
+    composed graph that training differentiates (the gradient checks, which
+    make their own leaves, run again unchanged)."""
+
+    leaf = staticmethod(ad.parameter)
+
+
+def outcome(case, leaf):
+    """(value, None) of one path under warnings-as-errors, or (None, the class
+    of the first warning it raises)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return scan(case, leaf), None
+        except Warning as warning:
+            return None, type(warning)
+
+
+class TestKernelMatchesGraph:
+    """The tape-free kernel gives the composed graph's bits, and its warnings."""
+
+    @staticmethod
+    def assert_same(case):
+        kernel, kernel_warning = outcome(case, ad.constant)
+        graph, graph_warning = outcome(case, ad.parameter)
+        assert kernel_warning is graph_warning
+        if graph_warning is None:
+            assert np.array_equal(kernel, graph, equal_nan=True)
+        return graph_warning
+
+    # lengths around one 8-step chunk, and one token past 512 chunks
+    @pytest.mark.parametrize("nstate", [1, 4, 16])
+    @pytest.mark.parametrize("nb", [1, 3, 8])
+    @pytest.mark.parametrize("length", [1, 7, 8, 9, 4097])
+    def test_bit_identical(self, length, nb, nstate):
+        rng = np.random.default_rng(1000 * length + 10 * nb + nstate)
+        assert self.assert_same(make_random_case(rng, length, nstate, nb)) is None
+
+    @pytest.mark.parametrize("length", [9, 4097])
+    @pytest.mark.parametrize("edge", ["a-zero", "x-large", "x-zero"])
+    def test_bit_identical_at_edges(self, edge, length):
+        case = make_random_case(np.random.default_rng(length), length, 4, 3)
+        if edge == "a-zero":
+            # a = -exp(-800) = -0.0, so every delta*a takes phi1's |z| < 1e-8 patch
+            case["a_log"] = np.full_like(case["a_log"], -800.0)
+        elif edge == "x-large":
+            # x w_dt = +-1e3 in the first two rows: softplus saturates, or delta underflows to 0
+            case["x"] = np.where(np.arange(length) % 2, 1e3, -1e3) * np.ones((3, 1))
+            case["w_dt"] = np.array([1.0, -1.0, 0.5])
+        else:
+            case["x"] = np.zeros((3, length))
+        assert self.assert_same(case) is None
+
+    def test_same_warning_class(self):
+        # an infinite token: 0 * inf in bbar * x gives NaN on both paths
+        case = make_random_case(np.random.default_rng(12), 9, 4, 3)
+        case["x"][1, 4] = np.inf
+        assert self.assert_same(case) is RuntimeWarning
 
 
 class TestContinuousResponse:
