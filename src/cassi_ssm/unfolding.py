@@ -14,9 +14,9 @@ radiance.
 is the path training differentiates.  `reconstruct` runs the same graph on
 the weights' `frozen` view, so inference builds no tape: an intermediate is
 freed once nothing reads it.  The selective-scan branch, whose [B,L,N]
-arrays dominate, drops each one as soon as its last reader has run (see
-`ssm`), so a default-profile reconstruct (K=3, 28 bands) peaks at 66, 142
-and 448 MB at 32, 64 and 128 square (`VmHWM`, `experiments/cost.py`).
+arrays dominate, runs as one array kernel that holds at most three of them
+(see `ssm`), so a default-profile reconstruct (K=3, 28 bands) peaks at 55,
+100 and 277 MB at 32, 64 and 128 square (`VmHWM`, `experiments/cost.py`).
 """
 
 from __future__ import annotations
